@@ -10,6 +10,7 @@ import argparse
 import math
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +333,175 @@ def test_criterion_8_cli_reruns_byte_identical(tmp_path, capsys):
     # nothing on the command surface escaped the sweep
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(used) == set(sub.choices)
+    capsys.readouterr()
+
+
+# Every echo of the sweep, byte for byte, when it runs from its output
+# directory with relative paths.  A renamed, reordered, dropped or added
+# key changes one of these texts.
+PINNED_ECHOES = {
+    "data/synthetic.resolved.cfg": """command = gen-synthetic
+out = data
+vocab_size = 16
+n_train_aux = 40
+n_fewshot_tgt = 6
+n_valid = 8
+n_test = 8
+templates = 4
+seed = 3
+""",
+    "few.jsonl.cfg": """command = sample-fewshot
+in = data/aux_train.jsonl
+k = 5
+seed = 2
+out = few.jsonl
+strict = false
+""",
+    "mixed.jsonl.cfg": """command = interleave
+aux = data/aux_train.jsonl
+tgt = data/tgt_train.jsonl
+out = mixed.jsonl
+strict = false
+""",
+    "fmt.jsonl.cfg": """command = format
+in = data/tgt_train.jsonl
+out = fmt.jsonl
+layout = prompted
+strict = false
+""",
+    "pre.model.cfg": """command = pretrain
+data = data/aux_train.jsonl,data/tgt_valid.jsonl
+out = pre.model
+seed = 1
+embedding_size = 12
+hidden_size = 16
+corruption_rate = 0.15
+mean_span_length = 3.0
+strict = false
+learning_rate = 0.005
+epochs = 1
+batch_size = 8
+beta1 = 0.9
+beta2 = 0.999
+eps = 1e-08
+weight_decay = 0.0
+max_length = 64
+""",
+    "src.model.cfg": """command = train
+model = pre.model
+train = data/aux_train.jsonl
+valid = data/aux_valid.jsonl
+out = src.model
+prompted = true
+strict = false
+learning_rate = 0.005
+epochs = 1
+batch_size = 8
+beta1 = 0.9
+beta2 = 0.999
+eps = 1e-08
+weight_decay = 0.0
+max_length = 64
+""",
+    "adapted.model.cfg": """command = adapt
+model = src.model
+train = data/tgt_train.jsonl
+valid = data/tgt_valid.jsonl
+out = adapted.model
+prompted = true
+strict = false
+learning_rate = 0.005
+epochs = 1
+batch_size = 8
+beta1 = 0.9
+beta2 = 0.999
+eps = 1e-08
+weight_decay = 0.0
+max_length = 64
+""",
+    "hyps.txt.cfg": """command = generate
+model = adapted.model
+in = data/tgt_test.jsonl
+out = hyps.txt
+raw_out = raw.txt
+prompted = true
+max_length = 24
+strict = false
+""",
+    "report.jsonl.cfg": """command = evaluate
+hyp = hyps.txt
+ref = data/tgt_test.jsonl
+report = report.jsonl
+system = system
+target_vocab = data/tgt_vocab.txt
+tokenizer = 13a
+smoothing_epsilon = 0.01
+strict = false
+""",
+    "study/study.resolved.cfg": """command = study
+out = study
+synthetic.vocab_size = 12
+synthetic.n_train_aux = 20
+synthetic.n_fewshot_tgt = 4
+synthetic.n_valid = 6
+synthetic.n_test = 6
+synthetic.templates = 2
+synthetic.seed = 13
+pretrain.learning_rate = 0.005
+pretrain.epochs = 1
+pretrain.batch_size = 8
+pretrain.beta1 = 0.9
+pretrain.beta2 = 0.999
+pretrain.eps = 1e-08
+pretrain.weight_decay = 0.0
+pretrain.max_length = 64
+train.learning_rate = 0.003
+train.epochs = 1
+train.batch_size = 8
+train.beta1 = 0.9
+train.beta2 = 0.999
+train.eps = 1e-08
+train.weight_decay = 0.0
+train.max_length = 64
+adapt.learning_rate = 0.006
+adapt.epochs = 2
+adapt.batch_size = 4
+adapt.beta1 = 0.9
+adapt.beta2 = 0.999
+adapt.eps = 1e-08
+adapt.weight_decay = 0.0
+adapt.max_length = 64
+seeds = 0
+max_generate = 6
+""",
+    "sheet.tsv.cfg": """command = humaneval-export
+hyp_a = hyps.txt
+hyp_b = hyps.txt
+system_a = FS-XLT
+system_b = FS-XLT_pmpt
+test = data/tgt_test.jsonl
+sheet = sheet.tsv
+key = key.tsv
+n = 6
+seed = 4
+allow_cross_family = false
+strict = false
+""",
+    "votes.txt.cfg": """command = humaneval-aggregate
+sheet = done.tsv
+key = key.tsv
+out = votes.txt
+language = da
+strict = false
+""",
+}
+
+
+def test_criterion_8_echo_bytes_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _, outputs = _run_all_subcommands(Path("."))
+    echoes = {str(path): path.read_text(encoding="utf-8") for path in outputs if path.suffix == ".cfg"}
+    assert echoes == PINNED_ECHOES
     capsys.readouterr()
 
 

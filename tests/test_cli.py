@@ -279,11 +279,12 @@ def test_study_artifacts_written(tiny_study):
 
 
 def test_study_echo_reload_is_byte_identical(tiny_study, tmp_path):
-    again = tmp_path / "run2"
-    assert main(["study", "--config", str(tiny_study / "study.resolved.cfg"),
-                 "--out", str(again)]) == 0
-    for name in ("report.jsonl", "study.json", "samples.txt"):
-        assert filecmp.cmp(tiny_study / name, again / name, shallow=False), name
+    for flag in ("--config", "--spec"):  # --spec is an alias of --config
+        again = tmp_path / flag.strip("-")
+        assert main(["study", flag, str(tiny_study / "study.resolved.cfg"),
+                     "--out", str(again)]) == 0
+        for name in ("report.jsonl", "study.json", "samples.txt"):
+            assert filecmp.cmp(tiny_study / name, again / name, shallow=False), (flag, name)
 
 
 # -- human evaluation round trip ---------------------------------------------------
