@@ -38,16 +38,16 @@ from .corpus import (
 )
 from .experiment import (
     SETTINGS,
+    StudyConfig,
     format_pairs,
+    generate_responses,
     run_forgetting_study,
-    study_config_entries,
-    study_config_from_kv,
     template_texts,
     write_study_artifacts,
 )
 from .humaneval import HumanEvalError, aggregate_votes, export_pairs
 from .interleave import InterleaveError, interleave_even
-from .kvconfig import ConfigError, load_kv, parse_bool, write_kv
+from .kvconfig import ConfigError, config_from, config_schema, load_kv, parse_bool, write_kv
 from .metrics import (
     MetricError,
     TOKENIZERS,
@@ -67,7 +67,6 @@ from .model import (
     OptimizerConfig,
     TrainingDivergedError,
     Vocabulary,
-    generate_corpus,
     load_model,
     pretrain_span_corruption,
     restore_checkpoint,
@@ -75,15 +74,16 @@ from .model import (
     select_best_checkpoint,
     train,
 )
-from .prompting import DEFAULT_TEMPLATE, PromptError, extract_response, format_plain, format_prompted, load_template
+from .prompting import DEFAULT_TEMPLATE, PromptError, load_template
 
 log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
 # Key resolution: baked default < --config < --set < dedicated flag.
-# Each command declares {key: (parse, default)}; _REQUIRED defaults must
-# arrive from a flag or the config.
+# Each command declares {key: (parse, default)}, taking the keys of its
+# config dataclasses from config_schema; _REQUIRED defaults must arrive
+# from a flag or the config.
 
 _REQUIRED = object()
 
@@ -112,22 +112,6 @@ def _optional_int(value) -> int | None:
     if value is None or value == "":
         return None
     return int(value)
-
-
-def _opt_keys(defaults: OptimizerConfig) -> dict[str, tuple]:
-    return {
-        "learning_rate": (float, defaults.learning_rate),
-        "epochs": (int, defaults.epochs),
-        "batch_size": (int, defaults.batch_size),
-        "beta1": (float, defaults.beta1),
-        "beta2": (float, defaults.beta2),
-        "eps": (float, defaults.eps),
-        "weight_decay": (float, defaults.weight_decay),
-        "max_length": (int, defaults.max_length),
-    }
-
-
-_OPT_FIELDS = tuple(_opt_keys(PRETRAIN_DEFAULTS))
 
 
 def _parse_set_entries(items: list[str] | None) -> dict[str, str]:
@@ -189,14 +173,7 @@ def _ensure_parent(path: str) -> None:
 
 def _write_echo(path: str, command: str, resolved: dict) -> None:
     _ensure_parent(path)
-    entries: dict[str, object] = {"command": command}
-    for key, value in resolved.items():
-        if value is None or value == "":
-            continue
-        if isinstance(value, (list, tuple)):
-            value = ",".join(str(v) for v in value)
-        entries[key] = value
-    write_kv(path, entries)
+    write_kv(path, {"command": command, **resolved})
 
 
 def _read_lines(path: str) -> list[str]:
@@ -221,10 +198,6 @@ def _template(name: str):
     return load_template(name) if name else DEFAULT_TEMPLATE
 
 
-def _optimizer_config(resolved: dict) -> OptimizerConfig:
-    return OptimizerConfig(**{field: resolved[field] for field in _OPT_FIELDS})
-
-
 def _write_history(path: str, result, best) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for step, valid_loss in result.valid_losses:
@@ -236,32 +209,9 @@ def _write_history(path: str, result, best) -> None:
 # Subcommand handlers
 
 
-_SYNTH_DEFAULTS = SyntheticSpec()
-
-_GEN_SYNTHETIC_SCHEMA: dict[str, tuple] = {
-    "out": (str, _REQUIRED),
-    "vocab_size": (int, _SYNTH_DEFAULTS.vocab_size_per_language),
-    "n_train_aux": (int, _SYNTH_DEFAULTS.n_train_aux),
-    "n_fewshot_tgt": (int, _SYNTH_DEFAULTS.n_fewshot_tgt),
-    "n_valid": (int, _SYNTH_DEFAULTS.n_valid),
-    "n_test": (int, _SYNTH_DEFAULTS.n_test),
-    "templates": (int, _SYNTH_DEFAULTS.template_count),
-    "seed": (int, _SYNTH_DEFAULTS.seed),
-}
-
-
 def _cmd_gen_synthetic(args) -> int:
-    r = _resolve(args, "gen-synthetic", _GEN_SYNTHETIC_SCHEMA)
-    spec = SyntheticSpec(
-        vocab_size_per_language=r["vocab_size"],
-        n_train_aux=r["n_train_aux"],
-        n_fewshot_tgt=r["n_fewshot_tgt"],
-        n_valid=r["n_valid"],
-        n_test=r["n_test"],
-        template_count=r["templates"],
-        seed=r["seed"],
-    )
-    bundle = generate_synthetic_bilingual(spec)
+    r = _resolve(args, "gen-synthetic", {"out": (str, _REQUIRED), **config_schema(SyntheticSpec())})
+    bundle = generate_synthetic_bilingual(config_from(SyntheticSpec(), r))
     os.makedirs(r["out"], exist_ok=True)
     for name, corpus in (
         ("aux_train", bundle.aux_train),
@@ -330,13 +280,12 @@ _FORMAT_SCHEMA: dict[str, tuple] = {
 def _cmd_format(args) -> int:
     r = _resolve(args, "format", _FORMAT_SCHEMA)
     pairs = load_pairs(r["in"], strict=r["strict"])
-    template = _template(r["template"])
     prompted = r["layout"] == "prompted"
+    formatted = format_pairs(pairs, prompted, _template(r["template"]))
     _ensure_parent(r["out"])
     with open(r["out"], "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            ex = format_prompted(pair, template) if prompted else format_plain(pair)
-            fh.write(json.dumps({"source": ex.source, "target": ex.target, "prompted": ex.prompted}, ensure_ascii=False) + "\n")
+        for source, target in formatted:
+            fh.write(json.dumps({"source": source, "target": target, "prompted": prompted}, ensure_ascii=False) + "\n")
     _write_echo(r["out"] + ".cfg", "format", r)
     return 0
 
@@ -352,7 +301,7 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
     "template": (str, ""),
     "eval_every": (_optional_int, None),
     "strict": (_bool, False),
-    **_opt_keys(PRETRAIN_DEFAULTS),
+    **config_schema(PRETRAIN_DEFAULTS),
 }
 
 
@@ -368,7 +317,7 @@ def _cmd_pretrain(args) -> int:
     result = pretrain_span_corruption(
         model,
         corpora,
-        _optimizer_config(r),
+        config_from(PRETRAIN_DEFAULTS, r),
         corruption_rate=r["corruption_rate"],
         mean_span_length=r["mean_span_length"],
         template=template,
@@ -393,23 +342,19 @@ def _finetune_schema(defaults: OptimizerConfig) -> dict[str, tuple]:
         "template": (str, ""),
         "eval_every": (_optional_int, None),
         "strict": (_bool, False),
-        **_opt_keys(defaults),
+        **config_schema(defaults),
     }
 
 
-_TRAIN_SCHEMA = _finetune_schema(SOURCE_TRAIN_DEFAULTS)
-_ADAPT_SCHEMA = _finetune_schema(TARGET_ADAPT_DEFAULTS)
-
-
-def _finetune(args, command: str, schema: dict[str, tuple]) -> int:
-    r = _resolve(args, command, schema)
+def _finetune(args, command: str, defaults: OptimizerConfig) -> int:
+    r = _resolve(args, command, _finetune_schema(defaults))
     template = _template(r["template"])
     model = load_model(r["model"])
     train_pairs = load_pairs(r["train"], strict=r["strict"])
     valid_pairs = load_pairs(r["valid"], strict=r["strict"])
     data = format_pairs(train_pairs, r["prompted"], template)
     valid = format_pairs(valid_pairs, r["prompted"], template)
-    result = train(model, data, valid, _optimizer_config(r), eval_every=r["eval_every"])
+    result = train(model, data, valid, config_from(defaults, r), eval_every=r["eval_every"])
     best = select_best_checkpoint(result.checkpoints)
     restore_checkpoint(model, best)
     _ensure_parent(r["out"])
@@ -420,11 +365,11 @@ def _finetune(args, command: str, schema: dict[str, tuple]) -> int:
 
 
 def _cmd_train(args) -> int:
-    return _finetune(args, "train", _TRAIN_SCHEMA)
+    return _finetune(args, "train", SOURCE_TRAIN_DEFAULTS)
 
 
 def _cmd_adapt(args) -> int:
-    return _finetune(args, "adapt", _ADAPT_SCHEMA)
+    return _finetune(args, "adapt", TARGET_ADAPT_DEFAULTS)
 
 
 _GENERATE_SCHEMA: dict[str, tuple] = {
@@ -444,9 +389,7 @@ def _cmd_generate(args) -> int:
     template = _template(r["template"])
     model = load_model(r["model"])
     pairs = load_pairs(r["in"], strict=r["strict"])
-    sources = [(format_prompted(p, template) if r["prompted"] else format_plain(p)).source for p in pairs]
-    raw = generate_corpus(model, sources, max_length=r["max_length"])
-    hypotheses = [extract_response(text, template) for text in raw] if r["prompted"] else raw
+    raw, hypotheses = generate_responses(model, pairs, r["prompted"], template, r["max_length"])
     _ensure_parent(r["out"])
     with open(r["out"], "w", encoding="utf-8") as fh:
         for hyp in hypotheses:
@@ -492,22 +435,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    entries = _merged_entries(args, "study")
-    if "spec" in entries:  # --spec is an alias for --config
-        base = load_kv(str(entries.pop("spec")))
-        echoed_by = base.pop("command", None)
-        if echoed_by is not None and echoed_by != "study":
-            raise ConfigError(f"config was written by {echoed_by!r}, expected 'study'")
-        base.update(entries)
-        entries = base
-    out = entries.pop("out", None)
-    if out is None:
-        raise ConfigError("study: missing required key 'out' (flag or config)")
-    out = str(out)
-    config = study_config_from_kv({k: str(v) for k, v in entries.items()}, source="study")
-    report = run_forgetting_study(config)
-    write_study_artifacts(report, out)
-    _write_echo(os.path.join(out, "study.resolved.cfg"), "study", {"out": out, **study_config_entries(config)})
+    r = _resolve(args, "study", {"out": (str, _REQUIRED), **config_schema(StudyConfig())})
+    report = run_forgetting_study(config_from(StudyConfig(), r))
+    write_study_artifacts(report, r["out"])
+    _write_echo(os.path.join(r["out"], "study.resolved.cfg"), "study", r)
     lines = [f"{'setting':<14}{'BLEU':>8}{'legality':>10}{'d1':>8}{'d2':>8}"]
     for name in SETTINGS:
         med = report.medians[name]
@@ -683,8 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("study", help="run the 4-setting forgetting study over several seeds")
-    p.add_argument("--spec", help="study config file (alias of --config)")
-    p.add_argument("--config", help="study config file")
+    p.add_argument("--config", "--spec", help="study config file (--spec is an alias)")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--seeds", help="comma-separated seed list (overrides the config)")
     p.add_argument("--out", help="output directory (required)")

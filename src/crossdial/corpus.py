@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .kvconfig import coerce, load_kv
+from .kvconfig import config_from_kv, load_kv
+from .metrics import whitespace_tokenize
 
 log = logging.getLogger(__name__)
 
@@ -44,11 +45,6 @@ SYNTH_TGT_LANG = "ba"
 
 class CorpusError(ValueError):
     """Raised for invalid pairs, corpora, or corpus files."""
-
-
-def whitespace_tokenize(text: str) -> list[str]:
-    """Split on runs of whitespace (the default token notion for corpora)."""
-    return text.split()
 
 
 @dataclass(frozen=True)
@@ -148,17 +144,6 @@ def load_pairs(path: str, strict: bool = False) -> list[DialoguePair]:
     return pairs
 
 
-def load_corpus(path: str, language: str, split: str, strict: bool = False) -> Corpus:
-    """Load a single-language corpus, preserving file order."""
-    pairs = load_pairs(path, strict=strict)
-    for index, pair in enumerate(pairs):
-        if pair.language != language:
-            raise CorpusError(
-                f"{path}: record {index + 1} has language {pair.language!r}, expected {language!r}"
-            )
-    return Corpus(pairs=tuple(pairs), split=split, language=language)
-
-
 def save_pairs(pairs: Iterable[DialoguePair], path: str) -> None:
     """Write pairs as a corpus file (one JSON record per line)."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -239,12 +224,12 @@ class SyntheticSpec:
     languages while surface vocabulary does not.
     """
 
-    vocab_size_per_language: int = 40
+    vocab_size_per_language: int = field(default=40, metadata={"key": "vocab_size"})
     n_train_aux: int = 256
     n_fewshot_tgt: int = 10
     n_valid: int = 64
     n_test: int = 64
-    template_count: int = 4
+    template_count: int = field(default=4, metadata={"key": "templates"})
     seed: int = 13
 
     def __post_init__(self) -> None:
@@ -259,41 +244,13 @@ class SyntheticSpec:
             )
 
 
-_SYNTHETIC_SCHEMA = {
-    "vocab_size": int,
-    "n_train_aux": int,
-    "n_fewshot_tgt": int,
-    "n_valid": int,
-    "n_test": int,
-    "templates": int,
-    "seed": int,
-}
-
-_SYNTHETIC_FIELD_BY_KEY = {
-    "vocab_size": "vocab_size_per_language",
-    "n_train_aux": "n_train_aux",
-    "n_fewshot_tgt": "n_fewshot_tgt",
-    "n_valid": "n_valid",
-    "n_test": "n_test",
-    "templates": "template_count",
-    "seed": "seed",
-}
-
-
 def synthetic_spec_from_kv(raw: dict[str, str], source: str = "<config>") -> SyntheticSpec:
     """Build a SyntheticSpec from flat key=value entries."""
-    values = coerce(raw, _SYNTHETIC_SCHEMA, source=source)
-    fields = {_SYNTHETIC_FIELD_BY_KEY[k]: v for k, v in values.items()}
-    return SyntheticSpec(**fields)
+    return config_from_kv(SyntheticSpec(), raw, source=source)
 
 
 def load_synthetic_spec(path: str) -> SyntheticSpec:
     return synthetic_spec_from_kv(load_kv(path), source=str(path))
-
-
-def synthetic_spec_entries(spec: SyntheticSpec) -> dict[str, int]:
-    """Inverse of synthetic_spec_from_kv: flat entries that rebuild the spec."""
-    return {key: getattr(spec, field) for key, field in _SYNTHETIC_FIELD_BY_KEY.items()}
 
 
 @dataclass(frozen=True)

@@ -25,21 +25,14 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .corpus import (
-    _SYNTHETIC_SCHEMA,
-    Corpus,
-    SyntheticSpec,
-    derive_token_vocabulary,
-    generate_synthetic_bilingual,
-    synthetic_spec_from_kv,
-)
+from .corpus import Corpus, SyntheticSpec, derive_token_vocabulary, generate_synthetic_bilingual
 from .interleave import interleave_even
-from .kvconfig import ConfigError, coerce, load_kv
+from .kvconfig import ConfigError, config_from_kv, config_schema, load_kv
 from .metrics import (
     BleuReport,
     DistinctReport,
@@ -51,7 +44,6 @@ from .metrics import (
     write_metric_report,
 )
 from .model import (
-    PRETRAIN_DEFAULTS,
     SOURCE_TRAIN_DEFAULTS,
     TARGET_ADAPT_DEFAULTS,
     AttentiveSeq2Seq,
@@ -91,6 +83,23 @@ def format_pairs(pairs: Iterable, prompted: bool, template: PromptTemplate = DEF
         ex = format_prompted(pair, template) if prompted else format_plain(pair)
         out.append((ex.source, ex.target))
     return out
+
+
+def generate_responses(
+    model: AttentiveSeq2Seq,
+    pairs: Iterable,
+    prompted: bool,
+    template: PromptTemplate = DEFAULT_TEMPLATE,
+    max_length: int = 64,
+) -> tuple[list[str], list[str]]:
+    """Greedy generation for every context of ``pairs`` in one layout.
+
+    Returns the raw generations and the responses; the prompted layout
+    extracts each response from between the sentinels.
+    """
+    sources = [source for source, _ in format_pairs(pairs, prompted, template)]
+    raw = generate_corpus(model, sources, max_length=max_length)
+    return raw, ([extract_response(text, template) for text in raw] if prompted else raw)
 
 
 @dataclass(frozen=True)
@@ -173,40 +182,30 @@ def run_scenario(
 ) -> RunReport:
     """Run one setting on an already (pre)trained model, in place."""
     started = time.perf_counter()
-
-    def fmt(corpus) -> list[tuple[str, str]]:
-        return format_pairs(corpus, spec.prompted, template)
+    # (train pairs, selection validation set, budget) per stage
+    if spec.scenario == "fs-xlt":
+        stages = [
+            (data.aux_train, data.aux_valid, spec.train_config),
+            (data.tgt_train, data.tgt_valid, spec.adapt_config),
+        ]
+    else:
+        stages = [(interleave_even(data.aux_train, data.tgt_train).pairs, data.aux_valid, spec.train_config)]
 
     total_steps = 0
-    if spec.scenario == "fs-xlt":
-        stage1 = train(model, fmt(data.aux_train), fmt(data.aux_valid), spec.train_config, eval_every=spec.eval_every)
-        restore_checkpoint(model, select_best_checkpoint(stage1.checkpoints))
-        total_steps += stage1.train_losses[-1][0] if stage1.train_losses else 0
-        stage2 = train(model, fmt(data.tgt_train), fmt(data.tgt_valid), spec.adapt_config, eval_every=spec.eval_every)
-        best = select_best_checkpoint(stage2.checkpoints)
-        restore_checkpoint(model, best)
-        total_steps += stage2.train_losses[-1][0] if stage2.train_losses else 0
-        selection_language = data.tgt_valid.language
-    else:
-        mixed = interleave_even(data.aux_train, data.tgt_train)
+    for train_pairs, valid, config in stages:
         result = train(
             model,
-            format_pairs(mixed.pairs, spec.prompted, template),
-            fmt(data.aux_valid),
-            spec.train_config,
+            format_pairs(train_pairs, spec.prompted, template),
+            format_pairs(valid, spec.prompted, template),
+            config,
             eval_every=spec.eval_every,
         )
         best = select_best_checkpoint(result.checkpoints)
         restore_checkpoint(model, best)
         total_steps += result.train_losses[-1][0] if result.train_losses else 0
-        selection_language = data.aux_valid.language
+    selection_language = valid.language  # the last stage's validation set picked the checkpoint
 
-    sources = []
-    for pair in data.tgt_test:
-        ex = format_prompted(pair, template) if spec.prompted else format_plain(pair)
-        sources.append(ex.source)
-    raw = generate_corpus(model, sources, max_length=spec.max_generate)
-    hypotheses = [extract_response(text, template) for text in raw] if spec.prompted else list(raw)
+    raw, hypotheses = generate_responses(model, data.tgt_test, spec.prompted, template, spec.max_generate)
     references = [pair.response for pair in data.tgt_test]
 
     bleu = corpus_bleu(hypotheses, references)
@@ -251,19 +250,43 @@ STUDY_TRAIN = OptimizerConfig(learning_rate=3e-3, epochs=4, batch_size=8)
 STUDY_ADAPT = OptimizerConfig(learning_rate=6e-3, epochs=6, batch_size=4)
 
 
+def _parse_seeds(value: str) -> tuple[int, ...]:
+    try:
+        seeds = tuple(int(part.strip()) for part in value.split(",") if part.strip())
+    except ValueError:
+        raise ConfigError(f"bad seeds list {value!r} (expected comma-separated integers)") from None
+    if not seeds:
+        raise ConfigError("seeds list is empty")
+    return seeds
+
+
 @dataclass(frozen=True)
 class StudyConfig:
-    synthetic: SyntheticSpec = REFERENCE_SYNTHETIC
+    """The study's config; its fields declare the stage-prefixed keys
+    (``synthetic.*``, ``pretrain.*``, ``train.*``, ``adapt.*``) and the
+    top-level ``seeds``, ``eval_every`` and ``max_generate``.
+
+    Each study seed draws its own corpus, so the synthetic spec's seed is
+    not a key and is held at its default.
+    """
+
+    synthetic: SyntheticSpec = field(default=REFERENCE_SYNTHETIC, metadata={"omit": ("seed",)})
     pretrain: OptimizerConfig = STUDY_PRETRAIN
     train: OptimizerConfig = STUDY_TRAIN
     adapt: OptimizerConfig = STUDY_ADAPT
-    seeds: tuple[int, ...] = (0, 1, 2)
+    seeds: tuple[int, ...] = field(default=(0, 1, 2), metadata={"parse": _parse_seeds})
     eval_every: int | None = None
     max_generate: int = 64
 
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if self.eval_every is not None and self.eval_every < 1:
+            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.max_generate < 1:
+            raise ConfigError(f"max_generate must be >= 1, got {self.max_generate}")
+        if self.synthetic.seed != REFERENCE_SYNTHETIC.seed:
+            object.__setattr__(self, "synthetic", dataclasses.replace(self.synthetic, seed=REFERENCE_SYNTHETIC.seed))
 
 
 @dataclass
@@ -338,111 +361,18 @@ def run_forgetting_study(config: StudyConfig = StudyConfig(), template: PromptTe
 # Config files
 
 
-_OPT_SCHEMA = {
-    "learning_rate": float,
-    "epochs": int,
-    "batch_size": int,
-    "beta1": float,
-    "beta2": float,
-    "eps": float,
-    "weight_decay": float,
-    "max_length": int,
-}
-
-
-def optimizer_config_from_kv(raw: dict[str, str], defaults: OptimizerConfig, source: str = "<config>") -> OptimizerConfig:
-    """Overlay flat entries (keys = field names) onto a default config."""
-    values = coerce(raw, _OPT_SCHEMA, source=source)
-    return dataclasses.replace(defaults, **values)
-
-
-def optimizer_config_entries(config: OptimizerConfig, prefix: str = "") -> dict[str, object]:
-    """Render a config as flat entries (inverse of the loader)."""
-    return {prefix + name: getattr(config, name) for name in _OPT_SCHEMA}
-
-
-def _parse_seeds(value: str) -> tuple[int, ...]:
-    try:
-        seeds = tuple(int(part.strip()) for part in value.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"bad seeds list {value!r} (expected comma-separated integers)") from None
-    if not seeds:
-        raise ConfigError("seeds list is empty")
-    return seeds
-
-
 def load_study_config(path: str) -> StudyConfig:
     return study_config_from_kv(load_kv(path), source=str(path))
 
 
 def study_config_from_kv(entries: dict[str, str], source: str = "<config>") -> StudyConfig:
-    """Stage-prefixed study config: synthetic.*, pretrain.*, train.*,
-    adapt.*, plus top-level seeds / eval_every / max_generate."""
-    synth_raw: dict[str, str] = {}
-    stage_raw: dict[str, dict[str, str]] = {"pretrain": {}, "train": {}, "adapt": {}}
-    top: dict[str, str] = {}
-    for key, value in entries.items():
-        if key.startswith("synthetic."):
-            synth_raw[key[len("synthetic."):]] = value
-        elif key.startswith("pretrain."):
-            stage_raw["pretrain"][key[len("pretrain."):]] = value
-        elif key.startswith("train."):
-            stage_raw["train"][key[len("train."):]] = value
-        elif key.startswith("adapt."):
-            stage_raw["adapt"][key[len("adapt."):]] = value
-        elif key in ("seeds", "eval_every", "max_generate"):
-            top[key] = value
-        else:
-            raise ConfigError(f"{source}: unknown config key {key!r}")
-
-    # name unknown keys by their full prefixed spelling
-    for suffix in synth_raw:
-        if suffix not in _SYNTHETIC_SCHEMA:
-            raise ConfigError(f"{source}: unknown config key 'synthetic.{suffix}'")
-    for stage, raw in stage_raw.items():
-        for suffix in raw:
-            if suffix not in _OPT_SCHEMA:
-                raise ConfigError(f"{source}: unknown config key '{stage}.{suffix}'")
-
-    synthetic = synthetic_spec_from_kv(synth_raw, source=source) if synth_raw else REFERENCE_SYNTHETIC
-    pretrain = optimizer_config_from_kv(stage_raw["pretrain"], STUDY_PRETRAIN, source=source)
-    train_cfg = optimizer_config_from_kv(stage_raw["train"], STUDY_TRAIN, source=source)
-    adapt = optimizer_config_from_kv(stage_raw["adapt"], STUDY_ADAPT, source=source)
-
-    kwargs: dict = {}
-    if "seeds" in top:
-        kwargs["seeds"] = _parse_seeds(top["seeds"])
-    if "eval_every" in top:
-        try:
-            kwargs["eval_every"] = int(top["eval_every"])
-        except ValueError:
-            raise ConfigError(f"{source}: bad value for 'eval_every': {top['eval_every']!r}") from None
-    if "max_generate" in top:
-        try:
-            kwargs["max_generate"] = int(top["max_generate"])
-        except ValueError:
-            raise ConfigError(f"{source}: bad value for 'max_generate': {top['max_generate']!r}") from None
-    return StudyConfig(synthetic=synthetic, pretrain=pretrain, train=train_cfg, adapt=adapt, **kwargs)
+    """Overlay flat study entries onto the reference study config."""
+    return config_from_kv(StudyConfig(), entries, source=source)
 
 
 def study_config_entries(config: StudyConfig) -> dict[str, object]:
     """The resolved study config as flat entries, ready for an echo file."""
-    out: dict[str, object] = {}
-    out["synthetic.vocab_size"] = config.synthetic.vocab_size_per_language
-    out["synthetic.n_train_aux"] = config.synthetic.n_train_aux
-    out["synthetic.n_fewshot_tgt"] = config.synthetic.n_fewshot_tgt
-    out["synthetic.n_valid"] = config.synthetic.n_valid
-    out["synthetic.n_test"] = config.synthetic.n_test
-    out["synthetic.templates"] = config.synthetic.template_count
-    out["synthetic.seed"] = config.synthetic.seed
-    out.update(optimizer_config_entries(config.pretrain, "pretrain."))
-    out.update(optimizer_config_entries(config.train, "train."))
-    out.update(optimizer_config_entries(config.adapt, "adapt."))
-    out["seeds"] = ",".join(str(s) for s in config.seeds)
-    if config.eval_every is not None:
-        out["eval_every"] = config.eval_every
-    out["max_generate"] = config.max_generate
-    return out
+    return {key: value for key, (_, value) in config_schema(config).items()}
 
 
 # ---------------------------------------------------------------------------

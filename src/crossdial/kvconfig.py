@@ -5,12 +5,19 @@ template overrides, experiment specs, resolved-config echoes) uses one
 format: UTF-8 text, one ``key = value`` entry per line, ``#`` comments,
 blank lines ignored.  Keys may be stage-prefixed (``adapt.lr``).  Flat
 files keep diffs reviewable and make override semantics trivial.
+
+The config dataclasses declare their keys: :func:`config_schema` flattens
+an instance into ``{key: (parse, value)}`` entries and :func:`config_from`
+turns parsed entries back into an instance.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
-from typing import Callable, Mapping
+from typing import Callable, Mapping, TypeVar
+
+C = TypeVar("C")
 
 
 class ConfigError(ValueError):
@@ -49,11 +56,18 @@ def load_kv(path: str) -> dict[str, str]:
 
 
 def dump_kv(entries: Mapping[str, object]) -> str:
-    """Render entries as flat key=value text, one per line, in given order."""
+    """Render entries as flat key=value text, one per line, in given order.
+
+    Unset values (None or "") are left out; sequences are comma-joined.
+    """
     lines = []
     for key, value in entries.items():
+        if value is None or value == "":
+            continue
         if isinstance(value, bool):
             value = "true" if value else "false"
+        elif isinstance(value, (list, tuple)):
+            value = ",".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
@@ -87,3 +101,58 @@ def coerce(
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from None
     return out
+
+
+# Parsers by annotation; the config modules use postponed (string) annotations.
+_PARSERS: dict[str, Callable[[str], object]] = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str": str,
+}
+
+
+def _key(field: dataclasses.Field, prefix: str) -> str:
+    return prefix + field.metadata.get("key", field.name)
+
+
+def config_schema(config, prefix: str = "") -> dict[str, tuple[Callable[[str], object], object]]:
+    """Flatten a config dataclass instance into ``{key: (parse, value)}``.
+
+    A field's key is its name, or ``metadata["key"]`` where the file
+    spelling differs; its parser is ``metadata["parse"]`` or follows from
+    its annotation.  A nested config contributes its own entries under a
+    ``<key>.`` prefix, minus the keys named in ``metadata["omit"]``.
+    """
+    out: dict[str, tuple[Callable[[str], object], object]] = {}
+    for field in dataclasses.fields(config):
+        key = _key(field, prefix)
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            omit = {f"{key}.{name}" for name in field.metadata.get("omit", ())}
+            out.update((k, entry) for k, entry in config_schema(value, key + ".").items() if k not in omit)
+        else:
+            out[key] = (field.metadata.get("parse") or _PARSERS[field.type], value)
+    return out
+
+
+def config_from(config: C, values: Mapping[str, object], prefix: str = "") -> C:
+    """Inverse of :func:`config_schema`: ``config`` with every field whose
+    key is in ``values`` replaced by that (parsed) value; other keys are
+    ignored."""
+    changes: dict[str, object] = {}
+    for field in dataclasses.fields(config):
+        key = _key(field, prefix)
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            changes[field.name] = config_from(value, values, key + ".")
+        elif key in values:
+            changes[field.name] = values[key]
+    return dataclasses.replace(config, **changes)
+
+
+def config_from_kv(config: C, raw: Mapping[str, str], source: str = "<config>") -> C:
+    """Overlay raw file entries onto ``config``; unknown keys and
+    unparseable values raise ConfigError."""
+    parsers = {key: parse for key, (parse, _) in config_schema(config).items()}
+    return config_from(config, coerce(raw, parsers, source=source))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import DialoguePair
-from .kvconfig import coerce, load_kv
+from .kvconfig import config_from_kv, load_kv
 
 log = logging.getLogger(__name__)
 
@@ -53,18 +53,10 @@ class PromptTemplate:
 
 DEFAULT_TEMPLATE = PromptTemplate()
 
-_TEMPLATE_SCHEMA = {
-    "context_prefix": str,
-    "response_prefix": str,
-    "sentinel0": str,
-    "sentinel1": str,
-}
-
 
 def load_template(path: str) -> PromptTemplate:
     """Read a template override file; absent keys keep their defaults."""
-    values = coerce(load_kv(path), _TEMPLATE_SCHEMA, source=str(path))
-    return PromptTemplate(**values)
+    return config_from_kv(DEFAULT_TEMPLATE, load_kv(path), source=str(path))
 
 
 @dataclass(frozen=True)

@@ -446,7 +446,6 @@ synthetic.n_fewshot_tgt = 4
 synthetic.n_valid = 6
 synthetic.n_test = 6
 synthetic.templates = 2
-synthetic.seed = 13
 pretrain.learning_rate = 0.005
 pretrain.epochs = 1
 pretrain.batch_size = 8

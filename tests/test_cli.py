@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+import crossdial.experiment as experiment
 from crossdial.cli import main
 from crossdial.kvconfig import load_kv
 
@@ -285,6 +286,23 @@ def test_study_echo_reload_is_byte_identical(tiny_study, tmp_path):
                      "--out", str(again)]) == 0
         for name in ("report.jsonl", "study.json", "samples.txt"):
             assert filecmp.cmp(tiny_study / name, again / name, shallow=False), (flag, name)
+
+
+def test_study_rejects_synthetic_seed(capsys, tmp_path):
+    # each study seed draws its own corpus, so the corpus seed is not a study key
+    out = tmp_path / "s"
+    assert main(["study", "--out", str(out), "--set", "synthetic.seed=5"] + TINY_STUDY) == 2
+    assert _err_line(capsys) == "error:config: study: unknown config key 'synthetic.seed'"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["eval_every", "max_generate"])
+def test_study_rejects_non_positive_value_before_pretraining(key, capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "pretrain_span_corruption", lambda *a, **k: pytest.fail("pretraining ran"))
+    out = tmp_path / "s"
+    assert main(["study", "--out", str(out), "--set", f"{key}=0"]) == 2
+    assert _err_line(capsys) == f"error:config: {key} must be >= 1, got 0"
+    assert not out.exists()
 
 
 # -- human evaluation round trip ---------------------------------------------------

@@ -12,8 +12,6 @@ from crossdial.experiment import (
     StudyReport,
     format_pairs,
     load_study_config,
-    optimizer_config_entries,
-    optimizer_config_from_kv,
     run_scenario,
     study_config_entries,
     study_config_from_kv,
@@ -21,7 +19,7 @@ from crossdial.experiment import (
     write_run_artifacts,
     write_study_artifacts,
 )
-from crossdial.kvconfig import ConfigError, dump_kv, parse_kv_text
+from crossdial.kvconfig import ConfigError, config_from_kv, config_schema, dump_kv, parse_kv_text
 from crossdial.model import (
     AttentiveSeq2Seq,
     ModelConfig,
@@ -171,7 +169,7 @@ def test_scenario_seeds_are_reproducible():
 
 
 def test_optimizer_config_from_kv_partial():
-    cfg = optimizer_config_from_kv({"learning_rate": "0.01", "epochs": "2"}, SOURCE_TRAIN_DEFAULTS)
+    cfg = config_from_kv(SOURCE_TRAIN_DEFAULTS, {"learning_rate": "0.01", "epochs": "2"})
     assert cfg.learning_rate == 0.01
     assert cfg.epochs == 2
     assert cfg.batch_size == SOURCE_TRAIN_DEFAULTS.batch_size
@@ -180,14 +178,14 @@ def test_optimizer_config_from_kv_partial():
 
 def test_optimizer_config_unknown_key():
     with pytest.raises(ConfigError, match="lr"):
-        optimizer_config_from_kv({"lr": "0.01"}, SOURCE_TRAIN_DEFAULTS)
+        config_from_kv(SOURCE_TRAIN_DEFAULTS, {"lr": "0.01"})
 
 
 def test_optimizer_entries_round_trip():
     cfg = OptimizerConfig(learning_rate=0.007, epochs=3, batch_size=2, weight_decay=0.1)
-    entries = optimizer_config_entries(cfg)
+    entries = {key: value for key, (_, value) in config_schema(cfg).items()}
     raw = parse_kv_text(dump_kv(entries))
-    assert optimizer_config_from_kv(raw, SOURCE_TRAIN_DEFAULTS) == cfg
+    assert config_from_kv(SOURCE_TRAIN_DEFAULTS, raw) == cfg
 
 
 def test_study_config_round_trip():
