@@ -108,10 +108,13 @@ def _choice(*allowed: str) -> Callable[[object], str]:
     return parse
 
 
-def _optional_int(value) -> int | None:
+def _optional_positive_int(value) -> int | None:
     if value is None or value == "":
         return None
-    return int(value)
+    number = int(value)
+    if number < 1:
+        raise ConfigError(f"must be >= 1, got {number}")
+    return number
 
 
 def _parse_set_entries(items: list[str] | None) -> dict[str, str]:
@@ -299,7 +302,7 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
     "corruption_rate": (float, 0.15),
     "mean_span_length": (float, 3.0),
     "template": (str, ""),
-    "eval_every": (_optional_int, None),
+    "eval_every": (_optional_positive_int, None),
     "strict": (_bool, False),
     **config_schema(PRETRAIN_DEFAULTS),
 }
@@ -307,17 +310,16 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
 
 def _cmd_pretrain(args) -> int:
     r = _resolve(args, "pretrain", _PRETRAIN_SCHEMA)
+    model_config = config_from(ModelConfig(), r)
+    optimizer_config = config_from(PRETRAIN_DEFAULTS, r)
     template = _template(r["template"])
     corpora = [_load_single_language_corpus(path, "train", r["strict"]) for path in r["data"]]
     vocabulary = Vocabulary.build(corpora, extra_texts=template_texts(template))
-    model = AttentiveSeq2Seq(
-        vocabulary,
-        ModelConfig(embedding_size=r["embedding_size"], hidden_size=r["hidden_size"], seed=r["seed"]),
-    )
+    model = AttentiveSeq2Seq(vocabulary, model_config)
     result = pretrain_span_corruption(
         model,
         corpora,
-        config_from(PRETRAIN_DEFAULTS, r),
+        optimizer_config,
         corruption_rate=r["corruption_rate"],
         mean_span_length=r["mean_span_length"],
         template=template,
@@ -340,7 +342,7 @@ def _finetune_schema(defaults: OptimizerConfig) -> dict[str, tuple]:
         "out": (str, _REQUIRED),
         "prompted": (_bool, False),
         "template": (str, ""),
-        "eval_every": (_optional_int, None),
+        "eval_every": (_optional_positive_int, None),
         "strict": (_bool, False),
         **config_schema(defaults),
     }
@@ -348,13 +350,14 @@ def _finetune_schema(defaults: OptimizerConfig) -> dict[str, tuple]:
 
 def _finetune(args, command: str, defaults: OptimizerConfig) -> int:
     r = _resolve(args, command, _finetune_schema(defaults))
+    config = config_from(defaults, r)
     template = _template(r["template"])
     model = load_model(r["model"])
     train_pairs = load_pairs(r["train"], strict=r["strict"])
     valid_pairs = load_pairs(r["valid"], strict=r["strict"])
     data = format_pairs(train_pairs, r["prompted"], template)
     valid = format_pairs(valid_pairs, r["prompted"], template)
-    result = train(model, data, valid, config_from(defaults, r), eval_every=r["eval_every"])
+    result = train(model, data, valid, config, eval_every=r["eval_every"])
     best = select_best_checkpoint(result.checkpoints)
     restore_checkpoint(model, best)
     _ensure_parent(r["out"])

@@ -139,8 +139,13 @@ def config_schema(config, prefix: str = "") -> dict[str, tuple[Callable[[str], o
 def config_from(config: C, values: Mapping[str, object], prefix: str = "") -> C:
     """Inverse of :func:`config_schema`: ``config`` with every field whose
     key is in ``values`` replaced by that (parsed) value; other keys are
-    ignored."""
+    ignored.
+
+    A value the dataclass's own checks reject raises ConfigError naming
+    its key, so a bad value is a configuration error wherever it came from.
+    """
     changes: dict[str, object] = {}
+    keys: dict[str, str] = {}  # field name -> key, for the scalar fields set here
     for field in dataclasses.fields(config):
         key = _key(field, prefix)
         value = getattr(config, field.name)
@@ -148,7 +153,23 @@ def config_from(config: C, values: Mapping[str, object], prefix: str = "") -> C:
             changes[field.name] = config_from(value, values, key + ".")
         elif key in values:
             changes[field.name] = values[key]
-    return dataclasses.replace(config, **changes)
+            keys[field.name] = key
+    try:
+        return dataclasses.replace(config, **changes)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        culprits = [key for name, key in keys.items() if not _accepts(config, name, changes[name])]
+        named = ", ".join(repr(key) for key in culprits or keys.values())
+        raise ConfigError(f"bad value for {named}: {exc}") from None
+
+
+def _accepts(config, name: str, value: object) -> bool:
+    try:
+        dataclasses.replace(config, **{name: value})
+    except ValueError:
+        return False
+    return True
 
 
 def config_from_kv(config: C, raw: Mapping[str, str], source: str = "<config>") -> C:

@@ -222,18 +222,37 @@ def make_training_batch(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # two-branch form: never exponentiates a positive argument
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exponentiates only -|x| <= 0, so it never overflows; bit for bit
+    # 1/(1 + exp(-x)) for x >= 0 and exp(x)/(1 + exp(x)) below
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    fan_in, fan_out = shape
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _normal(std: float):
+    return lambda rng, shape: rng.normal(0.0, std, size=shape)
+
+
+class ParamViews(dict):
+    """Named, shaped views into one flat float64 vector, kept as ``flat``.
+
+    Writing through an entry writes the vector; rebinding an entry detaches
+    it, so fill entries in place (``views[name][...] = arr``).
+    """
+
+    def __init__(self, flat: np.ndarray, layout: Sequence[tuple[str, tuple[int, ...]]]):
+        super().__init__()
+        self.flat = flat
+        offset = 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            self[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
 
 
 @dataclass
@@ -249,9 +268,14 @@ class _ForwardCache:
 
 
 class AttentiveSeq2Seq:
-    """GRU encoder-decoder with additive attention; parameters live in a
-    plain dict of float64 arrays so they can be snapshotted, flattened and
-    probed component-wise."""
+    """GRU encoder-decoder with additive attention.
+
+    All parameters live in one float64 vector; ``params`` holds named views
+    into it (``params.flat`` is the vector), so they can be snapshotted,
+    stepped and probed component-wise.  Each GRU's z, r, n weights sit next
+    to each other, which gives gate-major ``(3, in, h)`` / ``(3, h, h)`` /
+    ``(3, h)`` views of the same memory for one stacked matmul per step.
+    """
 
     def __init__(self, vocabulary: Vocabulary, config: ModelConfig = ModelConfig()):
         self.vocabulary = vocabulary
@@ -261,47 +285,49 @@ class AttentiveSeq2Seq:
         h = config.hidden_size
         a = h
         rng = np.random.default_rng(config.seed)
-        p: dict[str, np.ndarray] = {}
-        p["E"] = rng.normal(0.0, 0.1, size=(v, d))
+        specs = [("E", (v, d), _normal(0.1))]
         for prefix, in_dim in (("enc_", d), ("dec_", d + h)):
-            for gate in ("z", "r", "n"):
-                p[f"{prefix}W{gate}"] = _glorot(rng, in_dim, h)
-            for gate in ("z", "r", "n"):
-                p[f"{prefix}U{gate}"] = _glorot(rng, h, h)
-            for gate in ("z", "r", "n"):
-                p[f"{prefix}b{gate}"] = np.zeros(h)
-        p["W_s0"] = _glorot(rng, h, h)
-        p["b_s0"] = np.zeros(h)
-        p["A_enc"] = _glorot(rng, h, a)
-        p["A_dec"] = _glorot(rng, h, a)
-        p["a_bias"] = np.zeros(a)
-        p["a_v"] = rng.normal(0.0, 1.0 / math.sqrt(a), size=a)
-        p["W_out"] = _glorot(rng, 2 * h, v)
-        p["b_out"] = np.zeros(v)
-        self.params = p
-        self._param_order = tuple(p)
+            specs += [(f"{prefix}W{gate}", (in_dim, h), _glorot) for gate in "zrn"]
+            specs += [(f"{prefix}U{gate}", (h, h), _glorot) for gate in "zrn"]
+            specs += [(f"{prefix}b{gate}", (h,), None) for gate in "zrn"]
+        specs += [
+            ("W_s0", (h, h), _glorot),
+            ("b_s0", (h,), None),
+            ("A_enc", (h, a), _glorot),
+            ("A_dec", (h, a), _glorot),
+            ("a_bias", (a,), None),
+            ("a_v", (a,), _normal(1.0 / math.sqrt(a))),
+            ("W_out", (2 * h, v), _glorot),
+            ("b_out", (v,), None),
+        ]
+        self._layout = tuple((name, shape) for name, shape, _ in specs)
+        self.params = ParamViews(np.zeros(sum(math.prod(shape) for _, shape, _ in specs)), self._layout)
+        for name, shape, init in specs:  # draws in this order; None stays zero
+            if init is not None:
+                self.params[name][...] = init(rng, shape)
+        self._gru_params = self._gate_views(self.params)
 
     # -- bookkeeping ---------------------------------------------------
 
     @property
     def parameter_count(self) -> int:
-        return sum(arr.size for arr in self.params.values())
+        return self.params.flat.size
 
     def flat_slices(self) -> dict[str, tuple[int, int]]:
         """Half-open [start, stop) of each parameter in the flat vector."""
         out = {}
         offset = 0
-        for name in self._param_order:
-            size = self.params[name].size
+        for name, shape in self._layout:
+            size = math.prod(shape)
             out[name] = (offset, offset + size)
             offset += size
         return out
 
     def parameters_flat(self) -> np.ndarray:
-        return np.concatenate([self.params[name].ravel() for name in self._param_order])
+        return self.params.flat.copy()
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: arr.copy() for name, arr in self.params.items()}
+    def snapshot(self) -> ParamViews:
+        return ParamViews(self.params.flat.copy(), self._layout)
 
     def load_snapshot(self, snapshot: dict[str, np.ndarray]) -> None:
         if set(snapshot) != set(self.params):
@@ -309,49 +335,61 @@ class AttentiveSeq2Seq:
         for name, arr in snapshot.items():
             self.params[name][...] = arr
 
+    def _gate_views(self, views: ParamViews) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per GRU prefix, gate-major (W, U, b) views into ``views.flat``."""
+        slices = self.flat_slices()
+        out = {}
+        for prefix in ("enc_", "dec_"):
+            stacked = []
+            for kind in "WUb":
+                start, _ = slices[f"{prefix}{kind}z"]
+                _, stop = slices[f"{prefix}{kind}n"]
+                stacked.append(views.flat[start:stop].reshape((3,) + views[f"{prefix}{kind}z"].shape))
+            out[prefix] = tuple(stacked)
+        return out
+
     # -- building blocks -----------------------------------------------
 
     def _gru_forward(self, x, h_prev, prefix, mask_col):
-        p = self.params
-        az = x @ p[prefix + "Wz"] + h_prev @ p[prefix + "Uz"] + p[prefix + "bz"]
-        z = _sigmoid(az)
-        ar = x @ p[prefix + "Wr"] + h_prev @ p[prefix + "Ur"] + p[prefix + "br"]
-        r = _sigmoid(ar)
+        W, U, b = self._gru_params[prefix]
+        xw = x @ W  # (3, B, h): the z, r, n input projections
+        zr = _sigmoid(xw[:2] + h_prev @ U[:2] + b[:2, None])
+        z, r = zr
         rh = r * h_prev
-        an = x @ p[prefix + "Wn"] + rh @ p[prefix + "Un"] + p[prefix + "bn"]
-        n = np.tanh(an)
+        n = np.tanh(xw[2] + rh @ U[2] + b[2])
         h_new = (1.0 - z) * n + z * h_prev
         h = mask_col * h_new + (1.0 - mask_col) * h_prev  # carry state over pads
-        return h, (x, h_prev, z, r, n, rh, mask_col)
+        return h, (x, h_prev, zr, n, rh, mask_col)
 
-    def _gru_backward(self, dh, cache, prefix, grads):
-        p = self.params
-        x, h_prev, z, r, n, rh, mask_col = cache
+    def _gru_backward(self, dh, cache, prefix, gate_grads):
+        W, U, _ = self._gru_params[prefix]
+        gW, gU, gb = gate_grads
+        x, h_prev, zr, n, rh, mask_col = cache
+        z, r = zr
+        da = np.empty((3,) + n.shape)  # gate-major pre-activation grads
         dh_new = dh * mask_col
         dh_prev = dh * (1.0 - mask_col)
-        dz = dh_new * (h_prev - n)
+        np.multiply(dh_new, h_prev - n, out=da[0])
         dn = dh_new * (1.0 - z)
         dh_prev = dh_prev + dh_new * z
-        dan = dn * (1.0 - n * n)
-        grads[prefix + "Wn"] += x.T @ dan
-        grads[prefix + "Un"] += rh.T @ dan
-        grads[prefix + "bn"] += dan.sum(axis=0)
-        drh = dan @ p[prefix + "Un"].T
+        dan = np.multiply(dn, 1.0 - n * n, out=da[2])
+        drh = dan @ U[2].T
         dh_prev = dh_prev + drh * r
-        dr = drh * h_prev
-        dx = dan @ p[prefix + "Wn"].T
-        daz = dz * z * (1.0 - z)
-        grads[prefix + "Wz"] += x.T @ daz
-        grads[prefix + "Uz"] += h_prev.T @ daz
-        grads[prefix + "bz"] += daz.sum(axis=0)
-        dx += daz @ p[prefix + "Wz"].T
-        dh_prev = dh_prev + daz @ p[prefix + "Uz"].T
-        dar = dr * r * (1.0 - r)
-        grads[prefix + "Wr"] += x.T @ dar
-        grads[prefix + "Ur"] += h_prev.T @ dar
-        grads[prefix + "br"] += dar.sum(axis=0)
-        dx += dar @ p[prefix + "Wr"].T
-        dh_prev = dh_prev + dar @ p[prefix + "Ur"].T
+        np.multiply(drh, h_prev, out=da[1])
+        dzr = da[:2]
+        dzr *= zr
+        dzr *= 1.0 - zr
+        gW += x.T @ da
+        gU[:2] += h_prev.T @ dzr
+        gU[2] += rh.T @ dan
+        gb += da.sum(axis=1)
+        dxs = da @ W.transpose(0, 2, 1)
+        dhs = dzr @ U[:2].transpose(0, 2, 1)
+        # summed in the per-gate order n, z, r, so every bit stays as it was
+        dx = dxs[2] + dxs[0]
+        dx += dxs[1]
+        dh_prev = dh_prev + dhs[0]
+        dh_prev = dh_prev + dhs[1]
         return dx, dh_prev
 
     def _attention_forward(self, s_prev, enc_proj, enc_out, src_mask):
@@ -431,7 +469,7 @@ class AttentiveSeq2Seq:
         cache = _ForwardCache(batch, enc_caches, enc_out, enc_proj, h_last, s0, dec_steps, token_count)
         return loss, cache
 
-    def backward(self, cache: _ForwardCache) -> dict[str, np.ndarray]:
+    def backward(self, cache: _ForwardCache) -> ParamViews:
         p = self.params
         batch = cache.batch
         n, s_len = batch.src.shape
@@ -439,7 +477,12 @@ class AttentiveSeq2Seq:
         h = self.config.hidden_size
         d = self.config.embedding_size
         rows = np.arange(n)
-        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+        grads = ParamViews(np.zeros_like(p.flat), self._layout)
+        gate_grads = self._gate_views(grads)
+        # embedding-row grads in backprop order (decoder steps, then encoder
+        # steps, each last to first), scattered by one np.add.at at the end
+        emb_ids = np.concatenate([batch.tgt_in[:, ::-1].T, batch.src[:, ::-1].T]).ravel()
+        emb_rows = np.empty((t_len + s_len, n, d))
 
         ds_next = np.zeros((n, h))
         d_proj = np.zeros_like(cache.enc_proj)
@@ -454,8 +497,8 @@ class AttentiveSeq2Seq:
             do = dlogits @ p["W_out"].T
             ds = ds_next + do[:, :h]
             dc = do[:, h:].copy()
-            dx, ds_prev = self._gru_backward(ds, gru_cache, "dec_", grads)
-            np.add.at(grads["E"], batch.tgt_in[:, t], dx[:, :d])
+            dx, ds_prev = self._gru_backward(ds, gru_cache, "dec_", gate_grads["dec_"])
+            emb_rows[t_len - 1 - t] = dx[:, :d]
             dc += dx[:, d:]
             ds_prev_att, denc_t, dpre = self._attention_backward(dc, att_cache, cache.enc_out, grads)
             denc += denc_t
@@ -471,11 +514,12 @@ class AttentiveSeq2Seq:
         denc += d_proj @ p["A_enc"].T
 
         for t in reversed(range(s_len)):
-            dx, dh = self._gru_backward(denc[:, t] + dh, cache.enc_caches[t], "enc_", grads)
-            np.add.at(grads["E"], batch.src[:, t], dx)
+            dx, dh = self._gru_backward(denc[:, t] + dh, cache.enc_caches[t], "enc_", gate_grads["enc_"])
+            emb_rows[t_len + s_len - 1 - t] = dx
+        np.add.at(grads["E"], emb_ids, emb_rows.reshape(-1, d))
         return grads
 
-    def loss_and_grads(self, batch: Batch) -> tuple[float, dict[str, np.ndarray]]:
+    def loss_and_grads(self, batch: Batch) -> tuple[float, ParamViews]:
         loss, cache = self.forward(batch)
         return loss, self.backward(cache)
 
@@ -490,11 +534,19 @@ class AttentiveSeq2Seq:
 
 class AdamW:
     """Adam with decoupled weight decay (decay applied to the parameter,
-    not folded into the gradient)."""
+    not folded into the gradient).
+
+    Steps one flat parameter vector in place.  It works through the vector
+    in chunks of ``CHUNK`` elements with ``out=`` into a fixed scratch, so a
+    step makes no temporaries the size of the vector; per element the
+    arithmetic and its order are those of the textbook update.
+    """
+
+    CHUNK = 16384
 
     def __init__(
         self,
-        params: dict[str, np.ndarray],
+        params: np.ndarray,
         learning_rate: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -507,12 +559,13 @@ class AdamW:
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
-        self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = np.empty((2, min(self.CHUNK, params.size)))
         self.t = 0
 
     @classmethod
-    def from_config(cls, params: dict[str, np.ndarray], config: OptimizerConfig) -> "AdamW":
+    def from_config(cls, params: np.ndarray, config: OptimizerConfig) -> "AdamW":
         return cls(
             params,
             learning_rate=config.learning_rate,
@@ -522,21 +575,31 @@ class AdamW:
             weight_decay=config.weight_decay,
         )
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        for name, param in self.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+        decay = self.learning_rate * self.weight_decay
+        self.m *= self.beta1
+        self.v *= self.beta2
+        for start in range(0, self.params.size, self.CHUNK):
+            chunk = slice(start, start + self.CHUNK)
+            param, g, m, v = self.params[chunk], grad[chunk], self.m[chunk], self.v[chunk]
+            s1, s2 = self._scratch[:, : param.size]
+            m += np.multiply(1.0 - self.beta1, g, out=s1)
+            np.multiply(1.0 - self.beta2, g, out=s1)
+            s1 *= g
+            v += s1
             if self.weight_decay:
-                param -= self.learning_rate * self.weight_decay * param
-            param -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+                param -= np.multiply(decay, param, out=s1)
+            # param -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(m, bias1, out=s1)
+            s1 *= self.learning_rate
+            np.divide(v, bias2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            param -= s1
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +661,7 @@ def train(
         raise ModelError("eval_every must be >= 1")
     encoded = encode_pairs(model.vocabulary, train_data, config.max_length)
     rng = np.random.default_rng(seed)
-    optimizer = AdamW.from_config(model.params, config)
+    optimizer = AdamW.from_config(model.params.flat, config)
     checkpoints: list[Checkpoint] = []
     train_losses: list[tuple[int, float]] = []
     valid_losses: list[tuple[int, float]] = []
@@ -623,7 +686,7 @@ def train(
             loss, grads = model.loss_and_grads(batch)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(step, loss)
-            optimizer.step(grads)
+            optimizer.step(grads.flat)
             step += 1
             train_losses.append((step, loss))
             if eval_every is not None and step % eval_every == 0:
@@ -867,9 +930,8 @@ def load_model(path: str) -> AttentiveSeq2Seq:
     if set(stored) != set(model.params):
         raise ModelError(f"{path}: parameter names do not match the architecture")
     for name, entry in stored.items():
-        arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").astype(np.float64)
-        arr = arr.reshape(entry["shape"])
+        arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").reshape(entry["shape"])
         if arr.shape != model.params[name].shape:
             raise ModelError(f"{path}: parameter {name!r} has shape {arr.shape}, expected {model.params[name].shape}")
-        model.params[name] = arr.copy()
+        model.params[name][...] = arr  # in place: the views must stay on the model's vector
     return model

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+import crossdial.cli as cli
 import crossdial.experiment as experiment
 from crossdial.cli import main
 from crossdial.kvconfig import load_kv
@@ -302,6 +303,34 @@ def test_study_rejects_non_positive_value_before_pretraining(key, capsys, tmp_pa
     out = tmp_path / "s"
     assert main(["study", "--out", str(out), "--set", f"{key}=0"]) == 2
     assert _err_line(capsys) == f"error:config: {key} must be >= 1, got 0"
+    assert not out.exists()
+
+
+# A value the config dataclasses reject is a configuration error (exit 2) that
+# names its key, raised before any work starts.
+
+
+def test_study_rejects_bad_optimizer_value_before_pretraining(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "pretrain_span_corruption", lambda *a, **k: pytest.fail("pretraining ran"))
+    out = tmp_path / "s"
+    assert main(["study", "--out", str(out), "--set", "train.learning_rate=-1", "--set", "train.epochs=3"]) == 2
+    assert _err_line(capsys) == "error:config: bad value for 'train.learning_rate': learning_rate must be positive"
+    assert not out.exists()
+
+
+def test_gen_synthetic_rejects_bad_size(capsys, tmp_path):
+    out = tmp_path / "g"
+    assert main(["gen-synthetic", "--out", str(out), "--set", "n_test=0"]) == 2
+    assert _err_line(capsys) == "error:config: bad value for 'n_test': n_test must be a positive integer, got 0"
+    assert not out.exists()
+
+
+def test_pretrain_rejects_eval_every_zero_before_training(capsys, data_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "pretrain_span_corruption", lambda *a, **k: pytest.fail("pretraining ran"))
+    out = tmp_path / "m.model"
+    assert main(["pretrain", "--data", str(data_dir / "aux_train.jsonl"), "--out", str(out),
+                 "--eval-every", "0"]) == 2
+    assert _err_line(capsys) == "error:config: pretrain: bad value for 'eval_every': must be >= 1, got 0"
     assert not out.exists()
 
 

@@ -16,6 +16,7 @@ from crossdial.model import (
     OptimizerConfig,
     PAD_ID,
     PRETRAIN_DEFAULTS,
+    ParamViews,
     SOURCE_TRAIN_DEFAULTS,
     TARGET_ADAPT_DEFAULTS,
     TrainingDivergedError,
@@ -179,13 +180,14 @@ def _reference_adamw_step(param, grad, m, v, t, lr, b1, b2, eps, wd):
 def test_adamw_matches_reference_steps():
     rng = np.random.default_rng(0)
     params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=(3,))}
-    mine = {k: p.copy() for k, p in params.items()}
-    opt = AdamW(mine, learning_rate=0.01, weight_decay=0.1)
+    layout = [(k, p.shape) for k, p in params.items()]
+    mine = ParamViews(np.concatenate([p.ravel() for p in params.values()]), layout)
+    opt = AdamW(mine.flat, learning_rate=0.01, weight_decay=0.1)
     ref = {k: p.copy() for k, p in params.items()}
     state = {k: (np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
     for t in range(1, 6):
         grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
-        opt.step(grads)
+        opt.step(np.concatenate([g.ravel() for g in grads.values()]))
         for k in ref:
             m, v = state[k]
             ref[k], m, v = _reference_adamw_step(ref[k], grads[k], m, v, t, 0.01, 0.9, 0.999, 1e-8, 0.1)
@@ -196,10 +198,10 @@ def test_adamw_matches_reference_steps():
 
 def test_weight_decay_is_decoupled():
     # with zero gradient, AdamW still shrinks the parameter by lr*wd exactly
-    params = {"w": np.full((2,), 10.0)}
-    opt = AdamW(params, learning_rate=0.1, weight_decay=0.5)
-    opt.step({"w": np.zeros(2)})
-    np.testing.assert_allclose(params["w"], 10.0 - 0.1 * 0.5 * 10.0, atol=1e-12)
+    w = np.full((2,), 10.0)
+    opt = AdamW(w, learning_rate=0.1, weight_decay=0.5)
+    opt.step(np.zeros(2))
+    np.testing.assert_allclose(w, 10.0 - 0.1 * 0.5 * 10.0, atol=1e-12)
 
 
 def test_optimizer_config_defaults():
