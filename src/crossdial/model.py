@@ -257,14 +257,32 @@ class ParamViews(dict):
 
 @dataclass
 class _ForwardCache:
+    """What ``backward`` needs from one ``forward``; ``backward`` consumes it.
+
+    The time-major buffers hold every decoder step: ``states[t]`` is the
+    state entering step t (``states[0]`` is s_0), ``x[t]`` the GRU input
+    [E[y_{t-1}]; c_t], ``o[t]`` the readout input [s_t; c_t] and ``probs[t]``
+    the softmax, which ``backward`` turns into the logit grads in place.
+    """
+
     batch: Batch
-    enc_caches: list
+    src_emb: np.ndarray  # (S, B, d), the encoder's inputs
+    enc_steps: list  # GRU cache per encoder step
     enc_out: np.ndarray
-    enc_proj: np.ndarray
     h_last: np.ndarray
-    s0: np.ndarray
-    dec_steps: list
+    states: np.ndarray
+    x: np.ndarray
+    o: np.ndarray
+    probs: np.ndarray | None
+    dec_steps: list | None  # (attention cache, GRU cache) per step; None once consumed
     token_count: float
+
+
+def _step_masks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step (B, 1) mask columns of a (B, L) mask and their complements,
+    the GRU's state carry over pads, as (L, B, 1) stacks."""
+    cols = mask.T[:, :, None]
+    return cols, 1.0 - cols
 
 
 class AttentiveSeq2Seq:
@@ -275,6 +293,13 @@ class AttentiveSeq2Seq:
     stepped and probed component-wise.  Each GRU's z, r, n weights sit next
     to each other, which gives gate-major ``(3, in, h)`` / ``(3, h, h)`` /
     ``(3, h)`` views of the same memory for one stacked matmul per step.
+
+    Under teacher forcing only attention and the GRU recur, so ``forward``
+    and ``backward`` run everything else (embedding lookups, the encoder's
+    input projections, the readout, softmax and loss, and their grads) once
+    per batch over time-major stacks.  A stacked matmul makes the same BLAS
+    call per time slice as the per-step code did, so every result stays bit
+    for bit as it was; a flattened ``(T*B, K)`` product would not.
     """
 
     def __init__(self, vocabulary: Vocabulary, config: ModelConfig = ModelConfig()):
@@ -301,11 +326,24 @@ class AttentiveSeq2Seq:
             ("b_out", (v,), None),
         ]
         self._layout = tuple((name, shape) for name, shape, _ in specs)
-        self.params = ParamViews(np.zeros(sum(math.prod(shape) for _, shape, _ in specs)), self._layout)
+        self._slices = {}
+        offset = 0
+        for name, shape in self._layout:
+            self._slices[name] = (offset, offset + math.prod(shape))
+            offset += math.prod(shape)
+        # per GRU prefix: the (start, stop, gate-major shape) of its W, U, b
+        self._gate_spans = {
+            prefix: tuple(
+                (self._slices[f"{prefix}{kind}z"][0], self._slices[f"{prefix}{kind}n"][1], (3,) + shape)
+                for kind, shape in zip("WUb", ((in_dim, h), (h, h), (h,)))
+            )
+            for prefix, in_dim in (("enc_", d), ("dec_", d + h))
+        }
+        self.params = ParamViews(np.zeros(offset), self._layout)
         for name, shape, init in specs:  # draws in this order; None stays zero
             if init is not None:
                 self.params[name][...] = init(rng, shape)
-        self._gru_params = self._gate_views(self.params)
+        self._gru_params = self._gate_views(self.params.flat)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -315,13 +353,7 @@ class AttentiveSeq2Seq:
 
     def flat_slices(self) -> dict[str, tuple[int, int]]:
         """Half-open [start, stop) of each parameter in the flat vector."""
-        out = {}
-        offset = 0
-        for name, shape in self._layout:
-            size = math.prod(shape)
-            out[name] = (offset, offset + size)
-            offset += size
-        return out
+        return dict(self._slices)
 
     def parameters_flat(self) -> np.ndarray:
         return self.params.flat.copy()
@@ -335,40 +367,39 @@ class AttentiveSeq2Seq:
         for name, arr in snapshot.items():
             self.params[name][...] = arr
 
-    def _gate_views(self, views: ParamViews) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per GRU prefix, gate-major (W, U, b) views into ``views.flat``."""
-        slices = self.flat_slices()
-        out = {}
-        for prefix in ("enc_", "dec_"):
-            stacked = []
-            for kind in "WUb":
-                start, _ = slices[f"{prefix}{kind}z"]
-                _, stop = slices[f"{prefix}{kind}n"]
-                stacked.append(views.flat[start:stop].reshape((3,) + views[f"{prefix}{kind}z"].shape))
-            out[prefix] = tuple(stacked)
-        return out
+    def _gate_views(self, flat: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per GRU prefix, gate-major (W, U, b) views into ``flat``."""
+        return {
+            prefix: tuple(flat[start:stop].reshape(shape) for start, stop, shape in spans)
+            for prefix, spans in self._gate_spans.items()
+        }
 
     # -- building blocks -----------------------------------------------
 
-    def _gru_forward(self, x, h_prev, prefix, mask_col):
-        W, U, b = self._gru_params[prefix]
-        xw = x @ W  # (3, B, h): the z, r, n input projections
+    def _gru_forward(self, xw, h_prev, prefix, mask_col, carry_col):
+        """One GRU step from its input projections ``xw = x @ W``, (3, B, h)."""
+        _, U, b = self._gru_params[prefix]
         zr = _sigmoid(xw[:2] + h_prev @ U[:2] + b[:2, None])
         z, r = zr
         rh = r * h_prev
         n = np.tanh(xw[2] + rh @ U[2] + b[2])
         h_new = (1.0 - z) * n + z * h_prev
-        h = mask_col * h_new + (1.0 - mask_col) * h_prev  # carry state over pads
-        return h, (x, h_prev, zr, n, rh, mask_col)
+        h = mask_col * h_new + carry_col * h_prev  # carry state over pads
+        return h, (h_prev, zr, n, rh, mask_col, carry_col)
 
-    def _gru_backward(self, dh, cache, prefix, gate_grads):
-        W, U, _ = self._gru_params[prefix]
+    def _gru_backward(self, dh, x, cache, prefix, gate_grads, da):
+        """Backprop one GRU step into ``gate_grads`` and return dh_prev.
+
+        Writes the gate-major pre-activation grads into ``da`` (3, B, h);
+        the input grad follows from them by ``_gru_input_grad``, off the
+        recurrence.
+        """
+        _, U, _ = self._gru_params[prefix]
         gW, gU, gb = gate_grads
-        x, h_prev, zr, n, rh, mask_col = cache
+        h_prev, zr, n, rh, mask_col, carry_col = cache
         z, r = zr
-        da = np.empty((3,) + n.shape)  # gate-major pre-activation grads
         dh_new = dh * mask_col
-        dh_prev = dh * (1.0 - mask_col)
+        dh_prev = dh * carry_col
         np.multiply(dh_new, h_prev - n, out=da[0])
         dn = dh_new * (1.0 - z)
         dh_prev = dh_prev + dh_new * z
@@ -383,38 +414,45 @@ class AttentiveSeq2Seq:
         gU[:2] += h_prev.T @ dzr
         gU[2] += rh.T @ dan
         gb += da.sum(axis=1)
-        dxs = da @ W.transpose(0, 2, 1)
         dhs = dzr @ U[:2].transpose(0, 2, 1)
-        # summed in the per-gate order n, z, r, so every bit stays as it was
-        dx = dxs[2] + dxs[0]
-        dx += dxs[1]
         dh_prev = dh_prev + dhs[0]
         dh_prev = dh_prev + dhs[1]
-        return dx, dh_prev
+        return dh_prev
 
-    def _attention_forward(self, s_prev, enc_proj, enc_out, src_mask):
+    def _gru_input_grad(self, da, prefix):
+        """dx from gate-major grads ``da`` of shape (..., 3, B, h)."""
+        W = self._gru_params[prefix][0]
+        dxs = da @ W.transpose(0, 2, 1)
+        # summed in the per-gate order n, z, r, so every bit stays as it was
+        dx = dxs[..., 2, :, :] + dxs[..., 0, :, :]
+        dx += dxs[..., 1, :, :]
+        return dx
+
+    def _attention_forward(self, s_prev, enc_proj, enc_out, src_mask, live):
+        """``live`` is ``src_mask > 0``, computed once per batch."""
         p = self.params
         q = s_prev @ p["A_dec"]
         u = np.tanh(enc_proj + q[:, None, :] + p["a_bias"])
         e = u @ p["a_v"]
-        e = np.where(src_mask > 0, e, -1e30)  # pads never win the softmax
+        e = np.where(live, e, -1e30)  # pads never win the softmax
         e = e - e.max(axis=1, keepdims=True)
         w = np.exp(e) * src_mask
         alpha = w / w.sum(axis=1, keepdims=True)
         c = np.einsum("bs,bsh->bh", alpha, enc_out)
-        return c, alpha, (s_prev, u, alpha)
+        return c, (u, alpha)
 
-    def _attention_backward(self, dc, att_cache, enc_out, grads):
+    def _attention_backward(self, dc, att_cache, enc_out, grads, dq):
+        """Writes the query grad into ``dq`` (B, a); A_dec's grad is left to
+        the caller, which stacks dq over the steps."""
         p = self.params
-        s_prev, u, alpha = att_cache
+        u, alpha = att_cache
         dalpha = np.einsum("bh,bsh->bs", dc, enc_out)
         denc = alpha[:, :, None] * dc[:, None, :]
         de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
         grads["a_v"] += np.einsum("bsa,bs->a", u, de)
         dpre = de[:, :, None] * p["a_v"] * (1.0 - u * u)
         grads["a_bias"] += dpre.sum(axis=(0, 1))
-        dq = dpre.sum(axis=1)
-        grads["A_dec"] += s_prev.T @ dq
+        dpre.sum(axis=1, out=dq)
         ds_prev = dq @ p["A_dec"].T
         return ds_prev, denc, dpre
 
@@ -423,13 +461,15 @@ class AttentiveSeq2Seq:
         n, s_len = src.shape
         h = np.zeros((n, self.config.hidden_size))
         enc_out = np.empty((n, s_len, self.config.hidden_size))
+        src_emb = p["E"][src.T]  # (S, B, d), time-major
+        xw = src_emb[:, None] @ self._gru_params["enc_"][0]  # (S, 3, B, h): every step's input projections
+        mask_cols, carry_cols = _step_masks(src_mask)
         caches = []
-        src_emb = p["E"][src]
         for t in range(s_len):
-            h, cache = self._gru_forward(src_emb[:, t], h, "enc_", src_mask[:, t : t + 1])
+            h, cache = self._gru_forward(xw[t], h, "enc_", mask_cols[t], carry_cols[t])
             caches.append(cache)
             enc_out[:, t] = h
-        return enc_out, h, caches
+        return enc_out, h, src_emb, caches
 
     # -- loss ------------------------------------------------------------
 
@@ -437,75 +477,103 @@ class AttentiveSeq2Seq:
         p = self.params
         n = batch.src.shape[0]
         t_len = batch.tgt_in.shape[1]
+        d, h = self.config.embedding_size, self.config.hidden_size
         token_count = batch.token_count
         if token_count <= 0:
             raise ModelError("batch has no target tokens")
         if (batch.src_mask.sum(axis=1) < 1).any():
             raise ModelError("batch has a row with an empty source")
 
-        enc_out, h_last, enc_caches = self._run_encoder(batch.src, batch.src_mask)
-        s0 = np.tanh(h_last @ p["W_s0"] + p["b_s0"])
+        enc_out, h_last, src_emb, enc_steps = self._run_encoder(batch.src, batch.src_mask)
         enc_proj = enc_out @ p["A_enc"]
+        live = batch.src_mask > 0
+        mask_cols, carry_cols = _step_masks(batch.tgt_mask)
+        W = self._gru_params["dec_"][0]
 
-        s = s0
-        rows = np.arange(n)
+        states = np.empty((t_len + 1, n, h))
+        states[0] = np.tanh(h_last @ p["W_s0"] + p["b_s0"])
+        x = np.empty((t_len, n, d + h))
+        x[:, :, :d] = p["E"][batch.tgt_in.T]
+        o = np.empty((t_len, n, 2 * h))
         dec_steps = []
-        total_nll = 0.0
         for t in range(t_len):
-            emb = p["E"][batch.tgt_in[:, t]]
-            s_prev = s
-            c, _, att_cache = self._attention_forward(s_prev, enc_proj, enc_out, batch.src_mask)
-            x = np.concatenate([emb, c], axis=1)
-            s, gru_cache = self._gru_forward(x, s_prev, "dec_", batch.tgt_mask[:, t : t + 1])
-            o = np.concatenate([s, c], axis=1)
-            logits = o @ p["W_out"] + p["b_out"]
-            logits -= logits.max(axis=1, keepdims=True)
-            ex = np.exp(logits)
-            probs = ex / ex.sum(axis=1, keepdims=True)
-            picked = probs[rows, batch.tgt_out[:, t]]
-            total_nll += float(-(np.log(np.maximum(picked, 1e-300)) * batch.tgt_mask[:, t]).sum())
-            dec_steps.append((att_cache, gru_cache, o, probs))
+            c, att_cache = self._attention_forward(states[t], enc_proj, enc_out, batch.src_mask, live)
+            x[t, :, d:] = c
+            s, gru_cache = self._gru_forward(x[t] @ W, states[t], "dec_", mask_cols[t], carry_cols[t])
+            states[t + 1] = s
+            o[t, :, :h] = s
+            o[t, :, h:] = c
+            dec_steps.append((att_cache, gru_cache))
+
+        probs = o @ p["W_out"]  # the logits, turned into the softmax in place
+        probs += p["b_out"]
+        probs -= probs.max(axis=2, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=2, keepdims=True)
+        picked = probs[np.arange(t_len)[:, None], np.arange(n), batch.tgt_out.T]
+        # a C-contiguous (T, B) mask keeps each step's sum as the per-step code
+        # summed it; the steps are added in order, without sum()'s compensation
+        step_nll = -(np.log(np.maximum(picked, 1e-300)) * np.ascontiguousarray(batch.tgt_mask.T)).sum(axis=1)
+        total_nll = 0.0
+        for nll in step_nll.tolist():
+            total_nll += nll
         loss = total_nll / token_count
-        cache = _ForwardCache(batch, enc_caches, enc_out, enc_proj, h_last, s0, dec_steps, token_count)
+        cache = _ForwardCache(batch, src_emb, enc_steps, enc_out, h_last, states, x, o, probs, dec_steps, token_count)
         return loss, cache
 
     def backward(self, cache: _ForwardCache) -> ParamViews:
+        if cache.dec_steps is None:
+            raise ModelError("forward cache already consumed by an earlier backward")
         p = self.params
         batch = cache.batch
         n, s_len = batch.src.shape
         t_len = batch.tgt_in.shape[1]
         h = self.config.hidden_size
         d = self.config.embedding_size
-        rows = np.arange(n)
         grads = ParamViews(np.zeros_like(p.flat), self._layout)
-        gate_grads = self._gate_views(grads)
+        gate_grads = self._gate_views(grads.flat)
         # embedding-row grads in backprop order (decoder steps, then encoder
         # steps, each last to first), scattered by one np.add.at at the end
         emb_ids = np.concatenate([batch.tgt_in[:, ::-1].T, batch.src[:, ::-1].T]).ravel()
         emb_rows = np.empty((t_len + s_len, n, d))
 
-        ds_next = np.zeros((n, h))
-        d_proj = np.zeros_like(cache.enc_proj)
-        denc = np.zeros_like(cache.enc_out)
+        # readout: the softmax becomes the logit grads in place
+        dlogits, cache.probs = cache.probs, None
+        dlogits[np.arange(t_len)[:, None], np.arange(n), batch.tgt_out.T] -= 1.0
+        dlogits *= (batch.tgt_mask.T / cache.token_count)[:, :, None]
+        o, cache.o = cache.o, None
         for t in reversed(range(t_len)):
-            att_cache, gru_cache, o, probs = cache.dec_steps[t]
-            dlogits = probs.copy()
-            dlogits[rows, batch.tgt_out[:, t]] -= 1.0
-            dlogits *= (batch.tgt_mask[:, t] / cache.token_count)[:, None]
-            grads["W_out"] += o.T @ dlogits
-            grads["b_out"] += dlogits.sum(axis=0)
-            do = dlogits @ p["W_out"].T
-            ds = ds_next + do[:, :h]
-            dc = do[:, h:].copy()
-            dx, ds_prev = self._gru_backward(ds, gru_cache, "dec_", gate_grads["dec_"])
+            grads["W_out"] += o[t].T @ dlogits[t]
+        del o
+        b_out_steps = dlogits.sum(axis=1)  # (T, V); V > 1, so each step's rows add in order
+        for t in reversed(range(t_len)):
+            grads["b_out"] += b_out_steps[t]
+        do = dlogits @ p["W_out"].T
+        del dlogits
+
+        steps, cache.dec_steps = cache.dec_steps, None
+        ds_next = np.zeros((n, h))
+        d_proj = np.zeros_like(cache.enc_out)
+        denc = np.zeros_like(cache.enc_out)
+        da = np.empty((3, n, h))
+        dq = np.empty((t_len, n, h))
+        for t in reversed(range(t_len)):
+            att_cache, gru_cache = steps.pop()  # drops the step's cache once used
+            ds = ds_next + do[t, :, :h]
+            ds_prev = self._gru_backward(ds, cache.x[t], gru_cache, "dec_", gate_grads["dec_"], da)
+            dx = self._gru_input_grad(da, "dec_")
             emb_rows[t_len - 1 - t] = dx[:, :d]
-            dc += dx[:, d:]
-            ds_prev_att, denc_t, dpre = self._attention_backward(dc, att_cache, cache.enc_out, grads)
+            dc = do[t, :, h:] + dx[:, d:]
+            ds_prev_att, denc_t, dpre = self._attention_backward(dc, att_cache, cache.enc_out, grads, dq[t])
             denc += denc_t
             d_proj += dpre
             ds_next = ds_prev + ds_prev_att
+        a_dec_steps = cache.states[:-1].transpose(0, 2, 1) @ dq
+        for t in reversed(range(t_len)):  # not one reduce: at h=1 that would sum pairwise
+            grads["A_dec"] += a_dec_steps[t]
 
-        da0 = ds_next * (1.0 - cache.s0 * cache.s0)
+        s0 = cache.states[0]
+        da0 = ds_next * (1.0 - s0 * s0)
         grads["W_s0"] += cache.h_last.T @ da0
         grads["b_s0"] += da0.sum(axis=0)
         dh = da0 @ p["W_s0"].T
@@ -513,9 +581,11 @@ class AttentiveSeq2Seq:
         grads["A_enc"] += np.einsum("bsh,bsa->ha", cache.enc_out, d_proj)
         denc += d_proj @ p["A_enc"].T
 
+        das = np.empty((s_len, 3, n, h))
         for t in reversed(range(s_len)):
-            dx, dh = self._gru_backward(denc[:, t] + dh, cache.enc_caches[t], "enc_", gate_grads["enc_"])
-            emb_rows[t_len + s_len - 1 - t] = dx
+            enc_step = cache.enc_steps.pop()
+            dh = self._gru_backward(denc[:, t] + dh, cache.src_emb[t], enc_step, "enc_", gate_grads["enc_"], das[t])
+        emb_rows[t_len:] = self._gru_input_grad(das, "enc_")[::-1]
         np.add.at(grads["E"], emb_ids, emb_rows.reshape(-1, d))
         return grads
 
@@ -799,18 +869,20 @@ def generate_greedy(model: AttentiveSeq2Seq, source_text: str, max_length: int =
         raise ModelError(f"empty source text {source_text!r}")
     src = np.array([src_ids], dtype=np.int64)
     src_mask = np.ones((1, len(src_ids)))
-    enc_out, h_last, _ = model._run_encoder(src, src_mask)
+    enc_out, h_last, _, _ = model._run_encoder(src, src_mask)
     s = np.tanh(h_last @ p["W_s0"] + p["b_s0"])
     enc_proj = enc_out @ p["A_enc"]
-    live = np.ones((1, 1))
+    live = src_mask > 0
+    mask_col, carry_col = np.ones((1, 1)), np.zeros((1, 1))
+    W = model._gru_params["dec_"][0]
     prev = BOS_ID
     ids: list[int] = []
     dists: list[np.ndarray] = []
     for _ in range(max_length):
         emb = p["E"][np.array([prev])]
-        c, _, _ = model._attention_forward(s, enc_proj, enc_out, src_mask)
+        c, _ = model._attention_forward(s, enc_proj, enc_out, src_mask, live)
         x = np.concatenate([emb, c], axis=1)
-        s, _ = model._gru_forward(x, s, "dec_", live)
+        s, _ = model._gru_forward(x @ W, s, "dec_", mask_col, carry_col)
         o = np.concatenate([s, c], axis=1)
         logits = (o @ p["W_out"] + p["b_out"])[0]
         logits -= logits.max()
@@ -919,18 +991,33 @@ def save_model(model: AttentiveSeq2Seq, path: str) -> None:
 
 
 def load_model(path: str) -> AttentiveSeq2Seq:
+    """Read a model file; a malformed one raises ``ModelError`` naming the
+    file and, where one is at fault, the parameter."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ModelError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelError(f"{path}: not a {MODEL_FORMAT} file")
-    vocabulary = Vocabulary(tuple(payload["vocabulary"]))
-    config = ModelConfig(**payload["config"])
+    try:
+        vocabulary = Vocabulary(tuple(payload["vocabulary"]))
+        config = ModelConfig(**payload["config"])
+        stored = dict(payload["params"])
+    except KeyError as exc:
+        raise ModelError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{path}: {exc}") from None
     model = AttentiveSeq2Seq(vocabulary, config)
-    stored = payload["params"]
     if set(stored) != set(model.params):
         raise ModelError(f"{path}: parameter names do not match the architecture")
     for name, entry in stored.items():
-        arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").reshape(entry["shape"])
+        try:
+            arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").reshape(entry["shape"])
+        except KeyError as exc:
+            raise ModelError(f"{path}: parameter {name!r} has no key {exc}") from None
+        except (TypeError, ValueError) as exc:  # bad base64 is a ValueError
+            raise ModelError(f"{path}: parameter {name!r} is malformed ({exc})") from None
         if arr.shape != model.params[name].shape:
             raise ModelError(f"{path}: parameter {name!r} has shape {arr.shape}, expected {model.params[name].shape}")
         model.params[name][...] = arr  # in place: the views must stay on the model's vector

@@ -105,6 +105,41 @@ def test_missing_input_file_exits_1(capsys, tmp_path):
     assert _err_line(capsys).startswith("error:")
 
 
+def _shape_edited(payload):
+    payload["params"]["b_out"]["shape"] = [7]
+
+
+def _bad_base64(payload):
+    payload["params"]["b_out"]["data"] = "not base64!"
+
+
+def _no_vocabulary(payload):
+    del payload["vocabulary"]
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (_shape_edited, "'b_out'"),
+    (_bad_base64, "'b_out'"),
+    (_no_vocabulary, "'vocabulary'"),
+    (None, "not valid JSON"),  # truncated file
+])
+def test_malformed_model_file_exits_1_with_one_error_line(corrupt, named, models, data_dir, tmp_path, capsys):
+    text = models["adapted"].read_text(encoding="utf-8")
+    if corrupt is None:
+        text = text[: len(text) // 2]
+    else:
+        payload = json.loads(text)
+        corrupt(payload)
+        text = json.dumps(payload)
+    bad = tmp_path / "bad.model"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["generate", "--model", str(bad), "--in", str(data_dir / "tgt_test.jsonl"),
+                 "--out", str(tmp_path / "h.txt")]) == 1
+    line = _err_line(capsys)
+    assert line.startswith(f"error:model: {bad}: ")
+    assert named in line
+
+
 def test_interleave_domain_error_exits_1(capsys, data_dir, tmp_path):
     # target stream larger than auxiliary: block size would be zero
     assert main(["interleave", "--aux", str(data_dir / "tgt_train.jsonl"),

@@ -133,7 +133,8 @@ def test_gru_step_matches_per_gate_reference(batch, prefix):
         h_prev = rng.normal(scale=0.5, size=(batch, h))
         dh = rng.normal(size=(batch, h))
 
-        got_h, cache = model._gru_forward(x, h_prev, prefix, mask_col)
+        xw = x @ model._gru_params[prefix][0]
+        got_h, cache = model._gru_forward(xw, h_prev, prefix, mask_col, 1.0 - mask_col)
         want_h, ref_cache = _ref_gru_forward(ref_params, x, h_prev, prefix, mask_col)
         np.testing.assert_array_equal(got_h, want_h)
 
@@ -141,7 +142,10 @@ def test_gru_step_matches_per_gate_reference(batch, prefix):
         grads = model.snapshot()  # any vector in the model's layout
         grads.flat[...] = rng.normal(size=grads.flat.size)
         ref_grads = {name: arr.copy() for name, arr in grads.items()}
-        got_dx, got_dh = model._gru_backward(dh, cache, prefix, model._gate_views(grads)[prefix])
+        da = np.empty((3, batch, h))
+        gate_grads = model._gate_views(grads.flat)[prefix]
+        got_dh = model._gru_backward(dh, x, cache, prefix, gate_grads, da)
+        got_dx = model._gru_input_grad(da, prefix)
         want_dx, want_dh = _ref_gru_backward(ref_params, dh, ref_cache, prefix, ref_grads)
         np.testing.assert_array_equal(got_dx, want_dx)
         np.testing.assert_array_equal(got_dh, want_dh)
