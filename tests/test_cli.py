@@ -4,8 +4,10 @@ Every subcommand is driven through ``main(argv)`` in-process; the heavier
 byte-identity sweep lives in the acceptance suite.
 """
 
+import argparse
 import filecmp
 import json
+import re
 
 import pytest
 
@@ -179,6 +181,146 @@ def test_humaneval_cross_family_exits_1(capsys, data_dir, tmp_path):
                "--sheet", str(tmp_path / "s.tsv"), "--key", str(tmp_path / "k.tsv"), "--n", "4"])
     assert rc == 1
     assert _err_line(capsys).startswith("error:humaneval")
+
+
+# -- flag surface ----------------------------------------------------------------
+# Each subcommand's flags as (option strings, dest, nargs, action); every
+# subcommand also takes -h/--help and --set.
+
+_COMMON_FLAGS = {("-h --help", "help", 0, "help"), ("--set", "set", None, "append")}
+_CONFIG = ("--config", "config", None, "store")
+_STRICT = ("--strict", "strict", 0, "store_true")
+
+FLAG_SURFACE = {
+    "gen-synthetic": [
+        _CONFIG,
+        ("--out", "out", None, "store"),
+        ("--seed", "seed", None, "store"),
+    ],
+    "sample-fewshot": [
+        _CONFIG,
+        ("--in", "in", None, "store"),
+        ("--k", "k", None, "store"),
+        ("--seed", "seed", None, "store"),
+        ("--out", "out", None, "store"),
+        _STRICT,
+    ],
+    "interleave": [
+        _CONFIG,
+        ("--aux", "aux", None, "store"),
+        ("--tgt", "tgt", None, "store"),
+        ("--out", "out", None, "store"),
+        _STRICT,
+    ],
+    "format": [
+        _CONFIG,
+        ("--in", "in", None, "store"),
+        ("--out", "out", None, "store"),
+        ("--layout", "layout", None, "store"),
+        ("--template", "template", None, "store"),
+        _STRICT,
+    ],
+    "pretrain": [
+        _CONFIG,
+        ("--data", "data", "+", "store"),
+        ("--out", "out", None, "store"),
+        ("--seed", "seed", None, "store"),
+        ("--template", "template", None, "store"),
+        ("--corruption-rate", "corruption_rate", None, "store"),
+        ("--mean-span-length", "mean_span_length", None, "store"),
+        ("--embedding-size", "embedding_size", None, "store"),
+        ("--hidden-size", "hidden_size", None, "store"),
+        ("--eval-every", "eval_every", None, "store"),
+        _STRICT,
+    ],
+    **{
+        name: [
+            _CONFIG,
+            ("--model", "model", None, "store"),
+            ("--train", "train", None, "store"),
+            ("--valid", "valid", None, "store"),
+            ("--out", "out", None, "store"),
+            ("--prompted", "prompted", 0, "store_true"),
+            ("--template", "template", None, "store"),
+            ("--eval-every", "eval_every", None, "store"),
+            _STRICT,
+        ]
+        for name in ("train", "adapt")
+    },
+    "generate": [
+        _CONFIG,
+        ("--model", "model", None, "store"),
+        ("--in", "in", None, "store"),
+        ("--out", "out", None, "store"),
+        ("--raw-out", "raw_out", None, "store"),
+        ("--prompted", "prompted", 0, "store_true"),
+        ("--template", "template", None, "store"),
+        ("--max-length", "max_length", None, "store"),
+        _STRICT,
+    ],
+    "evaluate": [
+        _CONFIG,
+        ("--hyp", "hyp", None, "store"),
+        ("--ref", "ref", None, "store"),
+        ("--report", "report", None, "store"),
+        ("--system", "system", None, "store"),
+        ("--target-vocab", "target_vocab", None, "store"),
+        ("--tokenizer", "tokenizer", None, "store"),
+        ("--smoothing-epsilon", "smoothing_epsilon", None, "store"),
+        _STRICT,
+    ],
+    "study": [
+        ("--config --spec", "config", None, "store"),
+        ("--seeds", "seeds", None, "store"),
+        ("--out", "out", None, "store"),
+    ],
+    "humaneval-export": [
+        _CONFIG,
+        ("--hyp-a", "hyp_a", None, "store"),
+        ("--hyp-b", "hyp_b", None, "store"),
+        ("--system-a", "system_a", None, "store"),
+        ("--system-b", "system_b", None, "store"),
+        ("--test", "test", None, "store"),
+        ("--sheet", "sheet", None, "store"),
+        ("--key", "key", None, "store"),
+        ("--n", "n", None, "store"),
+        ("--seed", "seed", None, "store"),
+        ("--allow-cross-family", "allow_cross_family", 0, "store_true"),
+        _STRICT,
+    ],
+    "humaneval-aggregate": [
+        _CONFIG,
+        ("--sheet", "sheet", "+", "store"),
+        ("--key", "key", None, "store"),
+        ("--out", "out", None, "store"),
+        ("--language", "language", None, "store"),
+        _STRICT,
+    ],
+}
+
+
+def _flag_set(parser: argparse.ArgumentParser) -> set[tuple]:
+    def action(a) -> str:  # _StoreTrueAction -> store_true
+        return re.sub(r"(?<!^)(?=[A-Z])", "_", type(a).__name__.strip("_").removesuffix("Action")).lower()
+
+    return {(" ".join(a.option_strings), a.dest, a.nargs, action(a)) for a in parser._actions if a.option_strings}
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_top_level_flags_and_subcommands_pinned():
+    parser = cli.build_parser()
+    assert _flag_set(parser) == {("-h --help", "help", 0, "help"), ("-v --verbose", "verbose", 0, "store_true")}
+    assert sorted(_subparsers(parser)) == sorted(FLAG_SURFACE)
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_SURFACE))
+def test_subcommand_flags_pinned(name, capsys):
+    assert _flag_set(_subparsers(cli.build_parser())[name]) == _COMMON_FLAGS | set(FLAG_SURFACE[name])
+    assert main([name, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: crossdial {name}")
 
 
 # -- resolved-config echoes ------------------------------------------------------
