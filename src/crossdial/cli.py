@@ -30,6 +30,7 @@ from .corpus import (
     CorpusError,
     DialoguePair,
     SyntheticSpec,
+    derive_token_vocabulary,
     load_pairs,
     sample_few_shot,
     save_corpus,
@@ -81,9 +82,10 @@ log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # Key resolution: baked default < --config < --set < dedicated flag.
-# Each command declares {key: (parse, default)}, taking the keys of its
-# config dataclasses from config_schema; _REQUIRED defaults must arrive
-# from a flag or the config.
+# Each command declares {key: (parse, default[, flag help])}, taking the keys
+# of its config dataclasses from config_schema; _REQUIRED defaults must
+# arrive from a flag or the config.  An entry with a help string is also a
+# flag, --<key> with '-' for '_'.
 
 _REQUIRED = object()
 
@@ -117,6 +119,14 @@ def _optional_positive_int(value) -> int | None:
     return number
 
 
+def _flags(schema: dict[str, tuple], **helps: str) -> dict[str, tuple]:
+    """``schema`` with a flag, described by ``helps[key]``, for each key in ``helps``."""
+    return {key: entry + (helps[key],) if key in helps else entry for key, entry in schema.items()}
+
+
+_STRICT = {"strict": (_bool, False, "fail on a record that would otherwise be skipped with a warning")}
+
+
 def _parse_set_entries(items: list[str] | None) -> dict[str, str]:
     out: dict[str, str] = {}
     for item in items or []:
@@ -133,14 +143,14 @@ def _parse_set_entries(items: list[str] | None) -> dict[str, str]:
 def _merged_entries(args, command: str) -> dict[str, object]:
     """Config file + --set overrides + explicitly passed flags, in that order."""
     entries: dict[str, object] = {}
-    if getattr(args, "config", None):
+    if args.config:
         entries.update(load_kv(args.config))
-    entries.update(_parse_set_entries(getattr(args, "set", None)))
+    entries.update(_parse_set_entries(args.set))
     echoed_by = entries.pop("command", None)
     if echoed_by is not None and echoed_by != command:
         raise ConfigError(f"config was written by {echoed_by!r}, expected {command!r}")
     for key, value in vars(args).items():
-        if key in ("command", "config", "set", "verbose", "func") or value is None:
+        if key in ("command", "config", "set", "verbose") or value is None:
             continue
         entries[key] = value
     return entries
@@ -159,7 +169,7 @@ def _resolve(args, command: str, schema: dict[str, tuple]) -> dict:
             raise ConfigError(f"{command}: bad value for {key!r}: {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{command}: bad value for {key!r}: {exc}") from None
-    for key, (_, default) in schema.items():
+    for key, (_, default, *_) in schema.items():
         if key in resolved:
             continue
         if default is _REQUIRED:
@@ -209,11 +219,16 @@ def _write_history(path: str, result, best) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommands: each handler takes the keys its schema resolved; _COMMANDS
+# below pairs them.
+
+_GEN_SYNTHETIC_SCHEMA: dict[str, tuple] = {
+    "out": (str, _REQUIRED, "output directory"),
+    **_flags(config_schema(SyntheticSpec()), seed="corpus sampling seed"),
+}
 
 
-def _cmd_gen_synthetic(args) -> int:
-    r = _resolve(args, "gen-synthetic", {"out": (str, _REQUIRED), **config_schema(SyntheticSpec())})
+def _cmd_gen_synthetic(r: dict) -> int:
     bundle = generate_synthetic_bilingual(config_from(SyntheticSpec(), r))
     os.makedirs(r["out"], exist_ok=True)
     for name, corpus in (
@@ -233,16 +248,15 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 _SAMPLE_FEWSHOT_SCHEMA: dict[str, tuple] = {
-    "in": (str, _REQUIRED),
-    "k": (int, _REQUIRED),
-    "seed": (int, 0),
-    "out": (str, _REQUIRED),
-    "strict": (_bool, False),
+    "in": (str, _REQUIRED, "input corpus file"),
+    "k": (int, _REQUIRED, "subset size"),
+    "seed": (int, 0, "sampling seed"),
+    "out": (str, _REQUIRED, "output corpus file"),
+    **_STRICT,
 }
 
 
-def _cmd_sample_fewshot(args) -> int:
-    r = _resolve(args, "sample-fewshot", _SAMPLE_FEWSHOT_SCHEMA)
+def _cmd_sample_fewshot(r: dict) -> int:
     corpus = _load_single_language_corpus(r["in"], "train", r["strict"])
     subset = sample_few_shot(corpus, r["k"], r["seed"])
     _ensure_parent(r["out"])
@@ -252,15 +266,14 @@ def _cmd_sample_fewshot(args) -> int:
 
 
 _INTERLEAVE_SCHEMA: dict[str, tuple] = {
-    "aux": (str, _REQUIRED),
-    "tgt": (str, _REQUIRED),
-    "out": (str, _REQUIRED),
-    "strict": (_bool, False),
+    "aux": (str, _REQUIRED, "auxiliary corpus file"),
+    "tgt": (str, _REQUIRED, "target corpus file"),
+    "out": (str, _REQUIRED, "output corpus file, mixed languages"),
+    **_STRICT,
 }
 
 
-def _cmd_interleave(args) -> int:
-    r = _resolve(args, "interleave", _INTERLEAVE_SCHEMA)
+def _cmd_interleave(r: dict) -> int:
     aux = _load_single_language_corpus(r["aux"], "train", r["strict"])
     tgt = _load_single_language_corpus(r["tgt"], "train", r["strict"])
     mixed = interleave_even(aux, tgt)
@@ -272,16 +285,15 @@ def _cmd_interleave(args) -> int:
 
 
 _FORMAT_SCHEMA: dict[str, tuple] = {
-    "in": (str, _REQUIRED),
-    "out": (str, _REQUIRED),
-    "layout": (_choice("prompted", "plain"), "prompted"),
-    "template": (str, ""),
-    "strict": (_bool, False),
+    "in": (str, _REQUIRED, "input corpus file"),
+    "out": (str, _REQUIRED, "output JSONL of formatted examples"),
+    "layout": (_choice("prompted", "plain"), "prompted", "prompt layout"),
+    "template": (str, "", "prompt template config file"),
+    **_STRICT,
 }
 
 
-def _cmd_format(args) -> int:
-    r = _resolve(args, "format", _FORMAT_SCHEMA)
+def _cmd_format(r: dict) -> int:
     pairs = load_pairs(r["in"], strict=r["strict"])
     prompted = r["layout"] == "prompted"
     formatted = format_pairs(pairs, prompted, _template(r["template"]))
@@ -294,22 +306,24 @@ def _cmd_format(args) -> int:
 
 
 _PRETRAIN_SCHEMA: dict[str, tuple] = {
-    "data": (_paths, _REQUIRED),
-    "out": (str, _REQUIRED),
-    "seed": (int, 0),
-    "embedding_size": (int, 32),
-    "hidden_size": (int, 64),
-    "corruption_rate": (float, 0.15),
-    "mean_span_length": (float, 3.0),
-    "template": (str, ""),
-    "eval_every": (_optional_positive_int, None),
-    "strict": (_bool, False),
+    "data": (_paths, _REQUIRED, "corpus files forming the pretraining pool"),
+    "out": (str, _REQUIRED, "output model file"),
+    **_flags(
+        config_schema(ModelConfig()),
+        seed="init/corruption seed",
+        embedding_size="token embedding width",
+        hidden_size="GRU state and attention width",
+    ),
+    "corruption_rate": (float, 0.15, "share of tokens masked by span corruption"),
+    "mean_span_length": (float, 3.0, "mean corrupted span length"),
+    "template": (str, "", "prompt template config file (supplies the sentinels)"),
+    "eval_every": (_optional_positive_int, None, "optimizer steps between checkpoints (default: each epoch)"),
+    **_STRICT,
     **config_schema(PRETRAIN_DEFAULTS),
 }
 
 
-def _cmd_pretrain(args) -> int:
-    r = _resolve(args, "pretrain", _PRETRAIN_SCHEMA)
+def _cmd_pretrain(r: dict) -> int:
     model_config = config_from(ModelConfig(), r)
     optimizer_config = config_from(PRETRAIN_DEFAULTS, r)
     template = _template(r["template"])
@@ -336,20 +350,19 @@ def _cmd_pretrain(args) -> int:
 
 def _finetune_schema(defaults: OptimizerConfig) -> dict[str, tuple]:
     return {
-        "model": (str, _REQUIRED),
-        "train": (str, _REQUIRED),
-        "valid": (str, _REQUIRED),
-        "out": (str, _REQUIRED),
-        "prompted": (_bool, False),
-        "template": (str, ""),
-        "eval_every": (_optional_positive_int, None),
-        "strict": (_bool, False),
+        "model": (str, _REQUIRED, "input model file"),
+        "train": (str, _REQUIRED, "training corpus file"),
+        "valid": (str, _REQUIRED, "validation corpus file for checkpoint selection"),
+        "out": (str, _REQUIRED, "output model file"),
+        "prompted": (_bool, False, "use the fixed-prompt layout"),
+        "template": (str, "", "prompt template config file"),
+        "eval_every": (_optional_positive_int, None, "optimizer steps between checkpoints (default: each epoch)"),
+        **_STRICT,
         **config_schema(defaults),
     }
 
 
-def _finetune(args, command: str, defaults: OptimizerConfig) -> int:
-    r = _resolve(args, command, _finetune_schema(defaults))
+def _finetune(r: dict, command: str, defaults: OptimizerConfig) -> int:
     config = config_from(defaults, r)
     template = _template(r["template"])
     model = load_model(r["model"])
@@ -367,28 +380,27 @@ def _finetune(args, command: str, defaults: OptimizerConfig) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    return _finetune(args, "train", SOURCE_TRAIN_DEFAULTS)
+def _cmd_train(r: dict) -> int:
+    return _finetune(r, "train", SOURCE_TRAIN_DEFAULTS)
 
 
-def _cmd_adapt(args) -> int:
-    return _finetune(args, "adapt", TARGET_ADAPT_DEFAULTS)
+def _cmd_adapt(r: dict) -> int:
+    return _finetune(r, "adapt", TARGET_ADAPT_DEFAULTS)
 
 
 _GENERATE_SCHEMA: dict[str, tuple] = {
-    "model": (str, _REQUIRED),
-    "in": (str, _REQUIRED),
-    "out": (str, _REQUIRED),
-    "raw_out": (str, ""),
-    "prompted": (_bool, False),
-    "template": (str, ""),
-    "max_length": (int, 64),
-    "strict": (_bool, False),
+    "model": (str, _REQUIRED, "model file"),
+    "in": (str, _REQUIRED, "corpus file supplying the contexts"),
+    "out": (str, _REQUIRED, "output text file, one hypothesis per line"),
+    "raw_out": (str, "", "also write the unextracted generations"),
+    "prompted": (_bool, False, "use the fixed-prompt layout"),
+    "template": (str, "", "prompt template config file"),
+    "max_length": (int, 64, "maximum generated tokens per response"),
+    **_STRICT,
 }
 
 
-def _cmd_generate(args) -> int:
-    r = _resolve(args, "generate", _GENERATE_SCHEMA)
+def _cmd_generate(r: dict) -> int:
     template = _template(r["template"])
     model = load_model(r["model"])
     pairs = load_pairs(r["in"], strict=r["strict"])
@@ -407,26 +419,25 @@ def _cmd_generate(args) -> int:
 
 
 _EVALUATE_SCHEMA: dict[str, tuple] = {
-    "hyp": (str, _REQUIRED),
-    "ref": (str, _REQUIRED),
-    "report": (str, _REQUIRED),
-    "system": (str, "system"),
-    "target_vocab": (str, ""),
-    "tokenizer": (_choice(*sorted(TOKENIZERS)), "13a"),
-    "smoothing_epsilon": (float, 1e-2),
-    "strict": (_bool, False),
+    "hyp": (str, _REQUIRED, "hypothesis text file, one per line"),
+    "ref": (str, _REQUIRED, "reference corpus file"),
+    "report": (str, _REQUIRED, "output metric report, JSONL"),
+    "system": (str, "system", "system name recorded in the report"),
+    "target_vocab": (str, "", "one legal token per line (default: derive from the references)"),
+    "tokenizer": (_choice(*sorted(TOKENIZERS)), "13a", "BLEU tokenizer"),
+    "smoothing_epsilon": (float, 1e-2, "BLEU floor smoothing for zero n-gram counts"),
+    **_STRICT,
 }
 
 
-def _cmd_evaluate(args) -> int:
-    r = _resolve(args, "evaluate", _EVALUATE_SCHEMA)
+def _cmd_evaluate(r: dict) -> int:
     hypotheses = _read_lines(r["hyp"])
     ref_pairs = load_pairs(r["ref"], strict=r["strict"])
     references = [pair.response for pair in ref_pairs]
     if r["target_vocab"]:
         vocabulary = frozenset(tok for tok in _read_lines(r["target_vocab"]) if tok.strip())
     else:
-        vocabulary = frozenset(tok for pair in ref_pairs for tok in (pair.context + " " + pair.response).split())
+        vocabulary = derive_token_vocabulary([ref_pairs])
     tokenizer = TOKENIZERS[r["tokenizer"]]
     bleu = corpus_bleu(hypotheses, references, smoothing_epsilon=r["smoothing_epsilon"], tokenizer=tokenizer)
     distinct = distinct_report(hypotheses, tokenizer=tokenizer)
@@ -437,8 +448,13 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_study(args) -> int:
-    r = _resolve(args, "study", {"out": (str, _REQUIRED), **config_schema(StudyConfig())})
+_STUDY_SCHEMA: dict[str, tuple] = {
+    "out": (str, _REQUIRED, "output directory"),
+    **_flags(config_schema(StudyConfig()), seeds="comma-separated seed list"),
+}
+
+
+def _cmd_study(r: dict) -> int:
     report = run_forgetting_study(config_from(StudyConfig(), r))
     write_study_artifacts(report, r["out"])
     _write_echo(os.path.join(r["out"], "study.resolved.cfg"), "study", r)
@@ -453,22 +469,21 @@ def _cmd_study(args) -> int:
 
 
 _HUMANEVAL_EXPORT_SCHEMA: dict[str, tuple] = {
-    "hyp_a": (str, _REQUIRED),
-    "hyp_b": (str, _REQUIRED),
-    "system_a": (str, _REQUIRED),
-    "system_b": (str, _REQUIRED),
-    "test": (str, _REQUIRED),
-    "sheet": (str, _REQUIRED),
-    "key": (str, _REQUIRED),
-    "n": (int, 100),
-    "seed": (int, 0),
-    "allow_cross_family": (_bool, False),
-    "strict": (_bool, False),
+    "hyp_a": (str, _REQUIRED, "hypotheses of the first system"),
+    "hyp_b": (str, _REQUIRED, "hypotheses of the second system"),
+    "system_a": (str, _REQUIRED, "name of the first system"),
+    "system_b": (str, _REQUIRED, "name of the second system"),
+    "test": (str, _REQUIRED, "test corpus file"),
+    "sheet": (str, _REQUIRED, "output blinded sheet, TSV"),
+    "key": (str, _REQUIRED, "output key file, TSV"),
+    "n": (int, 100, "samples to draw"),
+    "seed": (int, 0, "sampling/blinding seed"),
+    "allow_cross_family": (_bool, False, "allow pairing systems from different scenario families"),
+    **_STRICT,
 }
 
 
-def _cmd_humaneval_export(args) -> int:
-    r = _resolve(args, "humaneval-export", _HUMANEVAL_EXPORT_SCHEMA)
+def _cmd_humaneval_export(r: dict) -> int:
     hyp_a = _read_lines(r["hyp_a"])
     hyp_b = _read_lines(r["hyp_b"])
     test = _load_single_language_corpus(r["test"], "test", r["strict"])
@@ -491,16 +506,15 @@ def _cmd_humaneval_export(args) -> int:
 
 
 _HUMANEVAL_AGGREGATE_SCHEMA: dict[str, tuple] = {
-    "sheet": (_paths, _REQUIRED),
-    "key": (str, _REQUIRED),
-    "out": (str, ""),
-    "language": (str, ""),
-    "strict": (_bool, False),
+    "sheet": (_paths, _REQUIRED, "completed sheet file(s)"),
+    "key": (str, _REQUIRED, "key file from the export"),
+    "out": (str, "", "also write the table to this file"),
+    "language": (str, "", "language label for the table"),
+    **_STRICT,
 }
 
 
-def _cmd_humaneval_aggregate(args) -> int:
-    r = _resolve(args, "humaneval-aggregate", _HUMANEVAL_AGGREGATE_SCHEMA)
+def _cmd_humaneval_aggregate(r: dict) -> int:
     report = aggregate_votes(r["sheet"], r["key"], strict=r["strict"], language=r["language"])
     table = report.format_table()
     print(table)
@@ -512,141 +526,56 @@ def _cmd_humaneval_aggregate(args) -> int:
     return 0
 
 
+# name -> (help, handler, schema)
+_COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, tuple]]] = {
+    "gen-synthetic": ("generate the two-language synthetic corpus set", _cmd_gen_synthetic, _GEN_SYNTHETIC_SCHEMA),
+    "sample-fewshot": ("draw a deterministic few-shot subset from a train corpus",
+                       _cmd_sample_fewshot, _SAMPLE_FEWSHOT_SCHEMA),
+    "interleave": ("evenly interleave few-shot targets into an auxiliary stream", _cmd_interleave, _INTERLEAVE_SCHEMA),
+    "format": ("render pairs to (source, target) training texts", _cmd_format, _FORMAT_SCHEMA),
+    "pretrain": ("span-corruption pretraining on raw corpus text", _cmd_pretrain, _PRETRAIN_SCHEMA),
+    "train": ("fine-tune a model on a corpus (source-stage defaults)",
+              _cmd_train, _finetune_schema(SOURCE_TRAIN_DEFAULTS)),
+    "adapt": ("few-shot adaptation (target-stage defaults)", _cmd_adapt, _finetune_schema(TARGET_ADAPT_DEFAULTS)),
+    "generate": ("greedy generation for every context of a corpus", _cmd_generate, _GENERATE_SCHEMA),
+    "evaluate": ("score hypotheses against a reference corpus", _cmd_evaluate, _EVALUATE_SCHEMA),
+    "study": ("run the 4-setting forgetting study over several seeds", _cmd_study, _STUDY_SCHEMA),
+    "humaneval-export": ("export a blinded pairwise evaluation sheet", _cmd_humaneval_export, _HUMANEVAL_EXPORT_SCHEMA),
+    "humaneval-aggregate": ("unblind completed sheets and tally votes",
+                            _cmd_humaneval_aggregate, _HUMANEVAL_AGGREGATE_SCHEMA),
+}
+
+
 # ---------------------------------------------------------------------------
 # Parser.  Flags default to None so "explicitly given" is distinguishable
-# from "absent"; the real defaults live in the schemas above.
+# from "absent", and take raw strings that the schema's parser converts.
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--config", help="flat key=value config file (echoes re-load here)")
-    sub.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config entry (repeatable)")
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError, so they print one error line like any other."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crossdial",
         description="Few-shot cross-lingual dialogue transfer: data, training, metrics, study.",
     )
     parser.add_argument("-v", "--verbose", action="store_true", default=None, help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    p = sub.add_parser("gen-synthetic", help="generate the two-language synthetic corpus set")
-    _add_common(p)
-    p.add_argument("--out", help="output directory (required)")
-    p.add_argument("--seed", type=int, help="corpus sampling seed (default 13)")
-    p.set_defaults(func=_cmd_gen_synthetic)
-
-    p = sub.add_parser("sample-fewshot", help="draw a deterministic few-shot subset from a train corpus")
-    _add_common(p)
-    p.add_argument("--in", help="input corpus file (required)")
-    p.add_argument("--k", type=int, help="subset size (required)")
-    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
-    p.add_argument("--out", help="output corpus file (required)")
-    p.add_argument("--strict", action="store_true", default=None)
-    p.set_defaults(func=_cmd_sample_fewshot)
-
-    p = sub.add_parser("interleave", help="evenly interleave few-shot targets into an auxiliary stream")
-    _add_common(p)
-    p.add_argument("--aux", help="auxiliary corpus file (required)")
-    p.add_argument("--tgt", help="target corpus file (required)")
-    p.add_argument("--out", help="output corpus file, mixed languages (required)")
-    p.add_argument("--strict", action="store_true", default=None)
-    p.set_defaults(func=_cmd_interleave)
-
-    p = sub.add_parser("format", help="render pairs to (source, target) training texts")
-    _add_common(p)
-    p.add_argument("--in", help="input corpus file (required)")
-    p.add_argument("--out", help="output JSONL of formatted examples (required)")
-    p.add_argument("--layout", choices=("prompted", "plain"), help="prompt layout (default prompted)")
-    p.add_argument("--template", help="prompt template config file")
-    p.add_argument("--strict", action="store_true", default=None)
-    p.set_defaults(func=_cmd_format)
-
-    p = sub.add_parser("pretrain", help="span-corruption pretraining on raw corpus text")
-    _add_common(p)
-    p.add_argument("--data", nargs="+", help="corpus files forming the pretraining pool (required)")
-    p.add_argument("--out", help="output model file (required)")
-    p.add_argument("--seed", type=int, help="init/corruption seed (default 0)")
-    p.add_argument("--template", help="prompt template config file (supplies the sentinels)")
-    p.add_argument("--corruption-rate", type=float, dest="corruption_rate")
-    p.add_argument("--mean-span-length", type=float, dest="mean_span_length")
-    p.add_argument("--embedding-size", type=int, dest="embedding_size")
-    p.add_argument("--hidden-size", type=int, dest="hidden_size")
-    p.add_argument("--eval-every", type=int, dest="eval_every")
-    p.add_argument("--strict", action="store_true", default=None)
-    p.set_defaults(func=_cmd_pretrain)
-
-    for name, helptext in (
-        ("train", "fine-tune a model on a corpus (source-stage defaults)"),
-        ("adapt", "few-shot adaptation (target-stage defaults)"),
-    ):
+    kinds = {_bool: {"action": "store_true", "default": None}, _paths: {"nargs": "+"}}  # others take one string
+    for name, (helptext, _, schema) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        p.add_argument("--model", help="input model file (required)")
-        p.add_argument("--train", help="training corpus file (required)")
-        p.add_argument("--valid", help="validation corpus file for checkpoint selection (required)")
-        p.add_argument("--out", help="output model file (required)")
-        p.add_argument("--prompted", action="store_true", default=None, help="use the fixed-prompt layout")
-        p.add_argument("--template", help="prompt template config file")
-        p.add_argument("--eval-every", type=int, dest="eval_every")
-        p.add_argument("--strict", action="store_true", default=None)
-        p.set_defaults(func=_cmd_train if name == "train" else _cmd_adapt)
-
-    p = sub.add_parser("generate", help="greedy generation for every context of a corpus")
-    _add_common(p)
-    p.add_argument("--model", help="model file (required)")
-    p.add_argument("--in", help="corpus file supplying the contexts (required)")
-    p.add_argument("--out", help="output text file, one hypothesis per line (required)")
-    p.add_argument("--raw-out", dest="raw_out", help="also write the unextracted generations")
-    p.add_argument("--prompted", action="store_true", default=None)
-    p.add_argument("--template", help="prompt template config file")
-    p.add_argument("--max-length", type=int, dest="max_length")
-    p.add_argument("--strict", action="store_true", default=None)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("evaluate", help="score hypotheses against a reference corpus")
-    _add_common(p)
-    p.add_argument("--hyp", help="hypothesis text file, one per line (required)")
-    p.add_argument("--ref", help="reference corpus file (required)")
-    p.add_argument("--report", help="output metric report, JSONL (required)")
-    p.add_argument("--system", help="system name recorded in the report")
-    p.add_argument("--target-vocab", dest="target_vocab", help="one legal token per line (default: derive from the references)")
-    p.add_argument("--tokenizer", choices=sorted(TOKENIZERS))
-    p.add_argument("--smoothing-epsilon", type=float, dest="smoothing_epsilon")
-    p.add_argument("--strict", action="store_true", default=None)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("study", help="run the 4-setting forgetting study over several seeds")
-    p.add_argument("--config", "--spec", help="study config file (--spec is an alias)")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--seeds", help="comma-separated seed list (overrides the config)")
-    p.add_argument("--out", help="output directory (required)")
-    p.set_defaults(func=_cmd_study)
-
-    p = sub.add_parser("humaneval-export", help="export a blinded pairwise evaluation sheet")
-    _add_common(p)
-    p.add_argument("--hyp-a", dest="hyp_a", help="hypotheses of the first system (required)")
-    p.add_argument("--hyp-b", dest="hyp_b", help="hypotheses of the second system (required)")
-    p.add_argument("--system-a", dest="system_a", help="name of the first system (required)")
-    p.add_argument("--system-b", dest="system_b", help="name of the second system (required)")
-    p.add_argument("--test", help="test corpus file (required)")
-    p.add_argument("--sheet", help="output blinded sheet, TSV (required)")
-    p.add_argument("--key", help="output key file, TSV (required)")
-    p.add_argument("--n", type=int, help="samples to draw (default 100)")
-    p.add_argument("--seed", type=int, help="sampling/blinding seed (default 0)")
-    p.add_argument("--allow-cross-family", dest="allow_cross_family", action="store_true", default=None)
-    p.add_argument("--strict", action="store_true", default=None)
-    p.set_defaults(func=_cmd_humaneval_export)
-
-    p = sub.add_parser("humaneval-aggregate", help="unblind completed sheets and tally votes")
-    _add_common(p)
-    p.add_argument("--sheet", nargs="+", help="completed sheet file(s) (required)")
-    p.add_argument("--key", help="key file from the export (required)")
-    p.add_argument("--out", help="also write the table to this file")
-    p.add_argument("--language", help="language label for the table")
-    p.add_argument("--strict", action="store_true", default=None)
-    p.set_defaults(func=_cmd_humaneval_aggregate)
-
+        config_flags = ("--config", "--spec") if name == "study" else ("--config",)  # a study config is its spec
+        p.add_argument(*config_flags, help="flat key=value config file (echoes re-load here)")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config entry (repeatable)")
+        for key, (parse, default, *helps) in schema.items():
+            if not helps:
+                continue
+            required = " (required)" if default is _REQUIRED else ""
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=helps[0] + required, **kinds.get(parse, {}))
     return parser
 
 
@@ -663,20 +592,24 @@ _ERROR_CATEGORIES: tuple[tuple[type, str, int], ...] = (
 )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def _run(argv: list[str] | None) -> int:
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else int(exc.code)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # -h/--help; usage errors raise ConfigError instead
+        return int(exc.code or 0)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
         force=True,
     )
+    _, handler, schema = _COMMANDS[args.command]
+    return handler(_resolve(args, args.command, schema))
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        return args.func(args)
+        return _run(argv)
     except tuple(exc_type for exc_type, _, _ in _ERROR_CATEGORIES) as exc:
         for exc_type, category, code in _ERROR_CATEGORIES:
             if isinstance(exc, exc_type):

@@ -326,8 +326,8 @@ def generate_synthetic_bilingual(spec: SyntheticSpec) -> SyntheticBilingual:
     )
 
 
-def derive_token_vocabulary(corpora: Sequence[Corpus]) -> frozenset[str]:
-    """Whitespace-token inventory of the given corpora (for legality checks)."""
+def derive_token_vocabulary(corpora: Sequence[Iterable[DialoguePair]]) -> frozenset[str]:
+    """Whitespace-token inventory of the given corpora or pair lists (for legality checks)."""
     tokens: set[str] = set()
     for corpus in corpora:
         for pair in corpus:

@@ -115,9 +115,9 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class ModelConfig:
+    seed: int = 0
     embedding_size: int = 32
     hidden_size: int = 64  # also the additive-attention width
-    seed: int = 0
 
     def __post_init__(self):
         if self.embedding_size < 1 or self.hidden_size < 1:
@@ -712,17 +712,14 @@ def train(
     valid_data: Sequence[tuple[str, str]],
     config: OptimizerConfig,
     eval_every: int | None = None,
-    shuffle_each_epoch: bool = False,
-    seed: int = 0,
 ) -> TrainResult:
     """Fine-tune in place on (source, target) text pairs.
 
-    Data order is preserved exactly as given (so externally arranged
-    schedules, e.g. interleavings, survive every epoch); pass
-    ``shuffle_each_epoch=True`` for an epoch-wise seeded permutation.
-    A validation checkpoint (deep parameter copy) is recorded at step 0,
-    every ``eval_every`` optimizer steps (end of each epoch when None),
-    and after the final step.  ``epochs=0`` or empty ``train_data`` is an
+    Data order is preserved exactly as given, so externally arranged
+    schedules, e.g. interleavings, survive every epoch.  A validation
+    checkpoint (deep parameter copy) is recorded at step 0, every
+    ``eval_every`` optimizer steps (end of each epoch when None), and
+    after the final step.  ``epochs=0`` or empty ``train_data`` is an
     explicit no-op that still records the step-0 checkpoint.
     """
     if not valid_data:
@@ -730,7 +727,6 @@ def train(
     if eval_every is not None and eval_every < 1:
         raise ModelError("eval_every must be >= 1")
     encoded = encode_pairs(model.vocabulary, train_data, config.max_length)
-    rng = np.random.default_rng(seed)
     optimizer = AdamW.from_config(model.params.flat, config)
     checkpoints: list[Checkpoint] = []
     train_losses: list[tuple[int, float]] = []
@@ -750,9 +746,8 @@ def train(
     for _ in range(config.epochs):
         if not encoded:
             break
-        order = rng.permutation(len(encoded)) if shuffle_each_epoch else np.arange(len(encoded))
         for start in range(0, len(encoded), config.batch_size):
-            batch = batch_from_encoded([encoded[i] for i in order[start : start + config.batch_size]])
+            batch = batch_from_encoded(encoded[start : start + config.batch_size])
             loss, grads = model.loss_and_grads(batch)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(step, loss)
@@ -971,11 +966,7 @@ def gradient_check(
 def save_model(model: AttentiveSeq2Seq, path: str) -> None:
     payload = {
         "format": MODEL_FORMAT,
-        "config": {
-            "embedding_size": model.config.embedding_size,
-            "hidden_size": model.config.hidden_size,
-            "seed": model.config.seed,
-        },
+        "config": dataclasses.asdict(model.config),
         "vocabulary": list(model.vocabulary.tokens),
         "params": {
             name: {

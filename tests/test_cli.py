@@ -68,6 +68,22 @@ def test_unknown_subcommand_exits_2(capsys):
     assert main(["bogus-command"]) == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["sample-fewshot", "--k", "abc"], "'k'", id="bad-int"),
+    pytest.param(["format", "--layout", "fancy"], "'layout'", id="bad-layout"),
+    pytest.param(["evaluate", "--tokenizer", "nope"], "'tokenizer'", id="bad-tokenizer"),
+    pytest.param(["gen-synthetic", "--bogus", "1"], "--bogus", id="unknown-flag"),
+    pytest.param(["bogus-command"], "bogus-command", id="unknown-subcommand"),
+    pytest.param([], "SUBCOMMAND", id="missing-subcommand"),
+])
+def test_usage_error_prints_one_config_line(argv, named, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:config: ") and named in err
+
+
 def test_missing_required_key_exits_2(capsys):
     assert main(["gen-synthetic"]) == 2
     line = _err_line(capsys)
