@@ -559,3 +559,9 @@ def test_humaneval_cli_round_trip(data_dir, tmp_path, capsys):
     counts = [int(line.split()[1]) for line in table[2:5]]
     assert sum(counts) == 6
     assert counts[1] == 1  # one neutral vote survives the blinding untouched
+
+    # without --out the table goes to stdout only: no table file and no echo
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["humaneval-aggregate", "--sheet", str(done), "--key", str(key), "--language", "da"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == before

@@ -267,6 +267,12 @@ def test_study_artifacts_shape(tmp_path, tiny_study):
     assert {r["system"] for r in records} == {f"{name}@seed0" for name in tiny_study.runs}
     summary = json.loads((out / "study.json").read_text())
     assert summary["seeds"] == [0]
+    scores = {"score", "b1", "b2", "d1", "d2", "legality"}
+    selection = {"selected_step", "selected_valid_loss", "selection_language", "total_steps"}
+    for name in tiny_study.runs:
+        assert set(summary["medians"][name]) == scores
+        (row,) = summary["per_seed"][name]
+        assert set(row) == {"seed"} | scores | selection
     assert summary["direction_holds"] == tiny_study.direction_holds()
     assert "context:" in (out / "samples.txt").read_text()
 
@@ -288,6 +294,9 @@ def test_run_artifacts(tmp_path, tiny_study):
     details = json.loads((out / "run.json").read_text())
     assert details["setting"] == "FS-XLT_pmpt"
     assert details["selection_language"] == report.selection_language
+    assert set(details) == {"setting", "scenario", "prompted", "seed", "selected_step",
+                            "selected_valid_loss", "selection_language", "total_steps"}
+    assert (details["scenario"], details["prompted"]) == experiment.SETTINGS["FS-XLT_pmpt"]
 
 
 def test_direction_holds_logic():
