@@ -23,12 +23,11 @@ import json
 import logging
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .corpus import (
     Corpus,
     CorpusError,
-    DialoguePair,
     SyntheticSpec,
     derive_token_vocabulary,
     load_pairs,
@@ -48,7 +47,7 @@ from .experiment import (
 )
 from .humaneval import HumanEvalError, aggregate_votes, export_pairs
 from .interleave import InterleaveError, interleave_even
-from .kvconfig import ConfigError, config_from, config_schema, load_kv, parse_bool, write_kv
+from .kvconfig import ConfigError, coerce, config_from, config_schema, load_kv, parse_bool, write_kv
 from .metrics import (
     MetricError,
     TOKENIZERS,
@@ -110,13 +109,15 @@ def _choice(*allowed: str) -> Callable[[object], str]:
     return parse
 
 
-def _optional_positive_int(value) -> int | None:
-    if value is None or value == "":
-        return None
+def _positive_int(value) -> int:
     number = int(value)
     if number < 1:
         raise ConfigError(f"must be >= 1, got {number}")
     return number
+
+
+def _optional_positive_int(value) -> int | None:
+    return None if value is None or value == "" else _positive_int(value)
 
 
 def _flags(schema: dict[str, tuple], **helps: str) -> dict[str, tuple]:
@@ -157,18 +158,9 @@ def _merged_entries(args, command: str) -> dict[str, object]:
 
 
 def _resolve(args, command: str, schema: dict[str, tuple]) -> dict:
-    """Coerce merged entries against ``schema``; fill defaults, reject strays."""
-    entries = _merged_entries(args, command)
-    resolved: dict = {}
-    for key, value in entries.items():
-        if key not in schema:
-            raise ConfigError(f"{command}: unknown config key {key!r}")
-        try:
-            resolved[key] = schema[key][0](value)
-        except ConfigError as exc:
-            raise ConfigError(f"{command}: bad value for {key!r}: {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{command}: bad value for {key!r}: {exc}") from None
+    """Coerce merged entries against ``schema``; fill defaults, demand required keys."""
+    parsers = {key: entry[0] for key, entry in schema.items()}
+    resolved = coerce(_merged_entries(args, command), parsers, source=command)
     for key, (_, default, *_) in schema.items():
         if key in resolved:
             continue
@@ -194,17 +186,19 @@ def _read_lines(path: str) -> list[str]:
         return fh.read().splitlines()
 
 
-def _uniform_language(pairs: Sequence[DialoguePair], path: str) -> str:
-    languages = {pair.language for pair in pairs}
-    if len(languages) != 1:
-        raise CorpusError(f"{path}: expected a single language, found {sorted(languages) or 'no records'}")
-    return next(iter(languages))
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    _ensure_parent(path)
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _load_single_language_corpus(path: str, split: str, strict: bool) -> Corpus:
     pairs = load_pairs(path, strict=strict)
-    language = _uniform_language(pairs, path)
-    return Corpus(pairs=tuple(pairs), split=split, language=language)
+    languages = {pair.language for pair in pairs}
+    if len(languages) != 1:
+        raise CorpusError(f"{path}: expected a single language, found {sorted(languages) or 'no records'}")
+    return Corpus(pairs=tuple(pairs), split=split, language=languages.pop())
 
 
 def _template(name: str):
@@ -212,15 +206,15 @@ def _template(name: str):
 
 
 def _write_history(path: str, result, best) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for step, valid_loss in result.valid_losses:
-            fh.write(json.dumps({"step": step, "valid_loss": valid_loss}) + "\n")
-        fh.write(json.dumps({"selected_step": best.step, "selected_valid_loss": best.valid_loss}) + "\n")
+    rows = [{"step": step, "valid_loss": valid_loss} for step, valid_loss in result.valid_losses]
+    rows.append({"selected_step": best.step, "selected_valid_loss": best.valid_loss})
+    _write_lines(path, map(json.dumps, rows))
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each handler takes the keys its schema resolved; _COMMANDS
-# below pairs them.
+# Subcommands: each handler takes the keys its schema resolved and returns
+# the path of its config echo (None: no echo), which _run writes once the
+# handler's outputs are written; _COMMANDS below pairs them.
 
 _GEN_SYNTHETIC_SCHEMA: dict[str, tuple] = {
     "out": (str, _REQUIRED, "output directory"),
@@ -228,7 +222,7 @@ _GEN_SYNTHETIC_SCHEMA: dict[str, tuple] = {
 }
 
 
-def _cmd_gen_synthetic(r: dict) -> int:
+def _cmd_gen_synthetic(r: dict) -> str:
     bundle = generate_synthetic_bilingual(config_from(SyntheticSpec(), r))
     os.makedirs(r["out"], exist_ok=True)
     for name, corpus in (
@@ -241,10 +235,8 @@ def _cmd_gen_synthetic(r: dict) -> int:
     ):
         save_corpus(corpus, os.path.join(r["out"], f"{name}.jsonl"))
     for name, vocab in (("aux_vocab", bundle.aux_vocabulary), ("tgt_vocab", bundle.tgt_vocabulary)):
-        with open(os.path.join(r["out"], f"{name}.txt"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(sorted(vocab)) + "\n")
-    _write_echo(os.path.join(r["out"], "synthetic.resolved.cfg"), "gen-synthetic", r)
-    return 0
+        _write_lines(os.path.join(r["out"], f"{name}.txt"), sorted(vocab))
+    return os.path.join(r["out"], "synthetic.resolved.cfg")
 
 
 _SAMPLE_FEWSHOT_SCHEMA: dict[str, tuple] = {
@@ -256,13 +248,12 @@ _SAMPLE_FEWSHOT_SCHEMA: dict[str, tuple] = {
 }
 
 
-def _cmd_sample_fewshot(r: dict) -> int:
+def _cmd_sample_fewshot(r: dict) -> str:
     corpus = _load_single_language_corpus(r["in"], "train", r["strict"])
     subset = sample_few_shot(corpus, r["k"], r["seed"])
     _ensure_parent(r["out"])
     save_corpus(subset, r["out"])
-    _write_echo(r["out"] + ".cfg", "sample-fewshot", r)
-    return 0
+    return r["out"] + ".cfg"
 
 
 _INTERLEAVE_SCHEMA: dict[str, tuple] = {
@@ -273,15 +264,14 @@ _INTERLEAVE_SCHEMA: dict[str, tuple] = {
 }
 
 
-def _cmd_interleave(r: dict) -> int:
+def _cmd_interleave(r: dict) -> str:
     aux = _load_single_language_corpus(r["aux"], "train", r["strict"])
     tgt = _load_single_language_corpus(r["tgt"], "train", r["strict"])
     mixed = interleave_even(aux, tgt)
     _ensure_parent(r["out"])
     save_pairs(mixed.pairs, r["out"])
-    _write_echo(r["out"] + ".cfg", "interleave", r)
     log.info("interleaved %d aux + %d tgt pairs (block size %d)", len(aux), len(tgt), mixed.block_size)
-    return 0
+    return r["out"] + ".cfg"
 
 
 _FORMAT_SCHEMA: dict[str, tuple] = {
@@ -293,16 +283,13 @@ _FORMAT_SCHEMA: dict[str, tuple] = {
 }
 
 
-def _cmd_format(r: dict) -> int:
+def _cmd_format(r: dict) -> str:
     pairs = load_pairs(r["in"], strict=r["strict"])
     prompted = r["layout"] == "prompted"
     formatted = format_pairs(pairs, prompted, _template(r["template"]))
-    _ensure_parent(r["out"])
-    with open(r["out"], "w", encoding="utf-8") as fh:
-        for source, target in formatted:
-            fh.write(json.dumps({"source": source, "target": target, "prompted": prompted}, ensure_ascii=False) + "\n")
-    _write_echo(r["out"] + ".cfg", "format", r)
-    return 0
+    _write_lines(r["out"], (json.dumps({"source": source, "target": target, "prompted": prompted}, ensure_ascii=False)
+                            for source, target in formatted))
+    return r["out"] + ".cfg"
 
 
 _PRETRAIN_SCHEMA: dict[str, tuple] = {
@@ -315,7 +302,8 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
         hidden_size="GRU state and attention width",
     ),
     "corruption_rate": (float, 0.15, "share of tokens masked by span corruption"),
-    "mean_span_length": (float, 3.0, "mean corrupted span length"),
+    "mean_span_length": (float, 3.0, "mean corrupted span length; checked but has no effect, as the "
+                                     "two-sentinel format masks one span per text"),
     "template": (str, "", "prompt template config file (supplies the sentinels)"),
     "eval_every": (_optional_positive_int, None, "optimizer steps between checkpoints (default: each epoch)"),
     **_STRICT,
@@ -323,7 +311,7 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
 }
 
 
-def _cmd_pretrain(r: dict) -> int:
+def _cmd_pretrain(r: dict) -> str:
     model_config = config_from(ModelConfig(), r)
     optimizer_config = config_from(PRETRAIN_DEFAULTS, r)
     template = _template(r["template"])
@@ -344,8 +332,7 @@ def _cmd_pretrain(r: dict) -> int:
     save_model(result.model, r["out"])
     best = select_best_checkpoint(result.checkpoints)
     _write_history(r["out"] + ".history", result, best)
-    _write_echo(r["out"] + ".cfg", "pretrain", r)
-    return 0
+    return r["out"] + ".cfg"
 
 
 def _finetune_schema(defaults: OptimizerConfig) -> dict[str, tuple]:
@@ -362,8 +349,11 @@ def _finetune_schema(defaults: OptimizerConfig) -> dict[str, tuple]:
     }
 
 
-def _finetune(r: dict, command: str, defaults: OptimizerConfig) -> int:
-    config = config_from(defaults, r)
+def _cmd_finetune(r: dict) -> str:
+    """``train`` and ``adapt``: their schemas differ only in the optimizer
+    defaults, and ``r`` holds every optimizer key, so either stage's
+    defaults give the same config."""
+    config = config_from(SOURCE_TRAIN_DEFAULTS, r)
     template = _template(r["template"])
     model = load_model(r["model"])
     train_pairs = load_pairs(r["train"], strict=r["strict"])
@@ -376,16 +366,7 @@ def _finetune(r: dict, command: str, defaults: OptimizerConfig) -> int:
     _ensure_parent(r["out"])
     save_model(model, r["out"])
     _write_history(r["out"] + ".history", result, best)
-    _write_echo(r["out"] + ".cfg", command, r)
-    return 0
-
-
-def _cmd_train(r: dict) -> int:
-    return _finetune(r, "train", SOURCE_TRAIN_DEFAULTS)
-
-
-def _cmd_adapt(r: dict) -> int:
-    return _finetune(r, "adapt", TARGET_ADAPT_DEFAULTS)
+    return r["out"] + ".cfg"
 
 
 _GENERATE_SCHEMA: dict[str, tuple] = {
@@ -395,27 +376,20 @@ _GENERATE_SCHEMA: dict[str, tuple] = {
     "raw_out": (str, "", "also write the unextracted generations"),
     "prompted": (_bool, False, "use the fixed-prompt layout"),
     "template": (str, "", "prompt template config file"),
-    "max_length": (int, 64, "maximum generated tokens per response"),
+    "max_length": (_positive_int, 64, "maximum generated tokens per response"),
     **_STRICT,
 }
 
 
-def _cmd_generate(r: dict) -> int:
+def _cmd_generate(r: dict) -> str:
     template = _template(r["template"])
     model = load_model(r["model"])
     pairs = load_pairs(r["in"], strict=r["strict"])
     raw, hypotheses = generate_responses(model, pairs, r["prompted"], template, r["max_length"])
-    _ensure_parent(r["out"])
-    with open(r["out"], "w", encoding="utf-8") as fh:
-        for hyp in hypotheses:
-            fh.write(hyp + "\n")
+    _write_lines(r["out"], hypotheses)
     if r["raw_out"]:
-        _ensure_parent(r["raw_out"])
-        with open(r["raw_out"], "w", encoding="utf-8") as fh:
-            for text in raw:
-                fh.write(text + "\n")
-    _write_echo(r["out"] + ".cfg", "generate", r)
-    return 0
+        _write_lines(r["raw_out"], raw)
+    return r["out"] + ".cfg"
 
 
 _EVALUATE_SCHEMA: dict[str, tuple] = {
@@ -430,7 +404,7 @@ _EVALUATE_SCHEMA: dict[str, tuple] = {
 }
 
 
-def _cmd_evaluate(r: dict) -> int:
+def _cmd_evaluate(r: dict) -> str:
     hypotheses = _read_lines(r["hyp"])
     ref_pairs = load_pairs(r["ref"], strict=r["strict"])
     references = [pair.response for pair in ref_pairs]
@@ -444,8 +418,7 @@ def _cmd_evaluate(r: dict) -> int:
     legality = language_legality(hypotheses, vocabulary)
     _ensure_parent(r["report"])
     write_metric_report(r["report"], [report_record(r["system"], bleu, distinct, legality)])
-    _write_echo(r["report"] + ".cfg", "evaluate", r)
-    return 0
+    return r["report"] + ".cfg"
 
 
 _STUDY_SCHEMA: dict[str, tuple] = {
@@ -454,10 +427,9 @@ _STUDY_SCHEMA: dict[str, tuple] = {
 }
 
 
-def _cmd_study(r: dict) -> int:
+def _cmd_study(r: dict) -> str:
     report = run_forgetting_study(config_from(StudyConfig(), r))
     write_study_artifacts(report, r["out"])
-    _write_echo(os.path.join(r["out"], "study.resolved.cfg"), "study", r)
     lines = [f"{'setting':<14}{'BLEU':>8}{'legality':>10}{'d1':>8}{'d2':>8}"]
     for name in SETTINGS:
         med = report.medians[name]
@@ -465,7 +437,7 @@ def _cmd_study(r: dict) -> int:
     lines.append(f"prompted >= plain on median legality in both scenarios: {report.direction_holds()}")
     print("\n".join(lines))
     log.info("study wall time: %.1fs", report.wall_seconds)
-    return 0
+    return os.path.join(r["out"], "study.resolved.cfg")
 
 
 _HUMANEVAL_EXPORT_SCHEMA: dict[str, tuple] = {
@@ -483,7 +455,7 @@ _HUMANEVAL_EXPORT_SCHEMA: dict[str, tuple] = {
 }
 
 
-def _cmd_humaneval_export(r: dict) -> int:
+def _cmd_humaneval_export(r: dict) -> str:
     hyp_a = _read_lines(r["hyp_a"])
     hyp_b = _read_lines(r["hyp_b"])
     test = _load_single_language_corpus(r["test"], "test", r["strict"])
@@ -501,8 +473,7 @@ def _cmd_humaneval_export(r: dict) -> int:
         seed=r["seed"],
         allow_cross_family=r["allow_cross_family"],
     )
-    _write_echo(r["sheet"] + ".cfg", "humaneval-export", r)
-    return 0
+    return r["sheet"] + ".cfg"
 
 
 _HUMANEVAL_AGGREGATE_SCHEMA: dict[str, tuple] = {
@@ -514,20 +485,18 @@ _HUMANEVAL_AGGREGATE_SCHEMA: dict[str, tuple] = {
 }
 
 
-def _cmd_humaneval_aggregate(r: dict) -> int:
+def _cmd_humaneval_aggregate(r: dict) -> str | None:
     report = aggregate_votes(r["sheet"], r["key"], strict=r["strict"], language=r["language"])
     table = report.format_table()
     print(table)
-    if r["out"]:
-        _ensure_parent(r["out"])
-        with open(r["out"], "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        _write_echo(r["out"] + ".cfg", "humaneval-aggregate", r)
-    return 0
+    if not r["out"]:
+        return None
+    _write_lines(r["out"], [table])
+    return r["out"] + ".cfg"
 
 
 # name -> (help, handler, schema)
-_COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, tuple]]] = {
+_COMMANDS: dict[str, tuple[str, Callable[[dict], str | None], dict[str, tuple]]] = {
     "gen-synthetic": ("generate the two-language synthetic corpus set", _cmd_gen_synthetic, _GEN_SYNTHETIC_SCHEMA),
     "sample-fewshot": ("draw a deterministic few-shot subset from a train corpus",
                        _cmd_sample_fewshot, _SAMPLE_FEWSHOT_SCHEMA),
@@ -535,8 +504,9 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict], int], dict[str, tuple]]] = {
     "format": ("render pairs to (source, target) training texts", _cmd_format, _FORMAT_SCHEMA),
     "pretrain": ("span-corruption pretraining on raw corpus text", _cmd_pretrain, _PRETRAIN_SCHEMA),
     "train": ("fine-tune a model on a corpus (source-stage defaults)",
-              _cmd_train, _finetune_schema(SOURCE_TRAIN_DEFAULTS)),
-    "adapt": ("few-shot adaptation (target-stage defaults)", _cmd_adapt, _finetune_schema(TARGET_ADAPT_DEFAULTS)),
+              _cmd_finetune, _finetune_schema(SOURCE_TRAIN_DEFAULTS)),
+    "adapt": ("few-shot adaptation (target-stage defaults)",
+              _cmd_finetune, _finetune_schema(TARGET_ADAPT_DEFAULTS)),
     "generate": ("greedy generation for every context of a corpus", _cmd_generate, _GENERATE_SCHEMA),
     "evaluate": ("score hypotheses against a reference corpus", _cmd_evaluate, _EVALUATE_SCHEMA),
     "study": ("run the 4-setting forgetting study over several seeds", _cmd_study, _STUDY_SCHEMA),
@@ -604,7 +574,11 @@ def _run(argv: list[str] | None) -> int:
         force=True,
     )
     _, handler, schema = _COMMANDS[args.command]
-    return handler(_resolve(args, args.command, schema))
+    resolved = _resolve(args, args.command, schema)
+    echo = handler(resolved)
+    if echo is not None:
+        _write_echo(echo, args.command, resolved)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -60,9 +60,7 @@ from .prompting import DEFAULT_TEMPLATE, PromptTemplate, extract_response, forma
 
 log = logging.getLogger(__name__)
 
-SCENARIOS = ("fs-xlt", "mtl")
-
-# setting name -> (scenario, prompted)
+# setting name -> (scenario, prompted): the only declaration of the four settings
 SETTINGS = {
     "FS-XLT": ("fs-xlt", False),
     "FS-XLT_pmpt": ("fs-xlt", True),
@@ -115,13 +113,13 @@ class ExperimentSpec:
     max_generate: int = 64
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r} (expected one of {SCENARIOS})")
+        scenarios = tuple(dict.fromkeys(scenario for scenario, _ in SETTINGS.values()))
+        if self.scenario not in scenarios:
+            raise ConfigError(f"unknown scenario {self.scenario!r} (expected one of {scenarios})")
 
     @property
     def setting_name(self) -> str:
-        base = {"fs-xlt": "FS-XLT", "mtl": "MTL"}[self.scenario]
-        return base + ("_pmpt" if self.prompted else "")
+        return next(name for name, setting in SETTINGS.items() if setting == (self.scenario, self.prompted))
 
 
 @dataclass(frozen=True)
@@ -154,15 +152,13 @@ class ScenarioData:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything observable about one finished scenario run."""
+    """Everything observable about one finished scenario run; ``SETTINGS[setting]``
+    gives its scenario and layout."""
 
     setting: str
-    scenario: str
-    prompted: bool
     seed: int
     contexts: tuple[str, ...]
     references: tuple[str, ...]
-    raw_generations: tuple[str, ...]
     hypotheses: tuple[str, ...]
     bleu: BleuReport
     distinct: DistinctReport
@@ -172,6 +168,30 @@ class RunReport:
     selection_language: str  # language of the validation set that picked the checkpoint
     total_steps: int
     wall_seconds: float  # diagnostics only; never written into deterministic artifacts
+
+    def scores(self) -> dict[str, float]:
+        """The six scores of the run; the study reports their medians."""
+        return {
+            "score": self.bleu.score,
+            "b1": self.bleu.b1,
+            "b2": self.bleu.b2,
+            "d1": self.distinct.d1,
+            "d2": self.distinct.d2,
+            "legality": self.legality.legality,
+        }
+
+    def selection(self) -> dict[str, object]:
+        """How the run's checkpoint was picked."""
+        return {
+            "selected_step": self.selected_step,
+            "selected_valid_loss": self.selected_valid_loss,
+            "selection_language": self.selection_language,
+            "total_steps": self.total_steps,
+        }
+
+    def record(self) -> dict:
+        """The run's metric-report record."""
+        return report_record(f"{self.setting}@seed{self.seed}", self.bleu, self.distinct, self.legality)
 
 
 def run_scenario(
@@ -203,9 +223,9 @@ def run_scenario(
         best = select_best_checkpoint(result.checkpoints)
         restore_checkpoint(model, best)
         total_steps += result.train_losses[-1][0] if result.train_losses else 0
-    selection_language = valid.language  # the last stage's validation set picked the checkpoint
+    selection_language = stages[-1][1].language  # the last stage's validation set picked the checkpoint
 
-    raw, hypotheses = generate_responses(model, data.tgt_test, spec.prompted, template, spec.max_generate)
+    _, hypotheses = generate_responses(model, data.tgt_test, spec.prompted, template, spec.max_generate)
     references = [pair.response for pair in data.tgt_test]
 
     bleu = corpus_bleu(hypotheses, references)
@@ -218,12 +238,9 @@ def run_scenario(
     )
     return RunReport(
         setting=spec.setting_name,
-        scenario=spec.scenario,
-        prompted=spec.prompted,
         seed=spec.seed,
         contexts=tuple(pair.context for pair in data.tgt_test),
         references=tuple(references),
-        raw_generations=tuple(raw),
         hypotheses=tuple(hypotheses),
         bleu=bleu,
         distinct=distinct,
@@ -337,17 +354,10 @@ def run_forgetting_study(config: StudyConfig = StudyConfig(), template: PromptTe
             )
             runs[name].append(run_scenario(model, data, spec, template=template))
 
-    medians = {
-        name: {
-            "score": float(np.median([r.bleu.score for r in reports])),
-            "b1": float(np.median([r.bleu.b1 for r in reports])),
-            "b2": float(np.median([r.bleu.b2 for r in reports])),
-            "d1": float(np.median([r.distinct.d1 for r in reports])),
-            "d2": float(np.median([r.distinct.d2 for r in reports])),
-            "legality": float(np.median([r.legality.legality for r in reports])),
-        }
-        for name, reports in runs.items()
-    }
+    medians = {}
+    for name, reports in runs.items():
+        scores = [report.scores() for report in reports]
+        medians[name] = {key: float(np.median([row[key] for row in scores])) for key in scores[0]}
     return StudyReport(
         config=config,
         seeds=tuple(config.seeds),
@@ -388,34 +398,14 @@ def write_study_artifacts(report: StudyReport, out_dir: str) -> None:
     """
     os.makedirs(out_dir, exist_ok=True)
 
-    records = []
-    for name in SETTINGS:
-        for run in report.runs[name]:
-            records.append(
-                report_record(system=f"{name}@seed{run.seed}", bleu=run.bleu, distinct=run.distinct, legality=run.legality)
-            )
+    records = [run.record() for name in SETTINGS for run in report.runs[name]]
     write_metric_report(os.path.join(out_dir, "report.jsonl"), records)
 
     summary = {
         "seeds": list(report.seeds),
         "medians": report.medians,
         "per_seed": {
-            name: [
-                {
-                    "seed": run.seed,
-                    "score": run.bleu.score,
-                    "b1": run.bleu.b1,
-                    "b2": run.bleu.b2,
-                    "d1": run.distinct.d1,
-                    "d2": run.distinct.d2,
-                    "legality": run.legality.legality,
-                    "selected_step": run.selected_step,
-                    "selected_valid_loss": run.selected_valid_loss,
-                    "selection_language": run.selection_language,
-                    "total_steps": run.total_steps,
-                }
-                for run in report.runs[name]
-            ]
+            name: [{"seed": run.seed, **run.scores(), **run.selection()} for run in report.runs[name]]
             for name in SETTINGS
         },
         "direction_holds": report.direction_holds(),
@@ -449,17 +439,9 @@ def write_run_artifacts(report: RunReport, out_dir: str) -> None:
     with open(os.path.join(out_dir, "hypotheses.txt"), "w", encoding="utf-8") as fh:
         for hyp in report.hypotheses:
             fh.write(hyp + "\n")
-    record = report_record(system=f"{report.setting}@seed{report.seed}", bleu=report.bleu, distinct=report.distinct, legality=report.legality)
-    write_metric_report(os.path.join(out_dir, "report.jsonl"), [record])
-    details = {
-        "setting": report.setting,
-        "scenario": report.scenario,
-        "prompted": report.prompted,
-        "seed": report.seed,
-        "selected_step": report.selected_step,
-        "selected_valid_loss": report.selected_valid_loss,
-        "selection_language": report.selection_language,
-        "total_steps": report.total_steps,
-    }
+    write_metric_report(os.path.join(out_dir, "report.jsonl"), [report.record()])
+    scenario, prompted = SETTINGS[report.setting]
+    details = {"setting": report.setting, "scenario": scenario, "prompted": prompted, "seed": report.seed,
+               **report.selection()}
     with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(details, ensure_ascii=False, sort_keys=True, indent=2) + "\n")

@@ -858,6 +858,8 @@ class GenerationResult:
 
 def generate_greedy(model: AttentiveSeq2Seq, source_text: str, max_length: int = 64) -> GenerationResult:
     """Greedy decoding; argmax ties resolve to the lowest token id."""
+    if max_length < 1:
+        raise ModelError(f"max_length must be >= 1, got {max_length}")
     p = model.params
     src_ids = model.vocabulary.encode(source_text)[:max_length]
     if not src_ids:

@@ -413,6 +413,19 @@ def test_generate_raw_output(models, data_dir, tmp_path):
     assert len(raw.read_text().splitlines()) == len(out.read_text().splitlines())
 
 
+@pytest.mark.parametrize("max_length", [0, -3])
+def test_generate_rejects_non_positive_max_length_before_loading(max_length, models, data_dir, tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr(cli, "load_model", lambda path: pytest.fail("model loaded"))
+    out = tmp_path / "h.txt"
+    assert main(["generate", "--model", str(models["adapted"]), "--in", str(data_dir / "tgt_test.jsonl"),
+                 "--max-length", str(max_length), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error:config: generate: bad value for 'max_length': must be >= 1, got {max_length}"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evaluate_report_fields(models, data_dir, tmp_path):
     hyp = tmp_path / "h.txt"
     assert main(["generate", "--model", str(models["adapted"]), "--in", str(data_dir / "tgt_test.jsonl"),

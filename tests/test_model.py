@@ -343,6 +343,12 @@ def test_greedy_respects_max_length():
     assert len(out.token_ids) <= 3
 
 
+@pytest.mark.parametrize("max_length", [0, -3])
+def test_greedy_rejects_non_positive_max_length(max_length):
+    with pytest.raises(ModelError, match="max_length"):
+        generate_greedy(_model(), "a1 a2", max_length=max_length)
+
+
 def test_generate_corpus_order():
     model = _model()
     sources = ["a1 a2", "b1 b2", "a1 a2"]
