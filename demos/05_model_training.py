@@ -41,7 +41,7 @@ print("  max relative error:", f"{report.max_relative_error:.3e}", "(tolerance 1
 
 # -- the pretraining view of a sentence --------------------------------------------------
 
-ex = corrupt_spans("a1 a2 a3 a4 a1 a2", corruption_rate=0.4, mean_span_length=3.0, seed=5)
+ex = corrupt_spans("a1 a2 a3 a4 a1 a2", corruption_rate=0.4, seed=5)
 print("\nspan corruption turns raw text into a fill-in-the-blank pair:")
 print("  source:", ex.source)
 print("  target:", ex.target)

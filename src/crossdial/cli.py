@@ -32,7 +32,6 @@ from .corpus import (
     derive_token_vocabulary,
     load_pairs,
     sample_few_shot,
-    save_corpus,
     save_pairs,
     generate_synthetic_bilingual,
 )
@@ -47,7 +46,7 @@ from .experiment import (
 )
 from .humaneval import HumanEvalError, aggregate_votes, export_pairs
 from .interleave import InterleaveError, interleave_even
-from .kvconfig import ConfigError, coerce, config_from, config_schema, load_kv, parse_bool, write_kv
+from .kvconfig import ConfigError, coerce, config_from, config_from_kv, config_schema, load_kv, parse_bool, write_kv
 from .metrics import (
     MetricError,
     TOKENIZERS,
@@ -74,7 +73,7 @@ from .model import (
     select_best_checkpoint,
     train,
 )
-from .prompting import DEFAULT_TEMPLATE, PromptError, load_template
+from .prompting import DEFAULT_TEMPLATE, PromptError
 
 log = logging.getLogger(__name__)
 
@@ -113,6 +112,13 @@ def _positive_int(value) -> int:
     number = int(value)
     if number < 1:
         raise ConfigError(f"must be >= 1, got {number}")
+    return number
+
+
+def _open_unit_float(value) -> float:
+    number = float(value)
+    if not 0.0 < number < 1.0:
+        raise ConfigError(f"must be in (0, 1), got {number}")
     return number
 
 
@@ -202,7 +208,7 @@ def _load_single_language_corpus(path: str, split: str, strict: bool) -> Corpus:
 
 
 def _template(name: str):
-    return load_template(name) if name else DEFAULT_TEMPLATE
+    return config_from_kv(DEFAULT_TEMPLATE, load_kv(name), source=name) if name else DEFAULT_TEMPLATE
 
 
 def _write_history(path: str, result, best) -> None:
@@ -233,7 +239,7 @@ def _cmd_gen_synthetic(r: dict) -> str:
         ("tgt_valid", bundle.tgt_valid),
         ("tgt_test", bundle.tgt_test),
     ):
-        save_corpus(corpus, os.path.join(r["out"], f"{name}.jsonl"))
+        save_pairs(corpus, os.path.join(r["out"], f"{name}.jsonl"))
     for name, vocab in (("aux_vocab", bundle.aux_vocabulary), ("tgt_vocab", bundle.tgt_vocabulary)):
         _write_lines(os.path.join(r["out"], f"{name}.txt"), sorted(vocab))
     return os.path.join(r["out"], "synthetic.resolved.cfg")
@@ -252,7 +258,7 @@ def _cmd_sample_fewshot(r: dict) -> str:
     corpus = _load_single_language_corpus(r["in"], "train", r["strict"])
     subset = sample_few_shot(corpus, r["k"], r["seed"])
     _ensure_parent(r["out"])
-    save_corpus(subset, r["out"])
+    save_pairs(subset, r["out"])
     return r["out"] + ".cfg"
 
 
@@ -301,9 +307,7 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
         embedding_size="token embedding width",
         hidden_size="GRU state and attention width",
     ),
-    "corruption_rate": (float, 0.15, "share of tokens masked by span corruption"),
-    "mean_span_length": (float, 3.0, "mean corrupted span length; checked but has no effect, as the "
-                                     "two-sentinel format masks one span per text"),
+    "corruption_rate": (_open_unit_float, 0.15, "share of tokens masked by span corruption"),
     "template": (str, "", "prompt template config file (supplies the sentinels)"),
     "eval_every": (_optional_positive_int, None, "optimizer steps between checkpoints (default: each epoch)"),
     **_STRICT,
@@ -323,7 +327,6 @@ def _cmd_pretrain(r: dict) -> str:
         corpora,
         optimizer_config,
         corruption_rate=r["corruption_rate"],
-        mean_span_length=r["mean_span_length"],
         template=template,
         seed=r["seed"],
         eval_every=r["eval_every"],

@@ -1,4 +1,4 @@
-"""Dialogue corpora: loading, validation, sampling, truncation, synthesis.
+"""Dialogue corpora: loading, validation, sampling, synthesis.
 
 A corpus file is UTF-8 JSON-lines: one record per line with exactly the
 fields ``context`` (text), ``response`` (text) and ``lang`` (2-letter
@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
-
-from .kvconfig import config_from_kv, load_kv
-from .metrics import whitespace_tokenize
 
 log = logging.getLogger(__name__)
 
@@ -152,10 +149,6 @@ def save_pairs(pairs: Iterable[DialoguePair], path: str) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def save_corpus(corpus: Corpus, path: str) -> None:
-    save_pairs(corpus.pairs, path)
-
-
 def sample_few_shot(corpus: Corpus, k: int, seed: int) -> Corpus:
     """Draw k pairs uniformly without replacement, kept in corpus order.
 
@@ -176,43 +169,6 @@ def sample_few_shot(corpus: Corpus, k: int, seed: int) -> Corpus:
         split="train",
         language=corpus.language,
     )
-
-
-def shuffle_pairs(corpus: Corpus, seed: int) -> Corpus:
-    """Return a seeded permutation of the corpus (PCG64)."""
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(corpus))
-    return Corpus(
-        pairs=tuple(corpus.pairs[i] for i in order),
-        split=corpus.split,
-        language=corpus.language,
-    )
-
-
-def truncate_pair(
-    pair: DialoguePair,
-    max_tokens: int,
-    tokenizer: Callable[[str], list[str]] = whitespace_tokenize,
-) -> DialoguePair:
-    """Drop tokens beyond ``max_tokens`` from the end of context and response.
-
-    Head-keep truncation: the leading tokens survive.  Pairs already within
-    the limit are returned unchanged (idempotent).
-    """
-    if max_tokens < 1:
-        raise CorpusError("max_tokens must be >= 1")
-
-    def cut(text: str) -> str:
-        tokens = tokenizer(text)
-        if len(tokens) <= max_tokens:
-            return text
-        return " ".join(tokens[:max_tokens])
-
-    context = cut(pair.context)
-    response = cut(pair.response)
-    if context == pair.context and response == pair.response:
-        return pair
-    return replace(pair, context=context, response=response)
 
 
 @dataclass(frozen=True)
@@ -242,15 +198,6 @@ class SyntheticSpec:
                 f"vocab_size_per_language={self.vocab_size_per_language} is too small to realize "
                 f"{self.template_count} distinct templates (need at least template_count + 2 tokens)"
             )
-
-
-def synthetic_spec_from_kv(raw: dict[str, str], source: str = "<config>") -> SyntheticSpec:
-    """Build a SyntheticSpec from flat key=value entries."""
-    return config_from_kv(SyntheticSpec(), raw, source=source)
-
-
-def load_synthetic_spec(path: str) -> SyntheticSpec:
-    return synthetic_spec_from_kv(load_kv(path), source=str(path))
 
 
 @dataclass(frozen=True)
@@ -326,7 +273,7 @@ def generate_synthetic_bilingual(spec: SyntheticSpec) -> SyntheticBilingual:
     )
 
 
-def derive_token_vocabulary(corpora: Sequence[Iterable[DialoguePair]]) -> frozenset[str]:
+def derive_token_vocabulary(corpora: Iterable[Iterable[DialoguePair]]) -> frozenset[str]:
     """Whitespace-token inventory of the given corpora or pair lists (for legality checks)."""
     tokens: set[str] = set()
     for corpus in corpora:

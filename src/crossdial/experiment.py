@@ -32,7 +32,7 @@ import numpy as np
 
 from .corpus import Corpus, SyntheticSpec, derive_token_vocabulary, generate_synthetic_bilingual
 from .interleave import interleave_even
-from .kvconfig import ConfigError, config_from_kv, config_schema, load_kv
+from .kvconfig import ConfigError
 from .metrics import (
     BleuReport,
     DistinctReport,
@@ -365,24 +365,6 @@ def run_forgetting_study(config: StudyConfig = StudyConfig(), template: PromptTe
         medians=medians,
         wall_seconds=time.perf_counter() - started,
     )
-
-
-# ---------------------------------------------------------------------------
-# Config files
-
-
-def load_study_config(path: str) -> StudyConfig:
-    return study_config_from_kv(load_kv(path), source=str(path))
-
-
-def study_config_from_kv(entries: dict[str, str], source: str = "<config>") -> StudyConfig:
-    """Overlay flat study entries onto the reference study config."""
-    return config_from_kv(StudyConfig(), entries, source=source)
-
-
-def study_config_entries(config: StudyConfig) -> dict[str, object]:
-    """The resolved study config as flat entries, ready for an echo file."""
-    return {key: value for key, (_, value) in config_schema(config).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, derive_token_vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -78,13 +78,7 @@ class Vocabulary:
     def build(cls, corpora: Iterable[Corpus], extra_texts: Iterable[str] = ()) -> "Vocabulary":
         """Collect every whitespace token in the corpora (plus any extra
         texts, e.g. prompt pieces), sorted for a deterministic id order."""
-        seen: set[str] = set()
-        for corpus in corpora:
-            for pair in corpus:
-                seen.update(pair.context.split())
-                seen.update(pair.response.split())
-        for text in extra_texts:
-            seen.update(text.split())
+        seen = derive_token_vocabulary(corpora).union(*(text.split() for text in extra_texts))
         content = sorted(seen - set(CONTROL_TOKENS))
         if not content:
             raise ModelError("no tokens to build a vocabulary from")
@@ -785,7 +779,6 @@ def pretrain_span_corruption(
     corpora: Sequence[Corpus],
     config: OptimizerConfig,
     corruption_rate: float = 0.15,
-    mean_span_length: float = 3.0,
     template=None,
     seed: int = 0,
     eval_every: int | None = None,
@@ -816,7 +809,7 @@ def pretrain_span_corruption(
     rng = np.random.default_rng(seed)
 
     def corrupted(text: str) -> tuple[str, str] | None:
-        ex = corrupt_spans(text, corruption_rate, mean_span_length, template, seed=int(rng.integers(2**31)))
+        ex = corrupt_spans(text, corruption_rate, template, seed=int(rng.integers(2**31)))
         if ex.identity_corruption:
             return None
         return ex.source, ex.target

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import DialoguePair
-from .kvconfig import config_from_kv, load_kv
 
 log = logging.getLogger(__name__)
 
@@ -52,11 +51,6 @@ class PromptTemplate:
 
 
 DEFAULT_TEMPLATE = PromptTemplate()
-
-
-def load_template(path: str) -> PromptTemplate:
-    """Read a template override file; absent keys keep their defaults."""
-    return config_from_kv(DEFAULT_TEMPLATE, load_kv(path), source=str(path))
 
 
 @dataclass(frozen=True)
@@ -112,32 +106,26 @@ def extract_response(generated: str, template: PromptTemplate = DEFAULT_TEMPLATE
 def corrupt_spans(
     text: str,
     corruption_rate: float,
-    mean_span_length: float,
     template: PromptTemplate = DEFAULT_TEMPLATE,
     seed: int = 0,
 ) -> FormattedExample:
     """Mask one token span of ``text`` with sentinel0; target restates it.
 
-    The span budget is round(corruption_rate * token count).  The plan
-    would place round(budget / mean_span_length) spans, but the two-sentinel
-    format admits exactly one interior span, so the whole budget lands in a
-    single contiguous span at a seed-chosen position.  A budget of zero
-    returns the identity corruption (source unchanged, empty target) with
-    ``identity_corruption`` set.
+    The two-sentinel frame masks exactly one span per text: its length is
+    round(corruption_rate * token count) and its position is seed-chosen.
+    A length of zero returns the identity corruption (source unchanged,
+    empty target) with ``identity_corruption`` set.
     """
     tokens = text.split()
     if len(tokens) < 2:
         raise PromptError("span corruption needs at least 2 tokens")
     if not 0.0 < corruption_rate < 1.0:
         raise PromptError("corruption_rate must be in (0, 1)")
-    if mean_span_length <= 0:
-        raise PromptError("mean_span_length must be positive")
 
-    budget = int(corruption_rate * len(tokens) + 0.5)
-    if budget == 0:
+    span_length = int(corruption_rate * len(tokens) + 0.5)  # <= len(tokens), as the rate is below 1
+    if span_length == 0:
         return FormattedExample(source=text, target="", prompted=False, identity_corruption=True)
 
-    span_length = min(budget, len(tokens))
     rng = np.random.default_rng(seed)
     start = int(rng.integers(0, len(tokens) - span_length + 1))
     span = tokens[start : start + span_length]

@@ -376,7 +376,6 @@ seed = 1
 embedding_size = 12
 hidden_size = 16
 corruption_rate = 0.15
-mean_span_length = 3.0
 strict = false
 learning_rate = 0.005
 epochs = 1

@@ -74,6 +74,7 @@ def test_unknown_subcommand_exits_2(capsys):
     pytest.param(["evaluate", "--tokenizer", "nope"], "'tokenizer'", id="bad-tokenizer"),
     pytest.param(["gen-synthetic", "--bogus", "1"], "--bogus", id="unknown-flag"),
     pytest.param(["bogus-command"], "bogus-command", id="unknown-subcommand"),
+    pytest.param(["pretrain", "--mean-span-length", "3"], "--mean-span-length", id="removed-span-length-flag"),
     pytest.param([], "SUBCOMMAND", id="missing-subcommand"),
 ])
 def test_usage_error_prints_one_config_line(argv, named, capsys):
@@ -243,7 +244,6 @@ FLAG_SURFACE = {
         ("--seed", "seed", None, "store"),
         ("--template", "template", None, "store"),
         ("--corruption-rate", "corruption_rate", None, "store"),
-        ("--mean-span-length", "mean_span_length", None, "store"),
         ("--embedding-size", "embedding_size", None, "store"),
         ("--hidden-size", "hidden_size", None, "store"),
         ("--eval-every", "eval_every", None, "store"),
@@ -537,6 +537,28 @@ def test_pretrain_rejects_eval_every_zero_before_training(capsys, data_dir, tmp_
     assert main(["pretrain", "--data", str(data_dir / "aux_train.jsonl"), "--out", str(out),
                  "--eval-every", "0"]) == 2
     assert _err_line(capsys) == "error:config: pretrain: bad value for 'eval_every': must be >= 1, got 0"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["1.5", "0"])
+def test_pretrain_rejects_corruption_rate_outside_open_unit_before_loading(rate, capsys, tmp_path):
+    out = tmp_path / "m.model"
+    assert main(["pretrain", "--data", str(tmp_path / "missing.jsonl"), "--out", str(out),
+                 "--corruption-rate", rate]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error:config: pretrain: bad value for 'corruption_rate': must be in (0, 1), got {float(rate)}"
+    ]
+    assert not out.exists()
+
+
+def test_pretrain_echo_with_span_length_key_is_rejected(capsys, data_dir, tmp_path):
+    # the two-sentinel frame masks one span per text, so span length is no key
+    out = tmp_path / "m.model"
+    echo = tmp_path / "old.cfg"
+    echo.write_text(f"command = pretrain\ndata = {data_dir / 'aux_train.jsonl'}\nout = {out}\n"
+                    "corruption_rate = 0.15\nmean_span_length = 3.0\n")
+    assert main(["pretrain", "--config", str(echo)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error:config: pretrain: unknown config key 'mean_span_length'"]
     assert not out.exists()
 
 

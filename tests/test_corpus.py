@@ -13,15 +13,10 @@ from crossdial.corpus import (
     derive_token_vocabulary,
     generate_synthetic_bilingual,
     load_pairs,
-    load_synthetic_spec,
     sample_few_shot,
-    save_corpus,
     save_pairs,
-    shuffle_pairs,
-    synthetic_spec_from_kv,
-    truncate_pair,
 )
-from crossdial.kvconfig import ConfigError
+from crossdial.kvconfig import ConfigError, config_from_kv, load_kv
 
 
 def _corpus(n=8, lang="aa", split="train"):
@@ -35,7 +30,7 @@ def _corpus(n=8, lang="aa", split="train"):
 def test_save_load_round_trip(tmp_path):
     path = tmp_path / "c.jsonl"
     corpus = _corpus(5)
-    save_corpus(corpus, path)
+    save_pairs(corpus, path)
     back = load_pairs(path)
     assert back == list(corpus.pairs)
 
@@ -132,20 +127,6 @@ def test_sample_few_shot_train_only():
         sample_few_shot(_corpus(5, split="test"), 2, seed=0)
 
 
-def test_shuffle_pairs_permutation():
-    corpus = _corpus(16)
-    shuffled = shuffle_pairs(corpus, seed=2)
-    assert Counter(shuffled.pairs) == Counter(corpus.pairs)
-    assert shuffled.pairs != corpus.pairs
-
-
-def test_truncate_pair():
-    pair = DialoguePair("t0 t1 t2 t3 t4", "r0 r1 r2 r3 r4", "aa")
-    cut = truncate_pair(pair, max_tokens=3)
-    assert cut.context == "t0 t1 t2"
-    assert cut.response == "r0 r1 r2"
-
-
 # -- synthetic bilingual corpus --------------------------------------------
 
 
@@ -208,7 +189,7 @@ def test_synthetic_content_avoids_markers(seed):
 
 
 def test_synthetic_spec_from_kv_partial():
-    spec = synthetic_spec_from_kv({"vocab_size": "12", "seed": "9"})
+    spec = config_from_kv(SyntheticSpec(), {"vocab_size": "12", "seed": "9"})
     assert spec.vocab_size_per_language == 12
     assert spec.seed == 9
     assert spec.n_train_aux == SyntheticSpec().n_train_aux
@@ -216,13 +197,13 @@ def test_synthetic_spec_from_kv_partial():
 
 def test_synthetic_spec_unknown_key():
     with pytest.raises(ConfigError, match="n_tran"):
-        synthetic_spec_from_kv({"n_tran": "5"})
+        config_from_kv(SyntheticSpec(), {"n_tran": "5"})
 
 
 def test_load_synthetic_spec(tmp_path):
     path = tmp_path / "synth.cfg"
     path.write_text("vocab_size = 16\ntemplates = 2\n")
-    spec = load_synthetic_spec(path)
+    spec = config_from_kv(SyntheticSpec(), load_kv(path), source=str(path))
     assert (spec.vocab_size_per_language, spec.template_count) == (16, 2)
 
 

@@ -11,15 +11,12 @@ from crossdial.experiment import (
     StudyConfig,
     StudyReport,
     format_pairs,
-    load_study_config,
     run_scenario,
-    study_config_entries,
-    study_config_from_kv,
     template_texts,
     write_run_artifacts,
     write_study_artifacts,
 )
-from crossdial.kvconfig import ConfigError, config_from_kv, config_schema, dump_kv, parse_kv_text
+from crossdial.kvconfig import ConfigError, config_from_kv, config_schema, dump_kv, load_kv, parse_kv_text
 from crossdial.model import (
     AttentiveSeq2Seq,
     ModelConfig,
@@ -197,13 +194,13 @@ def test_study_config_round_trip():
         seeds=(4, 5),
         max_generate=32,
     )
-    entries = study_config_entries(config)
+    entries = {key: value for key, (_, value) in config_schema(config).items()}
     raw = parse_kv_text(dump_kv(entries))
-    assert study_config_from_kv(raw) == config
+    assert config_from_kv(StudyConfig(), raw) == config
 
 
 def test_study_config_stage_prefixes():
-    config = study_config_from_kv({"pretrain.epochs": "9", "adapt.learning_rate": "0.5", "seeds": "3"})
+    config = config_from_kv(StudyConfig(), {"pretrain.epochs": "9", "adapt.learning_rate": "0.5", "seeds": "3"})
     assert config.pretrain.epochs == 9
     assert config.adapt.learning_rate == 0.5
     assert config.train == experiment.STUDY_TRAIN  # untouched stage keeps defaults
@@ -212,15 +209,15 @@ def test_study_config_stage_prefixes():
 
 def test_study_config_unknown_key_named():
     with pytest.raises(ConfigError, match="pretrain.lr"):
-        study_config_from_kv({"pretrain.lr": "0.1"})
+        config_from_kv(StudyConfig(), {"pretrain.lr": "0.1"})
     with pytest.raises(ConfigError, match="surprise"):
-        study_config_from_kv({"surprise": "1"})
+        config_from_kv(StudyConfig(), {"surprise": "1"})
 
 
 def test_load_study_config(tmp_path):
     path = tmp_path / "study.cfg"
     path.write_text("synthetic.vocab_size = 15\ntrain.epochs = 7\nseeds = 1,2\n")
-    config = load_study_config(path)
+    config = config_from_kv(StudyConfig(), load_kv(path), source=str(path))
     assert config.synthetic.vocab_size_per_language == 15
     assert config.train.epochs == 7
     assert config.seeds == (1, 2)

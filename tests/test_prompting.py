@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossdial.corpus import DialoguePair
+from crossdial.kvconfig import config_from_kv, load_kv
 from crossdial.prompting import (
     DEFAULT_TEMPLATE,
     PromptError,
@@ -11,7 +12,6 @@ from crossdial.prompting import (
     extract_response,
     format_plain,
     format_prompted,
-    load_template,
 )
 
 S0 = DEFAULT_TEMPLATE.sentinel0
@@ -69,7 +69,7 @@ def test_format_rejects_pair_containing_sentinel():
 def test_load_template(tmp_path):
     path = tmp_path / "tpl.cfg"
     path.write_text("context_prefix = Q:\nresponse_prefix = A:\n")
-    tpl = load_template(path)
+    tpl = config_from_kv(DEFAULT_TEMPLATE, load_kv(path), source=str(path))
     assert tpl.context_prefix == "Q:"
     assert tpl.sentinel0 == S0  # defaults preserved
 
@@ -120,7 +120,7 @@ def test_round_trip_extraction(ctx, resp):
 
 def test_corrupt_spans_shape():
     text = "t0 t1 t2 t3 t4 t5 t6 t7 t8 t9"
-    ex = corrupt_spans(text, corruption_rate=0.3, mean_span_length=3.0, seed=4)
+    ex = corrupt_spans(text, corruption_rate=0.3, seed=4)
     assert not ex.identity_corruption
     src_toks = ex.source.split()
     tgt_toks = ex.target.split()
@@ -135,26 +135,26 @@ def test_corrupt_spans_shape():
 
 def test_corrupt_spans_deterministic():
     text = "a b c d e f g h"
-    one = corrupt_spans(text, 0.25, 3.0, seed=11)
-    two = corrupt_spans(text, 0.25, 3.0, seed=11)
+    one = corrupt_spans(text, 0.25, seed=11)
+    two = corrupt_spans(text, 0.25, seed=11)
     assert (one.source, one.target) == (two.source, two.target)
 
 
 def test_corrupt_spans_zero_budget_is_identity():
-    ex = corrupt_spans("a b", 0.15, 3.0, seed=0)  # int(0.15*2+0.5) == 0
+    ex = corrupt_spans("a b", 0.15, seed=0)  # int(0.15*2+0.5) == 0
     assert ex.identity_corruption
 
 
 def test_corrupt_spans_needs_two_tokens():
     with pytest.raises(PromptError):
-        corrupt_spans("solo", 0.5, 3.0, seed=0)
+        corrupt_spans("solo", 0.5, seed=0)
 
 
 def test_corrupt_spans_rate_validated():
     with pytest.raises(PromptError):
-        corrupt_spans("a b c", 0.0, 3.0, seed=0)
+        corrupt_spans("a b c", 0.0, seed=0)
     with pytest.raises(PromptError):
-        corrupt_spans("a b c", 1.0, 3.0, seed=0)
+        corrupt_spans("a b c", 1.0, seed=0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -165,7 +165,7 @@ def test_corrupt_spans_rate_validated():
 )
 def test_corrupt_spans_reconstruction(tokens, rate, seed):
     text = " ".join(tokens)
-    ex = corrupt_spans(text, rate, 3.0, seed=seed)
+    ex = corrupt_spans(text, rate, seed=seed)
     if ex.identity_corruption:
         return
     src = ex.source.split()
