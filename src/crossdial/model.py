@@ -850,11 +850,12 @@ class GenerationResult:
 
 
 def generate_greedy(model: AttentiveSeq2Seq, source_text: str, max_length: int = 64) -> GenerationResult:
-    """Greedy decoding; argmax ties resolve to the lowest token id."""
+    """Greedy decoding of at most ``max_length`` tokens from the whole
+    source; argmax ties resolve to the lowest token id."""
     if max_length < 1:
         raise ModelError(f"max_length must be >= 1, got {max_length}")
     p = model.params
-    src_ids = model.vocabulary.encode(source_text)[:max_length]
+    src_ids = model.vocabulary.encode(source_text)
     if not src_ids:
         raise ModelError(f"empty source text {source_text!r}")
     src = np.array([src_ids], dtype=np.int64)

@@ -207,7 +207,7 @@ class _PerStep:
 
     def generate_greedy(self, source_text, max_length):
         p = self.params
-        src_ids = self.model.vocabulary.encode(source_text)[:max_length]
+        src_ids = self.model.vocabulary.encode(source_text)
         src = np.array([src_ids], dtype=np.int64)
         src_mask = np.ones((1, len(src_ids)))
         enc_out, h_last, _ = self._run_encoder(src, src_mask)

@@ -12,6 +12,7 @@ from crossdial.model import (
     Batch,
     Checkpoint,
     ModelConfig,
+    EOS_ID,
     ModelError,
     OptimizerConfig,
     PAD_ID,
@@ -341,6 +342,17 @@ def test_greedy_respects_max_length():
     model = _model()
     out = generate_greedy(model, "a1 a2", max_length=3)
     assert len(out.token_ids) <= 3
+
+
+def test_greedy_max_length_bounds_the_output_not_the_source():
+    # a prompted source ends with its sentinel frame, which a short budget must not cut off
+    model = _model()
+    model.params["b_out"][EOS_ID] = -50.0  # no early stop: each run takes max_length steps
+    source = "a1 a2 a3 a4 b1 b2"
+    full = generate_greedy(model, source, max_length=16)
+    for k in (1, 3, 5):
+        short = generate_greedy(model, source, max_length=k)
+        assert [d.tobytes() for d in short.distributions] == [d.tobytes() for d in full.distributions[:k]]
 
 
 @pytest.mark.parametrize("max_length", [0, -3])
