@@ -77,13 +77,15 @@ def count_ngrams(tokens: Sequence[str], n: int) -> Counter:
 # ---------------------------------------------------------------------------
 # BLEU
 
+BLEU_ORDER = 4  # n-gram orders 1..4 in the geometric mean
+
 
 @dataclass(frozen=True)
 class BleuReport:
     """Corpus BLEU with its sufficient statistics.
 
     ``precisions`` are the raw (unsmoothed) modified n-gram precisions for
-    orders 1..max_order on the 0-100 scale; orders with no hypothesis
+    orders 1..4 on the 0-100 scale; orders with no hypothesis
     n-grams report 0.0 and are excluded from the geometric mean.
     """
 
@@ -108,8 +110,6 @@ class BleuReport:
 def corpus_bleu(
     hypotheses: Sequence[str],
     references: Sequence[str],
-    max_order: int = 4,
-    smoothing: str = "floor",
     smoothing_epsilon: float = 1e-2,
     tokenizer: Callable[[str], list[str]] = tokenize_13a,
 ) -> BleuReport:
@@ -118,21 +118,19 @@ def corpus_bleu(
     Modified precisions are clipped n-gram matches over total hypothesis
     n-grams, aggregated over the corpus.  The brevity penalty is 1 when the
     hypothesis corpus is at least as long as the reference corpus, else
-    exp(1 - r/c).  Smoothing ("floor") replaces a zero higher-order
-    precision with ``smoothing_epsilon`` (on the 0-100 scale) inside the
+    exp(1 - r/c).  Floor smoothing replaces a zero higher-order precision
+    with ``smoothing_epsilon`` (positive, on the 0-100 scale) inside the
     geometric mean; a zero order-1 precision always yields score 0.
     """
     if len(hypotheses) != len(references):
         raise MetricError(f"got {len(hypotheses)} hypotheses but {len(references)} references")
     if not hypotheses:
         raise MetricError("empty corpus")
-    if smoothing not in ("floor", "none"):
-        raise MetricError(f"unknown smoothing method {smoothing!r}")
-    if max_order < 1:
-        raise MetricError("max_order must be >= 1")
+    if not smoothing_epsilon > 0:
+        raise MetricError(f"smoothing_epsilon must be positive, got {smoothing_epsilon}")
 
-    correct = [0] * max_order
-    total = [0] * max_order
+    correct = [0] * BLEU_ORDER
+    total = [0] * BLEU_ORDER
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
@@ -140,7 +138,7 @@ def corpus_bleu(
         ref_tokens = tokenizer(ref)
         hyp_len += len(hyp_tokens)
         ref_len += len(ref_tokens)
-        for n in range(1, max_order + 1):
+        for n in range(1, BLEU_ORDER + 1):
             hyp_ngrams = count_ngrams(hyp_tokens, n)
             if not hyp_ngrams:
                 continue
@@ -160,20 +158,8 @@ def corpus_bleu(
     else:
         # work on the p/100 ratio scale: log(1.0) == 0.0 exactly, so a
         # perfect match scores exactly 100 * bp with no exp/log round-off
-        logs = []
-        degenerate = False
-        for n in range(max_order):
-            if total[n] == 0:
-                continue
-            p = precisions[n]
-            if p == 0.0:
-                if smoothing == "floor":
-                    p = smoothing_epsilon
-                else:
-                    degenerate = True
-                    break
-            logs.append(math.log(p / 100.0))
-        score = 0.0 if degenerate else 100.0 * bp * math.exp(sum(logs) / len(logs))
+        logs = [math.log((p or smoothing_epsilon) / 100.0) for p, t in zip(precisions, total) if t > 0]
+        score = 100.0 * bp * math.exp(sum(logs) / len(logs))
 
     return BleuReport(
         precisions=precisions,
@@ -181,7 +167,7 @@ def corpus_bleu(
         bp=bp,
         hyp_len=hyp_len,
         ref_len=ref_len,
-        smoothing_method=smoothing,
+        smoothing_method="floor",
         smoothing_epsilon=smoothing_epsilon,
         tokenizer=_tokenizer_name(tokenizer),
     )

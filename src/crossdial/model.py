@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import Corpus, derive_token_vocabulary
+from .prompting import DEFAULT_TEMPLATE, corrupt_spans
 
 log = logging.getLogger(__name__)
 
@@ -294,6 +295,8 @@ class AttentiveSeq2Seq:
     per batch over time-major stacks.  A stacked matmul makes the same BLAS
     call per time slice as the per-step code did, so every result stays bit
     for bit as it was; a flattened ``(T*B, K)`` product would not.
+    Greedy decoding runs the same ``_run_encoder``, ``_decoder_step`` and
+    ``_readout`` one token at a time.
     """
 
     def __init__(self, vocabulary: Vocabulary, config: ModelConfig = ModelConfig()):
@@ -451,6 +454,9 @@ class AttentiveSeq2Seq:
         return ds_prev, denc, dpre
 
     def _run_encoder(self, src, src_mask):
+        """The encoder and the decoder's prologue: ``enc_out``, ``h_last``,
+        the encoder's inputs and step caches, ``s_0`` and the attention keys
+        ``enc_proj = enc_out A_enc``."""
         p = self.params
         n, s_len = src.shape
         h = np.zeros((n, self.config.hidden_size))
@@ -463,12 +469,35 @@ class AttentiveSeq2Seq:
             h, cache = self._gru_forward(xw[t], h, "enc_", mask_cols[t], carry_cols[t])
             caches.append(cache)
             enc_out[:, t] = h
-        return enc_out, h, src_emb, caches
+        s0 = np.tanh(h @ p["W_s0"] + p["b_s0"])
+        return enc_out, h, src_emb, caches, s0, enc_out @ p["A_enc"]
+
+    def _decoder_step(self, s_prev, x, o, memory, mask_col, carry_col):
+        """One decoder step at B rows.  ``x`` (B, d+h) holds E[y_{t-1}] in its
+        first d columns; the step writes c_t after them and [s_t; c_t] into
+        ``o`` (B, 2h).  ``memory`` is (enc_proj, enc_out, src_mask, live)."""
+        d, h = self.config.embedding_size, self.config.hidden_size
+        c, att_cache = self._attention_forward(s_prev, *memory)
+        x[:, d:] = c
+        s, gru_cache = self._gru_forward(x @ self._gru_params["dec_"][0], s_prev, "dec_", mask_col, carry_col)
+        o[:, :h] = s
+        o[:, h:] = c
+        return s, (att_cache, gru_cache)
+
+    def _readout(self, o):
+        """The softmax over the vocabulary for readout inputs ``o`` (..., 2h),
+        normalised in place along the last axis."""
+        p = self.params
+        probs = o @ p["W_out"]
+        probs += p["b_out"]
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        return probs
 
     # -- loss ------------------------------------------------------------
 
     def forward(self, batch: Batch) -> tuple[float, _ForwardCache]:
-        p = self.params
         n = batch.src.shape[0]
         t_len = batch.tgt_in.shape[1]
         d, h = self.config.embedding_size, self.config.hidden_size
@@ -478,32 +507,22 @@ class AttentiveSeq2Seq:
         if (batch.src_mask.sum(axis=1) < 1).any():
             raise ModelError("batch has a row with an empty source")
 
-        enc_out, h_last, src_emb, enc_steps = self._run_encoder(batch.src, batch.src_mask)
-        enc_proj = enc_out @ p["A_enc"]
-        live = batch.src_mask > 0
+        enc_out, h_last, src_emb, enc_steps, s0, enc_proj = self._run_encoder(batch.src, batch.src_mask)
+        memory = (enc_proj, enc_out, batch.src_mask, batch.src_mask > 0)
         mask_cols, carry_cols = _step_masks(batch.tgt_mask)
-        W = self._gru_params["dec_"][0]
 
         states = np.empty((t_len + 1, n, h))
-        states[0] = np.tanh(h_last @ p["W_s0"] + p["b_s0"])
+        states[0] = s0
         x = np.empty((t_len, n, d + h))
-        x[:, :, :d] = p["E"][batch.tgt_in.T]
+        x[:, :, :d] = self.params["E"][batch.tgt_in.T]
         o = np.empty((t_len, n, 2 * h))
         dec_steps = []
         for t in range(t_len):
-            c, att_cache = self._attention_forward(states[t], enc_proj, enc_out, batch.src_mask, live)
-            x[t, :, d:] = c
-            s, gru_cache = self._gru_forward(x[t] @ W, states[t], "dec_", mask_cols[t], carry_cols[t])
+            s, step_cache = self._decoder_step(states[t], x[t], o[t], memory, mask_cols[t], carry_cols[t])
             states[t + 1] = s
-            o[t, :, :h] = s
-            o[t, :, h:] = c
-            dec_steps.append((att_cache, gru_cache))
+            dec_steps.append(step_cache)
 
-        probs = o @ p["W_out"]  # the logits, turned into the softmax in place
-        probs += p["b_out"]
-        probs -= probs.max(axis=2, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= probs.sum(axis=2, keepdims=True)
+        probs = self._readout(o)
         picked = probs[np.arange(t_len)[:, None], np.arange(n), batch.tgt_out.T]
         # a C-contiguous (T, B) mask keeps each step's sum as the per-step code
         # summed it; the steps are added in order, without sum()'s compensation
@@ -608,60 +627,38 @@ class AdamW:
 
     CHUNK = 16384
 
-    def __init__(
-        self,
-        params: np.ndarray,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: np.ndarray, config: OptimizerConfig):
         self.params = params
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
+        self.config = config
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self._scratch = np.empty((2, min(self.CHUNK, params.size)))
         self.t = 0
 
-    @classmethod
-    def from_config(cls, params: np.ndarray, config: OptimizerConfig) -> "AdamW":
-        return cls(
-            params,
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            eps=config.eps,
-            weight_decay=config.weight_decay,
-        )
-
     def step(self, grad: np.ndarray) -> None:
+        c = self.config
         self.t += 1
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
-        decay = self.learning_rate * self.weight_decay
-        self.m *= self.beta1
-        self.v *= self.beta2
+        bias1 = 1.0 - c.beta1**self.t
+        bias2 = 1.0 - c.beta2**self.t
+        decay = c.learning_rate * c.weight_decay
+        self.m *= c.beta1
+        self.v *= c.beta2
         for start in range(0, self.params.size, self.CHUNK):
             chunk = slice(start, start + self.CHUNK)
             param, g, m, v = self.params[chunk], grad[chunk], self.m[chunk], self.v[chunk]
             s1, s2 = self._scratch[:, : param.size]
-            m += np.multiply(1.0 - self.beta1, g, out=s1)
-            np.multiply(1.0 - self.beta2, g, out=s1)
+            m += np.multiply(1.0 - c.beta1, g, out=s1)
+            np.multiply(1.0 - c.beta2, g, out=s1)
             s1 *= g
             v += s1
-            if self.weight_decay:
+            if c.weight_decay:
                 param -= np.multiply(decay, param, out=s1)
             # param -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
             np.divide(m, bias1, out=s1)
-            s1 *= self.learning_rate
+            s1 *= c.learning_rate
             np.divide(v, bias2, out=s2)
             np.sqrt(s2, out=s2)
-            s2 += self.eps
+            s2 += c.eps
             s1 /= s2
             param -= s1
 
@@ -721,7 +718,7 @@ def train(
     if eval_every is not None and eval_every < 1:
         raise ModelError("eval_every must be >= 1")
     encoded = encode_pairs(model.vocabulary, train_data, config.max_length)
-    optimizer = AdamW.from_config(model.params.flat, config)
+    optimizer = AdamW(model.params.flat, config)
     checkpoints: list[Checkpoint] = []
     train_losses: list[tuple[int, float]] = []
     valid_losses: list[tuple[int, float]] = []
@@ -779,7 +776,7 @@ def pretrain_span_corruption(
     corpora: Sequence[Corpus],
     config: OptimizerConfig,
     corruption_rate: float = 0.15,
-    template=None,
+    template=DEFAULT_TEMPLATE,
     seed: int = 0,
     eval_every: int | None = None,
 ) -> TrainResult:
@@ -791,10 +788,6 @@ def pretrain_span_corruption(
     than two tokens are skipped.  Identity corruptions (an empty target)
     teach nothing and are dropped.
     """
-    from .prompting import DEFAULT_TEMPLATE, corrupt_spans
-
-    if template is None:
-        template = DEFAULT_TEMPLATE
     missing = [s for s in (template.sentinel0, template.sentinel1) if s not in model.vocabulary]
     if missing:
         # sentinels absent from the vocabulary encode to <unk>, so the
@@ -854,31 +847,23 @@ def generate_greedy(model: AttentiveSeq2Seq, source_text: str, max_length: int =
     source; argmax ties resolve to the lowest token id."""
     if max_length < 1:
         raise ModelError(f"max_length must be >= 1, got {max_length}")
-    p = model.params
     src_ids = model.vocabulary.encode(source_text)
     if not src_ids:
         raise ModelError(f"empty source text {source_text!r}")
     src = np.array([src_ids], dtype=np.int64)
     src_mask = np.ones((1, len(src_ids)))
-    enc_out, h_last, _, _ = model._run_encoder(src, src_mask)
-    s = np.tanh(h_last @ p["W_s0"] + p["b_s0"])
-    enc_proj = enc_out @ p["A_enc"]
-    live = src_mask > 0
+    enc_out, _, _, _, s, enc_proj = model._run_encoder(src, src_mask)
+    memory = (enc_proj, enc_out, src_mask, src_mask > 0)
     mask_col, carry_col = np.ones((1, 1)), np.zeros((1, 1))
-    W = model._gru_params["dec_"][0]
+    d, h = model.config.embedding_size, model.config.hidden_size
+    x, o = np.empty((1, d + h)), np.empty((1, 2 * h))  # the step's input and readout rows
     prev = BOS_ID
     ids: list[int] = []
     dists: list[np.ndarray] = []
     for _ in range(max_length):
-        emb = p["E"][np.array([prev])]
-        c, _ = model._attention_forward(s, enc_proj, enc_out, src_mask, live)
-        x = np.concatenate([emb, c], axis=1)
-        s, _ = model._gru_forward(x @ W, s, "dec_", mask_col, carry_col)
-        o = np.concatenate([s, c], axis=1)
-        logits = (o @ p["W_out"] + p["b_out"])[0]
-        logits -= logits.max()
-        ex = np.exp(logits)
-        probs = ex / ex.sum()
+        x[:, :d] = model.params["E"][prev]
+        s, _ = model._decoder_step(s, x, o, memory, mask_col, carry_col)
+        probs = model._readout(o)[0]
         dists.append(probs)
         nxt = int(np.argmax(probs))
         if nxt == EOS_ID:

@@ -160,7 +160,7 @@ def test_adamw_matches_per_array_reference(weight_decay):
     ref = {name: arr.copy() for name, arr in model.params.items()}
     m = {name: np.zeros_like(arr) for name, arr in ref.items()}
     v = {name: np.zeros_like(arr) for name, arr in ref.items()}
-    opt = AdamW(model.params.flat, learning_rate=5e-3, weight_decay=weight_decay)
+    opt = AdamW(model.params.flat, OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=1, weight_decay=weight_decay))
     rng = np.random.default_rng(1)
     for t in range(1, 5):
         grads = model.snapshot()

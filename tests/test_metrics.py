@@ -93,11 +93,6 @@ def test_floor_smoothing_only_for_empty_higher_orders():
     assert report.score == pytest.approx(expected)
 
 
-def test_smoothing_none_degenerates_to_zero():
-    report = corpus_bleu(["a c b"], ["a b c"], smoothing="none")
-    assert report.score == 0.0
-
-
 def test_corpus_level_aggregation():
     # pooled counts, not averaged per-sentence scores
     hyps = ["a b", "c d"]
@@ -118,8 +113,9 @@ def test_errors():
         corpus_bleu([], [])
     with pytest.raises(MetricError):
         corpus_bleu([""], ["a"])  # no hypothesis tokens at all
-    with pytest.raises(MetricError):
-        corpus_bleu(["a"], ["a"], smoothing="laplace")
+    for epsilon in (0.0, -1.0):  # the floor is used: b1 > 0, every higher order 0
+        with pytest.raises(MetricError, match="smoothing_epsilon must be positive"):
+            corpus_bleu(["c b a"], ["a b c"], smoothing_epsilon=epsilon)
 
 
 def test_report_is_frozen_and_tokenizer_named():

@@ -22,6 +22,7 @@ from crossdial.model import (
     TARGET_ADAPT_DEFAULTS,
     TrainingDivergedError,
     Vocabulary,
+    batch_from_encoded,
     evaluate_nll,
     generate_corpus,
     generate_greedy,
@@ -183,7 +184,7 @@ def test_adamw_matches_reference_steps():
     params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=(3,))}
     layout = [(k, p.shape) for k, p in params.items()]
     mine = ParamViews(np.concatenate([p.ravel() for p in params.values()]), layout)
-    opt = AdamW(mine.flat, learning_rate=0.01, weight_decay=0.1)
+    opt = AdamW(mine.flat, OptimizerConfig(learning_rate=0.01, epochs=1, batch_size=1, weight_decay=0.1))
     ref = {k: p.copy() for k, p in params.items()}
     state = {k: (np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
     for t in range(1, 6):
@@ -200,7 +201,7 @@ def test_adamw_matches_reference_steps():
 def test_weight_decay_is_decoupled():
     # with zero gradient, AdamW still shrinks the parameter by lr*wd exactly
     w = np.full((2,), 10.0)
-    opt = AdamW(w, learning_rate=0.1, weight_decay=0.5)
+    opt = AdamW(w, OptimizerConfig(learning_rate=0.1, epochs=1, batch_size=1, weight_decay=0.5))
     opt.step(np.zeros(2))
     np.testing.assert_allclose(w, 10.0 - 0.1 * 0.5 * 10.0, atol=1e-12)
 
@@ -353,6 +354,24 @@ def test_greedy_max_length_bounds_the_output_not_the_source():
     for k in (1, 3, 5):
         short = generate_greedy(model, source, max_length=k)
         assert [d.tobytes() for d in short.distributions] == [d.tobytes() for d in full.distributions[:k]]
+
+
+@pytest.mark.parametrize("hidden", [1, 7, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_teacher_forcing_on_greedy_ids_reproduces_its_distributions(seed, hidden):
+    # both paths run one decoder: fed greedy's own ids (not its text, which drops
+    # any <pad>/<bos> an untrained model emits), forward yields greedy's softmax
+    model = _model(hid=hidden, seed=seed)
+    vocab = model.vocabulary
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        source = " ".join(rng.choice(vocab.tokens[4:], size=int(rng.integers(1, 13))))
+        for max_length in (1, 5, 30):
+            out = generate_greedy(model, source, max_length=max_length)
+            assert len(out.distributions) - len(out.token_ids) in (0, 1)  # 1: stopped at <eos>
+            _, cache = model.forward(batch_from_encoded([(vocab.encode(source), list(out.token_ids))]))
+            forced = cache.probs[: len(out.distributions), 0]
+            assert [d.tobytes() for d in forced] == [d.tobytes() for d in out.distributions]
 
 
 @pytest.mark.parametrize("max_length", [0, -3])
