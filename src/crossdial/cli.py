@@ -108,10 +108,23 @@ def _choice(*allowed: str) -> Callable[[object], str]:
     return parse
 
 
-def _positive_int(value) -> int:
-    number = int(value)
-    if number < 1:
-        raise ConfigError(f"must be >= 1, got {number}")
+def _int_at_least(low: int) -> Callable[[object], int]:
+    def parse(value) -> int:
+        number = int(value)
+        if number < low:
+            raise ConfigError(f"must be >= {low}, got {number}")
+        return number
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _positive_float(value) -> float:
+    number = float(value)
+    if not number > 0.0:  # NaN fails too
+        raise ConfigError(f"must be positive, got {number}")
     return number
 
 
@@ -247,7 +260,7 @@ def _cmd_gen_synthetic(r: dict) -> str:
 
 _SAMPLE_FEWSHOT_SCHEMA: dict[str, tuple] = {
     "in": (str, _REQUIRED, "input corpus file"),
-    "k": (int, _REQUIRED, "subset size"),
+    "k": (_int_at_least(0), _REQUIRED, "subset size"),
     "seed": (int, 0, "sampling seed"),
     "out": (str, _REQUIRED, "output corpus file"),
     **_STRICT,
@@ -402,7 +415,7 @@ _EVALUATE_SCHEMA: dict[str, tuple] = {
     "system": (str, "system", "system name recorded in the report"),
     "target_vocab": (str, "", "one legal token per line (default: derive from the references)"),
     "tokenizer": (_choice(*sorted(TOKENIZERS)), "13a", "BLEU tokenizer"),
-    "smoothing_epsilon": (float, 1e-2, "BLEU floor smoothing for zero n-gram counts"),
+    "smoothing_epsilon": (_positive_float, 1e-2, "BLEU floor smoothing for zero n-gram counts"),
     **_STRICT,
 }
 
@@ -451,7 +464,7 @@ _HUMANEVAL_EXPORT_SCHEMA: dict[str, tuple] = {
     "test": (str, _REQUIRED, "test corpus file"),
     "sheet": (str, _REQUIRED, "output blinded sheet, TSV"),
     "key": (str, _REQUIRED, "output key file, TSV"),
-    "n": (int, 100, "samples to draw"),
+    "n": (_positive_int, 100, "samples to draw"),
     "seed": (int, 0, "sampling/blinding seed"),
     "allow_cross_family": (_bool, False, "allow pairing systems from different scenario families"),
     **_STRICT,

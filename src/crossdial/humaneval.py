@@ -8,8 +8,9 @@ two files apart is the blinding contract — the sheet alone carries zero
 bits about which system is which.
 
 Aggregation unblinds completed sheets with the key and tallies wins per
-system plus Neutral.  Counts are exact integers; percentages are derived
-at formatting time, so they always sum to 100 in rational arithmetic.
+system plus Neutral.  Counts are exact integers; the win-rate table
+prints each share of the judged total rounded to one decimal, so the
+printed shares need not sum to exactly 100 (1/1/1 votes print 33.3% each).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,7 +56,7 @@ class PairedSample:
 
 @dataclass(frozen=True)
 class WinRateReport:
-    """Win counts for one pairing; percentages derive from the counts."""
+    """Win counts for one pairing; the table derives shares from them."""
 
     system_a: str
     system_b: str
@@ -68,16 +68,6 @@ class WinRateReport:
     @property
     def total(self) -> int:
         return self.wins_a + self.wins_b + self.neutral
-
-    def percentages(self) -> dict[str, Fraction]:
-        """Exact rational shares; they sum to 1 by construction."""
-        if self.total == 0:
-            raise HumanEvalError("no judged samples")
-        return {
-            self.system_a: Fraction(self.wins_a, self.total),
-            "Neutral": Fraction(self.neutral, self.total),
-            self.system_b: Fraction(self.wins_b, self.total),
-        }
 
     def format_table(self) -> str:
         rows = [

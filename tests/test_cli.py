@@ -426,6 +426,28 @@ def test_generate_rejects_non_positive_max_length_before_loading(max_length, mod
     assert list(tmp_path.iterdir()) == []
 
 
+_EVALUATE_MISSING = ["evaluate", "--hyp", "missing.txt", "--ref", "missing.jsonl", "--report", "r.jsonl"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    pytest.param(["sample-fewshot", "--in", "missing.jsonl", "--out", "s.jsonl", "--k", "-1"],
+                 "error:config: sample-fewshot: bad value for 'k': must be >= 0, got -1", id="k"),
+    pytest.param(["humaneval-export", "--hyp-a", "a.txt", "--hyp-b", "b.txt", "--system-a", "FS-XLT",
+                  "--system-b", "FS-XLT_pmpt", "--test", "missing.jsonl", "--sheet", "sheet.tsv",
+                  "--key", "key.tsv", "--n", "0"],
+                 "error:config: humaneval-export: bad value for 'n': must be >= 1, got 0", id="n"),
+    pytest.param(_EVALUATE_MISSING + ["--smoothing-epsilon", "0"],
+                 "error:config: evaluate: bad value for 'smoothing_epsilon': must be positive, got 0.0", id="epsilon-0"),
+    pytest.param(_EVALUATE_MISSING + ["--smoothing-epsilon", "-1"],
+                 "error:config: evaluate: bad value for 'smoothing_epsilon': must be positive, got -1.0", id="epsilon-neg"),
+])
+def test_bounded_value_exits_2_before_loading(argv, line, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evaluate_report_fields(models, data_dir, tmp_path):
     hyp = tmp_path / "h.txt"
     assert main(["generate", "--model", str(models["adapted"]), "--in", str(data_dir / "tgt_test.jsonl"),

@@ -1,5 +1,4 @@
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -261,13 +260,6 @@ def test_read_key_rejects_duplicate_id(tmp_path):
 
 
 # -- report ------------------------------------------------------------------
-
-
-def test_percentages_exact_rationals():
-    report = WinRateReport(system_a="FS-XLT", system_b="FS-XLT_pmpt", wins_a=1, wins_b=1, neutral=1)
-    pct = report.percentages()
-    assert pct["FS-XLT"] == Fraction(1, 3)
-    assert sum(pct.values()) == 1
 
 
 def test_counts_sum_to_total():
