@@ -57,6 +57,6 @@ print("  greedy:", repr(generate_greedy(result.model, "a1 a2 a3 a4", max_length=
 
 # -- checkpoint selection ----------------------------------------------------------------
 
-steps = [(c.step, round(c.valid_loss, 3)) for c in result.checkpoints]
-print("\ncheckpoints (step, valid loss):", steps[:3], "...", steps[-1])
-print("selection picks the earliest argmin of the validation history")
+steps = [(step, round(loss, 3)) for step, loss in result.valid_losses]
+print("\nvalidation history (step, valid loss):", steps[:3], "...", steps[-1])
+print("train keeps the earliest argmin of that history: step", result.best.step)

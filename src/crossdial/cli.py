@@ -68,9 +68,7 @@ from .model import (
     Vocabulary,
     load_model,
     pretrain_span_corruption,
-    restore_checkpoint,
     save_model,
-    select_best_checkpoint,
     train,
 )
 from .prompting import DEFAULT_TEMPLATE, PromptError
@@ -121,10 +119,10 @@ def _int_at_least(low: int) -> Callable[[object], int]:
 _positive_int = _int_at_least(1)
 
 
-def _positive_float(value) -> float:
+def _positive_percent(value) -> float:
     number = float(value)
-    if not number > 0.0:  # NaN fails too
-        raise ConfigError(f"must be positive, got {number}")
+    if not 0.0 < number <= 100.0:  # NaN fails too
+        raise ConfigError(f"must be in (0, 100], got {number}")
     return number
 
 
@@ -224,9 +222,9 @@ def _template(name: str):
     return config_from_kv(DEFAULT_TEMPLATE, load_kv(name), source=name) if name else DEFAULT_TEMPLATE
 
 
-def _write_history(path: str, result, best) -> None:
+def _write_history(path: str, result) -> None:
     rows = [{"step": step, "valid_loss": valid_loss} for step, valid_loss in result.valid_losses]
-    rows.append({"selected_step": best.step, "selected_valid_loss": best.valid_loss})
+    rows.append({"selected_step": result.best.step, "selected_valid_loss": result.best.valid_loss})
     _write_lines(path, map(json.dumps, rows))
 
 
@@ -346,8 +344,7 @@ def _cmd_pretrain(r: dict) -> str:
     )
     _ensure_parent(r["out"])
     save_model(result.model, r["out"])
-    best = select_best_checkpoint(result.checkpoints)
-    _write_history(r["out"] + ".history", result, best)
+    _write_history(r["out"] + ".history", result)
     return r["out"] + ".cfg"
 
 
@@ -377,11 +374,10 @@ def _cmd_finetune(r: dict) -> str:
     data = format_pairs(train_pairs, r["prompted"], template)
     valid = format_pairs(valid_pairs, r["prompted"], template)
     result = train(model, data, valid, config, eval_every=r["eval_every"])
-    best = select_best_checkpoint(result.checkpoints)
-    restore_checkpoint(model, best)
+    model.load_snapshot(result.best.params)
     _ensure_parent(r["out"])
     save_model(model, r["out"])
-    _write_history(r["out"] + ".history", result, best)
+    _write_history(r["out"] + ".history", result)
     return r["out"] + ".cfg"
 
 
@@ -415,7 +411,7 @@ _EVALUATE_SCHEMA: dict[str, tuple] = {
     "system": (str, "system", "system name recorded in the report"),
     "target_vocab": (str, "", "one legal token per line (default: derive from the references)"),
     "tokenizer": (_choice(*sorted(TOKENIZERS)), "13a", "BLEU tokenizer"),
-    "smoothing_epsilon": (_positive_float, 1e-2, "BLEU floor smoothing for zero n-gram counts"),
+    "smoothing_epsilon": (_positive_percent, 1e-2, "BLEU floor smoothing for zero n-gram counts"),
     **_STRICT,
 }
 

@@ -52,8 +52,6 @@ from .model import (
     Vocabulary,
     generate_corpus,
     pretrain_span_corruption,
-    restore_checkpoint,
-    select_best_checkpoint,
     train,
 )
 from .prompting import DEFAULT_TEMPLATE, PromptTemplate, extract_response, format_plain, format_prompted
@@ -220,8 +218,8 @@ def run_scenario(
             config,
             eval_every=spec.eval_every,
         )
-        best = select_best_checkpoint(result.checkpoints)
-        restore_checkpoint(model, best)
+        best = result.best
+        model.load_snapshot(best.params)
         total_steps += result.train_losses[-1][0] if result.train_losses else 0
     selection_language = stages[-1][1].language  # the last stage's validation set picked the checkpoint
 
@@ -413,17 +411,3 @@ def write_study_artifacts(report: StudyReport, out_dir: str) -> None:
         for name in SETTINGS:
             for run in report.runs[name]:
                 fh.write(f"{name}@seed{run.seed} {run.wall_seconds:.3f}s\n")
-
-
-def write_run_artifacts(report: RunReport, out_dir: str) -> None:
-    """Deterministic artifacts of a single scenario run."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "hypotheses.txt"), "w", encoding="utf-8") as fh:
-        for hyp in report.hypotheses:
-            fh.write(hyp + "\n")
-    write_metric_report(os.path.join(out_dir, "report.jsonl"), [report.record()])
-    scenario, prompted = SETTINGS[report.setting]
-    details = {"setting": report.setting, "scenario": scenario, "prompted": prompted, "seed": report.seed,
-               **report.selection()}
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(details, ensure_ascii=False, sort_keys=True, indent=2) + "\n")

@@ -119,15 +119,16 @@ def corpus_bleu(
     n-grams, aggregated over the corpus.  The brevity penalty is 1 when the
     hypothesis corpus is at least as long as the reference corpus, else
     exp(1 - r/c).  Floor smoothing replaces a zero higher-order precision
-    with ``smoothing_epsilon`` (positive, on the 0-100 scale) inside the
-    geometric mean; a zero order-1 precision always yields score 0.
+    with ``smoothing_epsilon`` (in (0, 100], on the 0-100 scale, so a
+    zero-match order never outscores a perfect one) inside the geometric
+    mean; a zero order-1 precision always yields score 0.
     """
     if len(hypotheses) != len(references):
         raise MetricError(f"got {len(hypotheses)} hypotheses but {len(references)} references")
     if not hypotheses:
         raise MetricError("empty corpus")
-    if not smoothing_epsilon > 0:
-        raise MetricError(f"smoothing_epsilon must be positive, got {smoothing_epsilon}")
+    if not 0 < smoothing_epsilon <= 100:  # NaN fails too
+        raise MetricError(f"smoothing_epsilon must be in (0, 100], got {smoothing_epsilon}")
 
     correct = [0] * BLEU_ORDER
     total = [0] * BLEU_ORDER

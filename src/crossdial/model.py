@@ -677,7 +677,7 @@ class Checkpoint:
 @dataclass
 class TrainResult:
     model: AttentiveSeq2Seq
-    checkpoints: list[Checkpoint]
+    best: Checkpoint  # lowest valid loss, earliest step on exact ties
     train_losses: list[tuple[int, float]]  # (step, batch loss before the update)
     valid_losses: list[tuple[int, float]]
 
@@ -707,11 +707,14 @@ def train(
     """Fine-tune in place on (source, target) text pairs.
 
     Data order is preserved exactly as given, so externally arranged
-    schedules, e.g. interleavings, survive every epoch.  A validation
-    checkpoint (deep parameter copy) is recorded at step 0, every
-    ``eval_every`` optimizer steps (end of each epoch when None), and
-    after the final step.  ``epochs=0`` or empty ``train_data`` is an
-    explicit no-op that still records the step-0 checkpoint.
+    schedules, e.g. interleavings, survive every epoch.  The validation
+    loss is evaluated at step 0, every ``eval_every`` optimizer steps (end
+    of each epoch when None), and after the final step.  One snapshot is
+    kept: the parameters (a deep copy) at the lowest loss so far, replaced
+    only by a strictly lower one, so exact ties keep the earliest step.
+    The model is left at its last step; callers restore ``best.params``
+    with ``load_snapshot`` when they want it.  ``epochs=0`` or empty
+    ``train_data`` is an explicit no-op that still evaluates step 0.
     """
     if not valid_data:
         raise ModelError("validation set must not be empty")
@@ -719,20 +722,22 @@ def train(
         raise ModelError("eval_every must be >= 1")
     encoded = encode_pairs(model.vocabulary, train_data, config.max_length)
     optimizer = AdamW(model.params.flat, config)
-    checkpoints: list[Checkpoint] = []
+    best: Checkpoint | None = None
     train_losses: list[tuple[int, float]] = []
     valid_losses: list[tuple[int, float]] = []
 
-    def take_checkpoint(step: int) -> None:
+    def validate(step: int) -> None:
+        nonlocal best
         loss = evaluate_nll(model, valid_data, config)
         if not math.isfinite(loss):
             raise TrainingDivergedError(step, loss)
         valid_losses.append((step, loss))
-        checkpoints.append(Checkpoint(step=step, valid_loss=loss, params=model.snapshot()))
+        if best is None or loss < best.valid_loss:
+            best = Checkpoint(step=step, valid_loss=loss, params=model.snapshot())
         log.info("step %d: valid loss %.6f", step, loss)
 
     step = 0
-    take_checkpoint(0)
+    validate(0)
     last_eval = 0
     for _ in range(config.epochs):
         if not encoded:
@@ -746,25 +751,14 @@ def train(
             step += 1
             train_losses.append((step, loss))
             if eval_every is not None and step % eval_every == 0:
-                take_checkpoint(step)
+                validate(step)
                 last_eval = step
         if eval_every is None and step > last_eval:
-            take_checkpoint(step)
+            validate(step)
             last_eval = step
     if step > last_eval:
-        take_checkpoint(step)
-    return TrainResult(model, checkpoints, train_losses, valid_losses)
-
-
-def select_best_checkpoint(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
-    """Lowest validation loss; exact ties resolve to the earliest step."""
-    if not checkpoints:
-        raise ModelError("no checkpoints to select from")
-    return min(checkpoints, key=lambda ck: (ck.valid_loss, ck.step))
-
-
-def restore_checkpoint(model: AttentiveSeq2Seq, checkpoint: Checkpoint) -> None:
-    model.load_snapshot(checkpoint.params)
+        validate(step)
+    return TrainResult(model, best, train_losses, valid_losses)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import math
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,14 +33,12 @@ from crossdial.interleave import interleave_even
 from crossdial.metrics import corpus_bleu, distinct_n, tokenize_13a
 from crossdial.model import (
     AttentiveSeq2Seq,
-    Checkpoint,
     ModelConfig,
     OptimizerConfig,
     Vocabulary,
     generate_greedy,
     gradient_check,
     make_training_batch,
-    select_best_checkpoint,
     train,
 )
 from crossdial.prompting import DEFAULT_TEMPLATE, extract_response, format_prompted
@@ -175,22 +174,39 @@ def test_criterion_5_single_pair_overfit():
 # -- criterion 6: checkpoint selection ----------------------------------------------
 
 
+def _train_on_scripted_losses(monkeypatch, model, losses):
+    """``train`` at one evaluation per zero-gradient step, with ``evaluate_nll``
+    returning ``losses`` in turn; returns the result and its snapshot count."""
+    scripted = iter(losses)
+    monkeypatch.setattr("crossdial.model.evaluate_nll", lambda *_: next(scripted))
+    zero = SimpleNamespace(flat=np.zeros_like(model.params.flat))
+    monkeypatch.setattr(model, "loss_and_grads", lambda batch: (1.0, zero))
+    snapshots = []
+    take = type(model).snapshot
+    monkeypatch.setattr(model, "snapshot", lambda: snapshots.append(None) or take(model))
+    config = OptimizerConfig(learning_rate=0.01, epochs=1, batch_size=1, max_length=16)
+    result = train(model, [("a1", "a1")] * (len(losses) - 1), [("a1", "a1")], config, eval_every=1)
+    return result, len(snapshots)
+
+
 def test_criterion_6_checkpoint_selection(monkeypatch):
-    # argmin with earliest-step ties, against an exhaustive scan
+    # train keeps the argmin with earliest-step ties, against an exhaustive scan
     rng = np.random.default_rng(42)
+    vocab = Vocabulary(("<pad>", "<bos>", "<eos>", "<unk>", "a1"))
+    scripted_model = AttentiveSeq2Seq(vocab, ModelConfig(embedding_size=4, hidden_size=4, seed=0))
     for _ in range(300):
         n = int(rng.integers(1, 40))
-        losses = rng.choice([0.25, 0.5, 1.0, 2.0], size=n)  # coarse grid forces ties
-        steps = np.cumsum(rng.integers(1, 5, size=n))
-        checkpoints = [Checkpoint(step=int(s), valid_loss=float(l), params={}) for s, l in zip(steps, losses)]
-        best = select_best_checkpoint(checkpoints)
-        expected = checkpoints[0]
-        for candidate in checkpoints[1:]:
-            better = candidate.valid_loss < expected.valid_loss
-            tie_earlier = candidate.valid_loss == expected.valid_loss and candidate.step < expected.step
-            if better or tie_earlier:
-                expected = candidate
-        assert (best.step, best.valid_loss) == (expected.step, expected.valid_loss)
+        losses = [float(x) for x in rng.choice([0.25, 0.5, 1.0, 2.0], size=n)]  # coarse grid forces ties
+        result, snapshots = _train_on_scripted_losses(monkeypatch, scripted_model, losses)
+        assert result.valid_losses == list(enumerate(losses))
+        expected = result.valid_losses[0]
+        for step, loss in result.valid_losses[1:]:
+            if loss < expected[1] or (loss == expected[1] and step < expected[0]):
+                expected = (step, loss)
+        assert (result.best.step, result.best.valid_loss) == expected
+        # one snapshot per new strict best
+        assert snapshots == sum(loss < min(losses[:i], default=math.inf) for i, loss in enumerate(losses))
+    monkeypatch.undo()  # the scenario below trains for real
 
     # the joint-training scenario selects its checkpoint on AUXILIARY validation
     spec = SyntheticSpec(vocab_size_per_language=12, n_train_aux=20, n_fewshot_tgt=4,

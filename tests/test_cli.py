@@ -437,9 +437,13 @@ _EVALUATE_MISSING = ["evaluate", "--hyp", "missing.txt", "--ref", "missing.jsonl
                   "--key", "key.tsv", "--n", "0"],
                  "error:config: humaneval-export: bad value for 'n': must be >= 1, got 0", id="n"),
     pytest.param(_EVALUATE_MISSING + ["--smoothing-epsilon", "0"],
-                 "error:config: evaluate: bad value for 'smoothing_epsilon': must be positive, got 0.0", id="epsilon-0"),
+                 "error:config: evaluate: bad value for 'smoothing_epsilon': must be in (0, 100], got 0.0", id="epsilon-0"),
     pytest.param(_EVALUATE_MISSING + ["--smoothing-epsilon", "-1"],
-                 "error:config: evaluate: bad value for 'smoothing_epsilon': must be positive, got -1.0", id="epsilon-neg"),
+                 "error:config: evaluate: bad value for 'smoothing_epsilon': must be in (0, 100], got -1.0", id="epsilon-neg"),
+    *(pytest.param(_EVALUATE_MISSING + ["--smoothing-epsilon", value],
+                   f"error:config: evaluate: bad value for 'smoothing_epsilon': must be in (0, 100], got {shown}",
+                   id=f"epsilon-{value}")
+      for value, shown in (("100.5", "100.5"), ("1e6", "1000000.0"), ("inf", "inf"), ("nan", "nan"))),
 ])
 def test_bounded_value_exits_2_before_loading(argv, line, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -473,6 +477,18 @@ def test_evaluate_perfect_hypotheses_score_100(data_dir, tmp_path):
     record = json.loads(report.read_text().splitlines()[0])
     assert record["score"] == 100.0
     assert record["legality"] == 100.0
+
+
+def test_evaluate_accepts_smoothing_epsilon_100(data_dir, tmp_path):
+    refs = [json.loads(line)["response"] for line in (data_dir / "tgt_test.jsonl").read_text().splitlines()]
+    hyp = tmp_path / "h.txt"
+    hyp.write_text("\n".join(" ".join(reversed(ref.split())) for ref in refs) + "\n")
+    report = tmp_path / "report.jsonl"
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(data_dir / "tgt_test.jsonl"),
+                 "--report", str(report), "--smoothing-epsilon", "100"]) == 0
+    record = json.loads(report.read_text().splitlines()[0])
+    assert record["smoothing_epsilon"] == 100.0
+    assert 0.0 <= record["score"] <= 100.0
 
 
 # -- study -----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from crossdial.experiment import (
     format_pairs,
     run_scenario,
     template_texts,
-    write_run_artifacts,
     write_study_artifacts,
 )
 from crossdial.kvconfig import ConfigError, config_from_kv, config_schema, dump_kv, load_kv, parse_kv_text
@@ -23,7 +22,6 @@ from crossdial.model import (
     OptimizerConfig,
     SOURCE_TRAIN_DEFAULTS,
     Vocabulary,
-    select_best_checkpoint,
     train,
 )
 from crossdial.prompting import DEFAULT_TEMPLATE
@@ -280,20 +278,6 @@ def test_study_artifacts_deterministic(tmp_path, tiny_study):
     write_study_artifacts(tiny_study, b)
     for name in ("report.jsonl", "study.json", "samples.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
-def test_run_artifacts(tmp_path, tiny_study):
-    report = tiny_study.runs["FS-XLT_pmpt"][0]
-    out = tmp_path / "run"
-    write_run_artifacts(report, out)
-    hyps = (out / "hypotheses.txt").read_text().splitlines()
-    assert hyps == list(report.hypotheses)
-    details = json.loads((out / "run.json").read_text())
-    assert details["setting"] == "FS-XLT_pmpt"
-    assert details["selection_language"] == report.selection_language
-    assert set(details) == {"setting", "scenario", "prompted", "seed", "selected_step",
-                            "selected_valid_loss", "selection_language", "total_steps"}
-    assert (details["scenario"], details["prompted"]) == experiment.SETTINGS["FS-XLT_pmpt"]
 
 
 def test_direction_holds_logic():

@@ -17,7 +17,6 @@ from crossdial.model import (
     Vocabulary,
     _sigmoid,
     load_model,
-    restore_checkpoint,
     save_model,
     train,
 )
@@ -208,9 +207,9 @@ def test_params_are_views_of_the_flat_vector(tmp_path):
     np.testing.assert_array_equal(other.params.flat, model.params.flat)
 
     result = train(other, DATA, DATA, _ONE_STEP)
-    restore_checkpoint(other, result.checkpoints[0])
+    other.load_snapshot(result.best.params)
     _assert_views_alias(other)
-    np.testing.assert_array_equal(other.params.flat, model.params.flat)
+    np.testing.assert_array_equal(other.params.flat, result.best.params.flat)
 
 
 def test_loaded_model_trains_like_the_original(tmp_path):

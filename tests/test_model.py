@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from crossdial.model import (
     AdamW,
     AttentiveSeq2Seq,
     Batch,
-    Checkpoint,
     ModelConfig,
     EOS_ID,
     ModelError,
@@ -30,9 +30,7 @@ from crossdial.model import (
     load_model,
     make_training_batch,
     pretrain_span_corruption,
-    restore_checkpoint,
     save_model,
-    select_best_checkpoint,
     train,
 )
 
@@ -250,11 +248,10 @@ def test_train_checkpoints_and_restore():
     model = _model()
     cfg = OptimizerConfig(learning_rate=0.01, epochs=3, batch_size=1, max_length=16)
     result = train(model, [("a1 a2", "a2")], [("a1 a2", "a2")], cfg)
-    steps = [c.step for c in result.checkpoints]
-    assert steps[0] == 0
-    assert steps[-1] == 3  # 1 step per epoch
-    best = select_best_checkpoint(result.checkpoints)
-    restore_checkpoint(model, best)
+    assert [step for step, _ in result.valid_losses] == [0, 1, 2, 3]  # 1 step per epoch
+    best = result.best
+    assert best.valid_loss == min(loss for _, loss in result.valid_losses)
+    model.load_snapshot(best.params)
     batch = make_training_batch(model.vocabulary, [("a1 a2", "a2")], max_length=16)
     assert model.nll(batch) == pytest.approx(best.valid_loss)
 
@@ -264,8 +261,10 @@ def test_train_epochs_zero_is_noop_with_baseline_checkpoint():
     before = model.parameters_flat()
     cfg = OptimizerConfig(learning_rate=0.01, epochs=0, batch_size=1)
     result = train(model, [("a1", "a1")], [("a1", "a1")], cfg)
-    assert [c.step for c in result.checkpoints] == [0]
+    assert [step for step, _ in result.valid_losses] == [0]
+    assert result.best.step == 0
     np.testing.assert_array_equal(before, model.parameters_flat())
+    np.testing.assert_array_equal(before, result.best.params.flat)
 
 
 def test_train_requires_validation_data():
@@ -296,33 +295,69 @@ def test_evaluate_nll_matches_forward():
 # -- checkpoint selection --------------------------------------------------
 
 
-def test_select_best_checkpoint_earliest_tie():
-    history = [(0, 2.0), (5, 1.5), (10, 1.5), (15, 1.7)]
-    cps = [Checkpoint(step=s, valid_loss=l, params={}) for s, l in history]
-    assert select_best_checkpoint(cps).step == 5
+def _scripted_train(monkeypatch, model, losses, eval_every=1):
+    """``train`` with ``evaluate_nll`` returning ``losses`` in turn, one
+    evaluation every ``eval_every`` zero-gradient steps; returns the result
+    and the number of snapshots taken."""
+    scripted = iter(losses)
+    monkeypatch.setattr("crossdial.model.evaluate_nll", lambda *_: next(scripted))
+    zero = SimpleNamespace(flat=np.zeros_like(model.params.flat))
+    monkeypatch.setattr(model, "loss_and_grads", lambda batch: (1.0, zero))
+    snapshots = []
+    take = type(model).snapshot
+    monkeypatch.setattr(model, "snapshot", lambda: snapshots.append(None) or take(model))
+    cfg = OptimizerConfig(learning_rate=0.01, epochs=1, batch_size=1, max_length=16)
+    result = train(model, [("a1", "a1")] * ((len(losses) - 1) * eval_every), [("a1", "a1")], cfg, eval_every)
+    assert [loss for _, loss in result.valid_losses] == list(losses)
+    return result, len(snapshots)
 
 
-def test_select_best_checkpoint_matches_exhaustive_scan():
+def test_train_best_earliest_tie(monkeypatch):
+    result, snapshots = _scripted_train(monkeypatch, _model(), [2.0, 1.5, 1.5, 1.7], eval_every=5)
+    assert [step for step, _ in result.valid_losses] == [0, 5, 10, 15]
+    assert (result.best.step, result.best.valid_loss) == (5, 1.5)
+    assert snapshots == 2
+
+
+def test_train_best_matches_exhaustive_scan(monkeypatch):
     rng = np.random.default_rng(42)
+    model = _model()
     for _ in range(200):
         n = int(rng.integers(1, 30))
-        losses = rng.choice([0.5, 1.0, 1.5, 2.0], size=n)  # coarse grid forces ties
-        steps = np.cumsum(rng.integers(1, 5, size=n))
-        cps = [Checkpoint(step=int(s), valid_loss=float(l), params={}) for s, l in zip(steps, losses)]
-        best = select_best_checkpoint(cps)
+        losses = [float(x) for x in rng.choice([0.5, 1.0, 1.5, 2.0], size=n)]  # coarse grid forces ties
+        result, snapshots = _scripted_train(monkeypatch, model, losses)
         # exhaustive scan: strictly better loss, or equal loss at earlier step
-        expected = cps[0]
-        for c in cps[1:]:
-            if c.valid_loss < expected.valid_loss or (
-                c.valid_loss == expected.valid_loss and c.step < expected.step
-            ):
-                expected = c
-        assert (best.step, best.valid_loss) == (expected.step, expected.valid_loss)
+        expected = result.valid_losses[0]
+        for step, loss in result.valid_losses[1:]:
+            if loss < expected[1] or (loss == expected[1] and step < expected[0]):
+                expected = (step, loss)
+        assert (result.best.step, result.best.valid_loss) == expected
+        # one snapshot per new strict best
+        assert snapshots == sum(loss < min(losses[:i], default=math.inf) for i, loss in enumerate(losses))
 
 
-def test_select_best_checkpoint_empty():
-    with pytest.raises(ModelError):
-        select_best_checkpoint([])
+def test_train_snapshots_once_without_improvement(monkeypatch):
+    result, snapshots = _scripted_train(monkeypatch, _model(), [1.0, 1.0, 2.0, 3.0])
+    assert (result.best.step, snapshots) == (0, 1)
+
+
+def test_train_best_is_a_copy_of_its_step(monkeypatch):
+    # a learning rate high enough that the valid loss rises after its best step
+    model = _model()
+    data = [("a1 a2 a3 a4", "a4 a3 a2"), ("b1 b2", "b3 b1 b2")]
+    cfg = OptimizerConfig(learning_rate=0.2, epochs=4, batch_size=1, max_length=16)
+    taken = []
+    take = type(model).snapshot
+    monkeypatch.setattr(model, "snapshot", lambda: taken.append(model.parameters_flat()) or take(model))
+    result = train(model, data, data, cfg, eval_every=1)
+    best = result.best
+    assert 0 < best.step < result.valid_losses[-1][0]
+    assert result.valid_losses[-1][1] > best.valid_loss
+    assert not np.shares_memory(best.params.flat, model.params.flat)
+    assert not np.array_equal(best.params.flat, model.params.flat)
+    np.testing.assert_array_equal(best.params.flat, taken[-1])  # untouched by the later steps
+    model.load_snapshot(best.params)
+    assert evaluate_nll(model, data, cfg) == best.valid_loss
 
 
 # -- generation ------------------------------------------------------------
