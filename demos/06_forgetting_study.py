@@ -38,7 +38,7 @@ for name in SETTINGS:
 # the committed direction: the fixed-prompt variant of each scenario keeps
 # at least the legality of its plain counterpart
 print("\nprompted >= plain on median legality in both scenarios:", report.direction_holds())
-print("wall time:", f"{report.wall_seconds:.1f}s", "for", len(SETTINGS), "settings x", len(report.seeds), "seed(s)")
+print("wall time:", f"{report.wall_seconds:.1f}s", "for", len(SETTINGS), "settings x", len(report.config.seeds), "seed(s)")
 
 # -- what the forgetting actually looks like ---------------------------------------------
 

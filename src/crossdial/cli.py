@@ -23,8 +23,9 @@ import json
 import logging
 import os
 import sys
-from typing import Callable, Iterable
+from typing import Callable
 
+from .artifact import write_lines
 from .corpus import (
     Corpus,
     CorpusError,
@@ -187,27 +188,9 @@ def _resolve(args, command: str, schema: dict[str, tuple]) -> dict:
     return {key: resolved[key] for key in schema}  # canonical order
 
 
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
-
-def _write_echo(path: str, command: str, resolved: dict) -> None:
-    _ensure_parent(path)
-    write_kv(path, {"command": command, **resolved})
-
-
 def _read_lines(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
-
-
-def _write_lines(path: str, lines: Iterable[str]) -> None:
-    _ensure_parent(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
 
 
 def _load_single_language_corpus(path: str, split: str, strict: bool) -> Corpus:
@@ -225,7 +208,7 @@ def _template(name: str):
 def _write_history(path: str, result) -> None:
     rows = [{"step": step, "valid_loss": valid_loss} for step, valid_loss in result.valid_losses]
     rows.append({"selected_step": result.best.step, "selected_valid_loss": result.best.valid_loss})
-    _write_lines(path, map(json.dumps, rows))
+    write_lines(path, map(json.dumps, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +224,6 @@ _GEN_SYNTHETIC_SCHEMA: dict[str, tuple] = {
 
 def _cmd_gen_synthetic(r: dict) -> str:
     bundle = generate_synthetic_bilingual(config_from(SyntheticSpec(), r))
-    os.makedirs(r["out"], exist_ok=True)
     for name, corpus in (
         ("aux_train", bundle.aux_train),
         ("aux_valid", bundle.aux_valid),
@@ -252,7 +234,7 @@ def _cmd_gen_synthetic(r: dict) -> str:
     ):
         save_pairs(corpus, os.path.join(r["out"], f"{name}.jsonl"))
     for name, vocab in (("aux_vocab", bundle.aux_vocabulary), ("tgt_vocab", bundle.tgt_vocabulary)):
-        _write_lines(os.path.join(r["out"], f"{name}.txt"), sorted(vocab))
+        write_lines(os.path.join(r["out"], f"{name}.txt"), sorted(vocab))
     return os.path.join(r["out"], "synthetic.resolved.cfg")
 
 
@@ -268,7 +250,6 @@ _SAMPLE_FEWSHOT_SCHEMA: dict[str, tuple] = {
 def _cmd_sample_fewshot(r: dict) -> str:
     corpus = _load_single_language_corpus(r["in"], "train", r["strict"])
     subset = sample_few_shot(corpus, r["k"], r["seed"])
-    _ensure_parent(r["out"])
     save_pairs(subset, r["out"])
     return r["out"] + ".cfg"
 
@@ -285,7 +266,6 @@ def _cmd_interleave(r: dict) -> str:
     aux = _load_single_language_corpus(r["aux"], "train", r["strict"])
     tgt = _load_single_language_corpus(r["tgt"], "train", r["strict"])
     mixed = interleave_even(aux, tgt)
-    _ensure_parent(r["out"])
     save_pairs(mixed.pairs, r["out"])
     log.info("interleaved %d aux + %d tgt pairs (block size %d)", len(aux), len(tgt), mixed.block_size)
     return r["out"] + ".cfg"
@@ -304,8 +284,8 @@ def _cmd_format(r: dict) -> str:
     pairs = load_pairs(r["in"], strict=r["strict"])
     prompted = r["layout"] == "prompted"
     formatted = format_pairs(pairs, prompted, _template(r["template"]))
-    _write_lines(r["out"], (json.dumps({"source": source, "target": target, "prompted": prompted}, ensure_ascii=False)
-                            for source, target in formatted))
+    write_lines(r["out"], (json.dumps({"source": source, "target": target, "prompted": prompted}, ensure_ascii=False)
+                           for source, target in formatted))
     return r["out"] + ".cfg"
 
 
@@ -342,7 +322,6 @@ def _cmd_pretrain(r: dict) -> str:
         seed=r["seed"],
         eval_every=r["eval_every"],
     )
-    _ensure_parent(r["out"])
     save_model(result.model, r["out"])
     _write_history(r["out"] + ".history", result)
     return r["out"] + ".cfg"
@@ -375,7 +354,6 @@ def _cmd_finetune(r: dict) -> str:
     valid = format_pairs(valid_pairs, r["prompted"], template)
     result = train(model, data, valid, config, eval_every=r["eval_every"])
     model.load_snapshot(result.best.params)
-    _ensure_parent(r["out"])
     save_model(model, r["out"])
     _write_history(r["out"] + ".history", result)
     return r["out"] + ".cfg"
@@ -398,9 +376,9 @@ def _cmd_generate(r: dict) -> str:
     model = load_model(r["model"])
     pairs = load_pairs(r["in"], strict=r["strict"])
     raw, hypotheses = generate_responses(model, pairs, r["prompted"], template, r["max_length"])
-    _write_lines(r["out"], hypotheses)
+    write_lines(r["out"], hypotheses)
     if r["raw_out"]:
-        _write_lines(r["raw_out"], raw)
+        write_lines(r["raw_out"], raw)
     return r["out"] + ".cfg"
 
 
@@ -428,7 +406,6 @@ def _cmd_evaluate(r: dict) -> str:
     bleu = corpus_bleu(hypotheses, references, smoothing_epsilon=r["smoothing_epsilon"], tokenizer=tokenizer)
     distinct = distinct_report(hypotheses, tokenizer=tokenizer)
     legality = language_legality(hypotheses, vocabulary)
-    _ensure_parent(r["report"])
     write_metric_report(r["report"], [report_record(r["system"], bleu, distinct, legality)])
     return r["report"] + ".cfg"
 
@@ -471,8 +448,6 @@ def _cmd_humaneval_export(r: dict) -> str:
     hyp_a = _read_lines(r["hyp_a"])
     hyp_b = _read_lines(r["hyp_b"])
     test = _load_single_language_corpus(r["test"], "test", r["strict"])
-    _ensure_parent(r["sheet"])
-    _ensure_parent(r["key"])
     export_pairs(
         hyp_a,
         hyp_b,
@@ -503,7 +478,7 @@ def _cmd_humaneval_aggregate(r: dict) -> str | None:
     print(table)
     if not r["out"]:
         return None
-    _write_lines(r["out"], [table])
+    write_lines(r["out"], [table])
     return r["out"] + ".cfg"
 
 
@@ -589,7 +564,7 @@ def _run(argv: list[str] | None) -> int:
     resolved = _resolve(args, args.command, schema)
     echo = handler(resolved)
     if echo is not None:
-        _write_echo(echo, args.command, resolved)
+        write_kv(echo, {"command": args.command, **resolved})
     return 0
 
 

@@ -15,6 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .artifact import write_lines
+
 log = logging.getLogger(__name__)
 
 SPLITS = ("train", "valid", "test")
@@ -143,10 +145,8 @@ def load_pairs(path: str, strict: bool = False) -> list[DialoguePair]:
 
 def save_pairs(pairs: Iterable[DialoguePair], path: str) -> None:
     """Write pairs as a corpus file (one JSON record per line)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            record = {"context": pair.context, "response": pair.response, "lang": pair.language}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = ({"context": pair.context, "response": pair.response, "lang": pair.language} for pair in pairs)
+    write_lines(path, (json.dumps(record, ensure_ascii=False) for record in records))
 
 
 def sample_few_shot(corpus: Corpus, k: int, seed: int) -> Corpus:
@@ -212,8 +212,6 @@ class SyntheticBilingual:
     tgt_test: Corpus
     aux_vocabulary: frozenset[str]
     tgt_vocabulary: frozenset[str]
-    aux_language: str = SYNTH_AUX_LANG
-    tgt_language: str = SYNTH_TGT_LANG
 
 
 def _language_inventory(prefix: str, vocab_size: int, template_count: int) -> tuple[list[str], list[str]]:

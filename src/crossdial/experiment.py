@@ -30,7 +30,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus, SyntheticSpec, derive_token_vocabulary, generate_synthetic_bilingual
+from .artifact import write_lines
+from .corpus import Corpus, SyntheticSpec, generate_synthetic_bilingual
 from .interleave import interleave_even
 from .kvconfig import ConfigError
 from .metrics import (
@@ -129,7 +130,7 @@ class ScenarioData:
     tgt_train: Corpus
     tgt_valid: Corpus
     tgt_test: Corpus
-    target_vocabulary: frozenset[str] | None = None
+    target_vocabulary: frozenset[str]
 
     @classmethod
     def from_synthetic(cls, bundle) -> "ScenarioData":
@@ -141,11 +142,6 @@ class ScenarioData:
             tgt_test=bundle.tgt_test,
             target_vocabulary=bundle.tgt_vocabulary,
         )
-
-    def legality_vocabulary(self) -> frozenset[str]:
-        if self.target_vocabulary is not None:
-            return self.target_vocabulary
-        return derive_token_vocabulary([self.tgt_train, self.tgt_valid, self.tgt_test])
 
 
 @dataclass(frozen=True)
@@ -228,7 +224,7 @@ def run_scenario(
 
     bleu = corpus_bleu(hypotheses, references)
     distinct = distinct_report(hypotheses)
-    legality = language_legality(hypotheses, data.legality_vocabulary())
+    legality = language_legality(hypotheses, data.target_vocabulary)
     wall = time.perf_counter() - started
     log.info(
         "%s seed=%d: bleu %.2f, legality %.1f%% (selected step %d on %s valid)",
@@ -307,7 +303,6 @@ class StudyConfig:
 @dataclass
 class StudyReport:
     config: StudyConfig
-    seeds: tuple[int, ...]
     runs: dict[str, tuple[RunReport, ...]]  # setting -> one report per seed
     medians: dict[str, dict[str, float]]  # setting -> metric -> median over seeds
     wall_seconds: float
@@ -358,7 +353,6 @@ def run_forgetting_study(config: StudyConfig = StudyConfig(), template: PromptTe
         medians[name] = {key: float(np.median([row[key] for row in scores])) for key in scores[0]}
     return StudyReport(
         config=config,
-        seeds=tuple(config.seeds),
         runs={name: tuple(reports) for name, reports in runs.items()},
         medians=medians,
         wall_seconds=time.perf_counter() - started,
@@ -376,13 +370,11 @@ def write_study_artifacts(report: StudyReport, out_dir: str) -> None:
     re-runs with the same config; timing.log holds wall-clock diagnostics
     and is exempt from that guarantee.
     """
-    os.makedirs(out_dir, exist_ok=True)
-
     records = [run.record() for name in SETTINGS for run in report.runs[name]]
     write_metric_report(os.path.join(out_dir, "report.jsonl"), records)
 
     summary = {
-        "seeds": list(report.seeds),
+        "seeds": list(report.config.seeds),
         "medians": report.medians,
         "per_seed": {
             name: [{"seed": run.seed, **run.scores(), **run.selection()} for run in report.runs[name]]
@@ -390,24 +382,22 @@ def write_study_artifacts(report: StudyReport, out_dir: str) -> None:
         },
         "direction_holds": report.direction_holds(),
     }
-    with open(os.path.join(out_dir, "study.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    study_json = json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2)
+    write_lines(os.path.join(out_dir, "study.json"), [study_json])
 
     first = next(iter(SETTINGS))
     sample_count = min(3, len(report.runs[first][0].contexts))
     lines = []
     for i in range(sample_count):
+        if i:
+            lines.append("")  # a blank line between samples, none after the last
         lines.append(f"=== sample {i + 1} ===")
         lines.append(f"context:   {report.runs[first][0].contexts[i]}")
         lines.append(f"reference: {report.runs[first][0].references[i]}")
         for name in SETTINGS:
             lines.append(f"{name + ':':<13}{report.runs[name][0].hypotheses[i]}")
-        lines.append("")
-    with open(os.path.join(out_dir, "samples.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+    write_lines(os.path.join(out_dir, "samples.txt"), lines)
 
-    with open(os.path.join(out_dir, "timing.log"), "w", encoding="utf-8") as fh:
-        fh.write(f"total {report.wall_seconds:.3f}s\n")
-        for name in SETTINGS:
-            for run in report.runs[name]:
-                fh.write(f"{name}@seed{run.seed} {run.wall_seconds:.3f}s\n")
+    timing = [f"total {report.wall_seconds:.3f}s"]
+    timing += [f"{name}@seed{run.seed} {run.wall_seconds:.3f}s" for name in SETTINGS for run in report.runs[name]]
+    write_lines(os.path.join(out_dir, "timing.log"), timing)

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifact import write_lines
 from .corpus import Corpus
 
 log = logging.getLogger(__name__)
@@ -166,17 +167,13 @@ def export_pairs(
 
 
 def write_sheet(samples: Iterable[PairedSample], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(SHEET_COLUMNS) + "\n")
-        for s in samples:
-            fh.write("\t".join([s.sample_id, s.context, s.response_left, s.response_right, ""]) + "\n")
+    rows = [[s.sample_id, s.context, s.response_left, s.response_right, ""] for s in samples]
+    write_lines(path, ["\t".join(row) for row in [SHEET_COLUMNS, *rows]])
 
 
 def write_key(samples: Iterable[PairedSample], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(KEY_COLUMNS) + "\n")
-        for s in samples:
-            fh.write("\t".join([s.sample_id, s.left_system, s.right_system]) + "\n")
+    rows = [[s.sample_id, s.left_system, s.right_system] for s in samples]
+    write_lines(path, ["\t".join(row) for row in [KEY_COLUMNS, *rows]])
 
 
 def _read_rows(path: str, columns: tuple[str, ...]) -> list[dict[str, str]]:

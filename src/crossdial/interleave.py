@@ -25,8 +25,6 @@ class InterleavedCorpus:
 
     pairs: tuple[DialoguePair, ...]
     block_size: int
-    aux_language: str
-    tgt_language: str
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -52,9 +50,4 @@ def interleave_even(aux: Corpus, tgt: Corpus) -> InterleavedCorpus:
         merged.append(tgt_pair)
     merged.extend(aux.pairs[n_tgt * block :])
 
-    return InterleavedCorpus(
-        pairs=tuple(merged),
-        block_size=block,
-        aux_language=aux.language,
-        tgt_language=tgt.language,
-    )
+    return InterleavedCorpus(pairs=tuple(merged), block_size=block)

@@ -17,6 +17,8 @@ import dataclasses
 import re
 from typing import Callable, Mapping, TypeVar
 
+from .artifact import write_lines
+
 C = TypeVar("C")
 
 
@@ -73,8 +75,7 @@ def dump_kv(entries: Mapping[str, object]) -> str:
 
 
 def write_kv(path: str, entries: Mapping[str, object]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_kv(entries))
+    write_lines(path, [dump_kv(entries)[:-1]])  # dump_kv text ends in exactly one "\n"
 
 
 def parse_bool(value: str) -> bool:

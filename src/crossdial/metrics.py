@@ -19,6 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .artifact import write_lines
+
 
 class MetricError(ValueError):
     """Raised for undefined metric inputs."""
@@ -260,7 +262,7 @@ def report_record(
     system: str,
     bleu: BleuReport,
     distinct: DistinctReport,
-    legality: LegalityReport | None = None,
+    legality: LegalityReport,
 ) -> dict:
     """One evaluated system as a flat record (the report-file schema)."""
     return {
@@ -271,7 +273,7 @@ def report_record(
         "bp": bleu.bp,
         "d1": distinct.d1,
         "d2": distinct.d2,
-        "legality": None if legality is None else legality.legality,
+        "legality": legality.legality,
         "smoothing_method": bleu.smoothing_method,
         "smoothing_epsilon": bleu.smoothing_epsilon,
         "tokenizer": bleu.tokenizer,
@@ -280,11 +282,4 @@ def report_record(
 
 def write_metric_report(path: str, records: Sequence[dict]) -> None:
     """Write report records as JSON lines (deterministic; no timestamps)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-
-
-def read_metric_report(path: str) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    write_lines(path, (json.dumps(record, ensure_ascii=False, sort_keys=True) for record in records))

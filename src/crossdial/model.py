@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifact import write_lines
 from .corpus import Corpus, derive_token_vocabulary
 from .prompting import DEFAULT_TEMPLATE, corrupt_spans
 
@@ -594,7 +595,10 @@ class AttentiveSeq2Seq:
         grads["A_enc"] += np.einsum("bsh,bsa->ha", cache.enc_out, d_proj)
         denc += d_proj @ p["A_enc"].T
 
-        das = np.empty((s_len, 3, n, h))
+        # rows padded to 64 bytes keep every das[t] aligned like das[0]: some BLAS
+        # kernels (Prescott) round a misaligned block differently
+        width = 3 * n * h
+        das = np.empty((s_len, (width + 7) // 8 * 8))[:, :width].reshape(s_len, 3, n, h)
         for t in reversed(range(s_len)):
             enc_step = cache.enc_steps.pop()
             dh = self._gru_backward(denc[:, t] + dh, cache.src_emb[t], enc_step, "enc_", gate_grads["enc_"], das[t])
@@ -951,9 +955,7 @@ def save_model(model: AttentiveSeq2Seq, path: str) -> None:
             for name, arr in model.params.items()
         },
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_lines(path, [json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)])
 
 
 def load_model(path: str) -> AttentiveSeq2Seq:

@@ -57,14 +57,13 @@ DEFAULT_TEMPLATE = PromptTemplate()
 class FormattedExample:
     """A (source, target) training pair after formatting.
 
-    ``prompted`` marks the fixed-prompt layout.  ``identity_corruption`` is
-    set only by :func:`corrupt_spans` when the requested corruption rounded
-    to zero tokens and the text was passed through unchanged.
+    ``identity_corruption`` is set only by :func:`corrupt_spans` when the
+    requested corruption rounded to zero tokens and the text was passed
+    through unchanged.
     """
 
     source: str
     target: str
-    prompted: bool
     identity_corruption: bool = False
 
 
@@ -79,12 +78,12 @@ def format_prompted(pair: DialoguePair, template: PromptTemplate = DEFAULT_TEMPL
             raise PromptError(f"pair text contains the sentinel {sentinel!r}")
     source = " ".join([template.context_prefix, pair.context, template.response_prefix, template.sentinel0])
     target = " ".join([template.sentinel0, pair.response, template.sentinel1])
-    return FormattedExample(source=source, target=target, prompted=True)
+    return FormattedExample(source=source, target=target)
 
 
 def format_plain(pair: DialoguePair) -> FormattedExample:
     """The non-prompted baseline layout: raw context in, raw response out."""
-    return FormattedExample(source=pair.context, target=pair.response, prompted=False)
+    return FormattedExample(source=pair.context, target=pair.response)
 
 
 def extract_response(generated: str, template: PromptTemplate = DEFAULT_TEMPLATE) -> str:
@@ -124,15 +123,11 @@ def corrupt_spans(
 
     span_length = int(corruption_rate * len(tokens) + 0.5)  # <= len(tokens), as the rate is below 1
     if span_length == 0:
-        return FormattedExample(source=text, target="", prompted=False, identity_corruption=True)
+        return FormattedExample(source=text, target="", identity_corruption=True)
 
     rng = np.random.default_rng(seed)
     start = int(rng.integers(0, len(tokens) - span_length + 1))
     span = tokens[start : start + span_length]
     source_tokens = tokens[:start] + [template.sentinel0] + tokens[start + span_length :]
     target_tokens = [template.sentinel0] + span + [template.sentinel1]
-    return FormattedExample(
-        source=" ".join(source_tokens),
-        target=" ".join(target_tokens),
-        prompted=False,
-    )
+    return FormattedExample(source=" ".join(source_tokens), target=" ".join(target_tokens))

@@ -78,14 +78,6 @@ def test_experiment_spec_setting_names():
         ExperimentSpec(scenario="zero-shot", prompted=False)
 
 
-def test_legality_vocabulary_fallback():
-    _, data = _tiny_setup()
-    explicit = data.legality_vocabulary()
-    no_vocab = dataclasses.replace(data, target_vocabulary=None)
-    derived = no_vocab.legality_vocabulary()
-    assert derived <= explicit  # derived from realized tokens only
-
-
 # -- scenarios ---------------------------------------------------------------
 
 
@@ -286,7 +278,7 @@ def test_direction_holds_logic():
             name: {"score": 0.0, "b1": 0.0, "b2": 0.0, "d1": 0.0, "d2": 0.0, "legality": leg}
             for name, leg in legalities.items()
         }
-        return StudyReport(config=StudyConfig(), seeds=(0,), runs={}, medians=medians, wall_seconds=0.0)
+        return StudyReport(config=StudyConfig(), runs={}, medians=medians, wall_seconds=0.0)
 
     assert make({"FS-XLT": 90.0, "FS-XLT_pmpt": 95.0, "MTL": 70.0, "MTL_pmpt": 99.0}).direction_holds()
     assert make({"FS-XLT": 95.0, "FS-XLT_pmpt": 95.0, "MTL": 99.0, "MTL_pmpt": 99.0}).direction_holds()

@@ -29,14 +29,12 @@ def test_prompted_layout():
     ex = format_prompted(_pair("a b", "c d"))
     assert ex.source == f"Context: a b Response: {S0}"
     assert ex.target == f"{S0} c d {S1}"
-    assert ex.prompted
 
 
 def test_plain_layout():
     ex = format_plain(_pair("a b", "c d"))
     assert ex.source == "a b"
     assert ex.target == "c d"
-    assert not ex.prompted
 
 
 def test_prompted_source_ends_with_sentinel():
