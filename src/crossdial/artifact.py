@@ -1,9 +1,10 @@
-"""The one writer of every file the package produces.
+"""The one reader and the one writer of every file the package handles.
 
 Corpora, model files, metric reports, config echoes, human-evaluation
 sheets and study outputs share one text format: UTF-8, every line ended
-by ``\\n``, the parent directory created on demand.  A leaf module that
-imports nothing from the package, so every other module can use it.
+by ``\\n``, the parent directory created on demand.  A file that cannot
+be read as such text is an ``OSError`` naming the file.  A leaf module
+that imports nothing from the package, so every other module can use it.
 """
 
 from __future__ import annotations
@@ -22,3 +23,13 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def read_text(path: str) -> str:
+    """The whole of ``path`` as UTF-8 text; a file that is not UTF-8 raises
+    ``OSError`` naming it, like a missing file or a directory does."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -25,7 +25,7 @@ import os
 import sys
 from typing import Callable
 
-from .artifact import write_lines
+from .artifact import read_text, write_lines
 from .corpus import (
     Corpus,
     CorpusError,
@@ -143,9 +143,6 @@ def _flags(schema: dict[str, tuple], **helps: str) -> dict[str, tuple]:
     return {key: entry + (helps[key],) if key in helps else entry for key, entry in schema.items()}
 
 
-_STRICT = {"strict": (_bool, False, "fail on a record that would otherwise be skipped with a warning")}
-
-
 def _parse_set_entries(items: list[str] | None) -> dict[str, str]:
     out: dict[str, str] = {}
     for item in items or []:
@@ -188,13 +185,8 @@ def _resolve(args, command: str, schema: dict[str, tuple]) -> dict:
     return {key: resolved[key] for key in schema}  # canonical order
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read().splitlines()
-
-
-def _load_single_language_corpus(path: str, split: str, strict: bool) -> Corpus:
-    pairs = load_pairs(path, strict=strict)
+def _load_single_language_corpus(path: str, split: str) -> Corpus:
+    pairs = load_pairs(path)
     languages = {pair.language for pair in pairs}
     if len(languages) != 1:
         raise CorpusError(f"{path}: expected a single language, found {sorted(languages) or 'no records'}")
@@ -243,12 +235,11 @@ _SAMPLE_FEWSHOT_SCHEMA: dict[str, tuple] = {
     "k": (_int_at_least(0), _REQUIRED, "subset size"),
     "seed": (int, 0, "sampling seed"),
     "out": (str, _REQUIRED, "output corpus file"),
-    **_STRICT,
 }
 
 
 def _cmd_sample_fewshot(r: dict) -> str:
-    corpus = _load_single_language_corpus(r["in"], "train", r["strict"])
+    corpus = _load_single_language_corpus(r["in"], "train")
     subset = sample_few_shot(corpus, r["k"], r["seed"])
     save_pairs(subset, r["out"])
     return r["out"] + ".cfg"
@@ -258,13 +249,12 @@ _INTERLEAVE_SCHEMA: dict[str, tuple] = {
     "aux": (str, _REQUIRED, "auxiliary corpus file"),
     "tgt": (str, _REQUIRED, "target corpus file"),
     "out": (str, _REQUIRED, "output corpus file, mixed languages"),
-    **_STRICT,
 }
 
 
 def _cmd_interleave(r: dict) -> str:
-    aux = _load_single_language_corpus(r["aux"], "train", r["strict"])
-    tgt = _load_single_language_corpus(r["tgt"], "train", r["strict"])
+    aux = _load_single_language_corpus(r["aux"], "train")
+    tgt = _load_single_language_corpus(r["tgt"], "train")
     mixed = interleave_even(aux, tgt)
     save_pairs(mixed.pairs, r["out"])
     log.info("interleaved %d aux + %d tgt pairs (block size %d)", len(aux), len(tgt), mixed.block_size)
@@ -276,12 +266,11 @@ _FORMAT_SCHEMA: dict[str, tuple] = {
     "out": (str, _REQUIRED, "output JSONL of formatted examples"),
     "layout": (_choice("prompted", "plain"), "prompted", "prompt layout"),
     "template": (str, "", "prompt template config file"),
-    **_STRICT,
 }
 
 
 def _cmd_format(r: dict) -> str:
-    pairs = load_pairs(r["in"], strict=r["strict"])
+    pairs = load_pairs(r["in"])
     prompted = r["layout"] == "prompted"
     formatted = format_pairs(pairs, prompted, _template(r["template"]))
     write_lines(r["out"], (json.dumps({"source": source, "target": target, "prompted": prompted}, ensure_ascii=False)
@@ -301,7 +290,6 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
     "corruption_rate": (_open_unit_float, 0.15, "share of tokens masked by span corruption"),
     "template": (str, "", "prompt template config file (supplies the sentinels)"),
     "eval_every": (_optional_positive_int, None, "optimizer steps between checkpoints (default: each epoch)"),
-    **_STRICT,
     **config_schema(PRETRAIN_DEFAULTS),
 }
 
@@ -310,7 +298,7 @@ def _cmd_pretrain(r: dict) -> str:
     model_config = config_from(ModelConfig(), r)
     optimizer_config = config_from(PRETRAIN_DEFAULTS, r)
     template = _template(r["template"])
-    corpora = [_load_single_language_corpus(path, "train", r["strict"]) for path in r["data"]]
+    corpora = [_load_single_language_corpus(path, "train") for path in r["data"]]
     vocabulary = Vocabulary.build(corpora, extra_texts=template_texts(template))
     model = AttentiveSeq2Seq(vocabulary, model_config)
     result = pretrain_span_corruption(
@@ -336,7 +324,6 @@ def _finetune_schema(defaults: OptimizerConfig) -> dict[str, tuple]:
         "prompted": (_bool, False, "use the fixed-prompt layout"),
         "template": (str, "", "prompt template config file"),
         "eval_every": (_optional_positive_int, None, "optimizer steps between checkpoints (default: each epoch)"),
-        **_STRICT,
         **config_schema(defaults),
     }
 
@@ -348,8 +335,8 @@ def _cmd_finetune(r: dict) -> str:
     config = config_from(SOURCE_TRAIN_DEFAULTS, r)
     template = _template(r["template"])
     model = load_model(r["model"])
-    train_pairs = load_pairs(r["train"], strict=r["strict"])
-    valid_pairs = load_pairs(r["valid"], strict=r["strict"])
+    train_pairs = load_pairs(r["train"])
+    valid_pairs = load_pairs(r["valid"])
     data = format_pairs(train_pairs, r["prompted"], template)
     valid = format_pairs(valid_pairs, r["prompted"], template)
     result = train(model, data, valid, config, eval_every=r["eval_every"])
@@ -367,14 +354,13 @@ _GENERATE_SCHEMA: dict[str, tuple] = {
     "prompted": (_bool, False, "use the fixed-prompt layout"),
     "template": (str, "", "prompt template config file"),
     "max_length": (_positive_int, 64, "maximum generated tokens per response"),
-    **_STRICT,
 }
 
 
 def _cmd_generate(r: dict) -> str:
     template = _template(r["template"])
     model = load_model(r["model"])
-    pairs = load_pairs(r["in"], strict=r["strict"])
+    pairs = load_pairs(r["in"])
     raw, hypotheses = generate_responses(model, pairs, r["prompted"], template, r["max_length"])
     write_lines(r["out"], hypotheses)
     if r["raw_out"]:
@@ -390,16 +376,15 @@ _EVALUATE_SCHEMA: dict[str, tuple] = {
     "target_vocab": (str, "", "one legal token per line (default: derive from the references)"),
     "tokenizer": (_choice(*sorted(TOKENIZERS)), "13a", "BLEU tokenizer"),
     "smoothing_epsilon": (_positive_percent, 1e-2, "BLEU floor smoothing for zero n-gram counts"),
-    **_STRICT,
 }
 
 
 def _cmd_evaluate(r: dict) -> str:
-    hypotheses = _read_lines(r["hyp"])
-    ref_pairs = load_pairs(r["ref"], strict=r["strict"])
+    hypotheses = read_text(r["hyp"]).splitlines()
+    ref_pairs = load_pairs(r["ref"])
     references = [pair.response for pair in ref_pairs]
     if r["target_vocab"]:
-        vocabulary = frozenset(tok for tok in _read_lines(r["target_vocab"]) if tok.strip())
+        vocabulary = frozenset(tok for tok in read_text(r["target_vocab"]).splitlines() if tok.strip())
     else:
         vocabulary = derive_token_vocabulary([ref_pairs])
     tokenizer = TOKENIZERS[r["tokenizer"]]
@@ -440,14 +425,13 @@ _HUMANEVAL_EXPORT_SCHEMA: dict[str, tuple] = {
     "n": (_positive_int, 100, "samples to draw"),
     "seed": (int, 0, "sampling/blinding seed"),
     "allow_cross_family": (_bool, False, "allow pairing systems from different scenario families"),
-    **_STRICT,
 }
 
 
 def _cmd_humaneval_export(r: dict) -> str:
-    hyp_a = _read_lines(r["hyp_a"])
-    hyp_b = _read_lines(r["hyp_b"])
-    test = _load_single_language_corpus(r["test"], "test", r["strict"])
+    hyp_a = read_text(r["hyp_a"]).splitlines()
+    hyp_b = read_text(r["hyp_b"]).splitlines()
+    test = _load_single_language_corpus(r["test"], "test")
     export_pairs(
         hyp_a,
         hyp_b,
@@ -468,12 +452,11 @@ _HUMANEVAL_AGGREGATE_SCHEMA: dict[str, tuple] = {
     "key": (str, _REQUIRED, "key file from the export"),
     "out": (str, "", "also write the table to this file"),
     "language": (str, "", "language label for the table"),
-    **_STRICT,
 }
 
 
 def _cmd_humaneval_aggregate(r: dict) -> str | None:
-    report = aggregate_votes(r["sheet"], r["key"], strict=r["strict"], language=r["language"])
+    report = aggregate_votes(r["sheet"], r["key"], language=r["language"])
     table = report.format_table()
     print(table)
     if not r["out"]:

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .artifact import write_lines
+from .artifact import read_text, write_lines
 
 log = logging.getLogger(__name__)
 
@@ -107,31 +107,22 @@ def _parse_record(line: str, lineno: int, source: str) -> dict:
     return record
 
 
-def load_pairs(path: str, strict: bool = False) -> list[DialoguePair]:
+def load_pairs(path: str) -> list[DialoguePair]:
     """Load pairs from a corpus file, allowing mixed languages.
 
-    Records with an empty context or response are skipped with a warning;
-    ``strict`` turns them into errors.  Structurally malformed records are
-    always errors and name their line.
+    Records with an empty context or response are skipped with a warning
+    naming their line.  Structurally malformed records are errors and name
+    their line.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError:
-        raise CorpusError(f"corpus file not found: {path}") from None
-
     pairs: list[DialoguePair] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         record = _parse_record(line, lineno, str(path))
         if record["lang"] not in ISO_639_1:
             raise CorpusError(f"{path}:{lineno}: unknown language code {record['lang']!r}")
         if not record["context"].strip() or not record["response"].strip():
-            message = f"{path}:{lineno}: record has empty context or response"
-            if strict:
-                raise CorpusError(message)
-            log.warning("%s (record skipped)", message)
+            log.warning("%s:%d: record has empty context or response (record skipped)", path, lineno)
             continue
         pairs.append(
             DialoguePair(

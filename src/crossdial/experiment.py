@@ -292,6 +292,8 @@ class StudyConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {','.join(map(str, self.seeds))}")
         if self.eval_every is not None and self.eval_every < 1:
             raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.max_generate < 1:

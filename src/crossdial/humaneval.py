@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifact import write_lines
+from .artifact import read_text, write_lines
 from .corpus import Corpus
 
 log = logging.getLogger(__name__)
@@ -177,11 +177,7 @@ def write_key(samples: Iterable[PairedSample], path: str) -> None:
 
 
 def _read_rows(path: str, columns: tuple[str, ...]) -> list[dict[str, str]]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError:
-        raise HumanEvalError(f"file not found: {path}") from None
+    lines = read_text(path).splitlines()
     if not lines:
         raise HumanEvalError(f"{path}: empty file")
     header = tuple(lines[0].split("\t"))
@@ -214,16 +210,14 @@ def read_key(path: str) -> dict[str, tuple[str, str]]:
 def aggregate_votes(
     sheet_paths: str | Sequence[str],
     key_path: str,
-    strict: bool = False,
     language: str = "",
 ) -> WinRateReport:
     """Unblind one or more completed sheets and tally the votes.
 
     Several sheets (e.g. one per annotator) sum their counts.  A row whose
     choice is missing or not Left/Right/Neutral (case-insensitive) is
-    skipped with a warning naming it; in strict mode any such row aborts
-    the aggregation.  An id absent from the key is always an error: the
-    row cannot be unblinded.
+    skipped with a warning naming it.  An id absent from the key is an
+    error: the row cannot be unblinded.
     """
     if isinstance(sheet_paths, (str, os.PathLike)):
         sheet_paths = [sheet_paths]
@@ -254,10 +248,7 @@ def aggregate_votes(
                 neutral += 1
 
     if bad_rows:
-        listing = "; ".join(bad_rows)
-        if strict:
-            raise HumanEvalError(f"rows with missing or invalid choices: {listing}")
-        log.warning("skipped %d rows with missing or invalid choices: %s", len(bad_rows), listing)
+        log.warning("skipped %d rows with missing or invalid choices: %s", len(bad_rows), "; ".join(bad_rows))
     if wins[system_a] + wins[system_b] + neutral == 0:
         raise HumanEvalError("no valid votes to aggregate")
     return WinRateReport(

@@ -17,7 +17,7 @@ import dataclasses
 import re
 from typing import Callable, Mapping, TypeVar
 
-from .artifact import write_lines
+from .artifact import read_text, write_lines
 
 C = TypeVar("C")
 
@@ -49,12 +49,7 @@ def parse_kv_text(text: str, source: str = "<string>") -> dict[str, str]:
 
 def load_kv(path: str) -> dict[str, str]:
     """Load a flat key=value file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    return parse_kv_text(text, source=str(path))
+    return parse_kv_text(read_text(path), source=str(path))
 
 
 def dump_kv(entries: Mapping[str, object]) -> str:

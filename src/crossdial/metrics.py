@@ -94,8 +94,6 @@ class BleuReport:
     precisions: tuple[float, ...]
     score: float
     bp: float
-    hyp_len: int
-    ref_len: int
     smoothing_method: str
     smoothing_epsilon: float
     tokenizer: str
@@ -168,8 +166,6 @@ def corpus_bleu(
         precisions=precisions,
         score=score,
         bp=bp,
-        hyp_len=hyp_len,
-        ref_len=ref_len,
         smoothing_method="floor",
         smoothing_epsilon=smoothing_epsilon,
         tokenizer=_tokenizer_name(tokenizer),

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifact import write_lines
+from .artifact import read_text, write_lines
 from .corpus import Corpus, derive_token_vocabulary
 from .prompting import DEFAULT_TEMPLATE, corrupt_spans
 
@@ -134,6 +134,9 @@ class OptimizerConfig:
     max_length: int = 64  # sequences are truncated to this many tokens
 
     def __post_init__(self):
+        for name in ("learning_rate", "eps", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ModelError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ModelError("learning_rate must be positive")
         if self.epochs < 0:
@@ -961,11 +964,10 @@ def save_model(model: AttentiveSeq2Seq, path: str) -> None:
 def load_model(path: str) -> AttentiveSeq2Seq:
     """Read a model file; a malformed one raises ``ModelError`` naming the
     file and, where one is at fault, the parameter."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
-            raise ModelError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        payload = json.loads(read_text(path))
+    except ValueError as exc:
+        raise ModelError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelError(f"{path}: not a {MODEL_FORMAT} file")
     try:

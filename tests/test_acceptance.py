@@ -371,19 +371,16 @@ in = data/aux_train.jsonl
 k = 5
 seed = 2
 out = few.jsonl
-strict = false
 """,
     "mixed.jsonl.cfg": """command = interleave
 aux = data/aux_train.jsonl
 tgt = data/tgt_train.jsonl
 out = mixed.jsonl
-strict = false
 """,
     "fmt.jsonl.cfg": """command = format
 in = data/tgt_train.jsonl
 out = fmt.jsonl
 layout = prompted
-strict = false
 """,
     "pre.model.cfg": """command = pretrain
 data = data/aux_train.jsonl,data/tgt_valid.jsonl
@@ -392,7 +389,6 @@ seed = 1
 embedding_size = 12
 hidden_size = 16
 corruption_rate = 0.15
-strict = false
 learning_rate = 0.005
 epochs = 1
 batch_size = 8
@@ -408,7 +404,6 @@ train = data/aux_train.jsonl
 valid = data/aux_valid.jsonl
 out = src.model
 prompted = true
-strict = false
 learning_rate = 0.005
 epochs = 1
 batch_size = 8
@@ -424,7 +419,6 @@ train = data/tgt_train.jsonl
 valid = data/tgt_valid.jsonl
 out = adapted.model
 prompted = true
-strict = false
 learning_rate = 0.005
 epochs = 1
 batch_size = 8
@@ -441,7 +435,6 @@ out = hyps.txt
 raw_out = raw.txt
 prompted = true
 max_length = 24
-strict = false
 """,
     "report.jsonl.cfg": """command = evaluate
 hyp = hyps.txt
@@ -451,7 +444,6 @@ system = system
 target_vocab = data/tgt_vocab.txt
 tokenizer = 13a
 smoothing_epsilon = 0.01
-strict = false
 """,
     "study/study.resolved.cfg": """command = study
 out = study
@@ -499,14 +491,12 @@ key = key.tsv
 n = 6
 seed = 4
 allow_cross_family = false
-strict = false
 """,
     "votes.txt.cfg": """command = humaneval-aggregate
 sheet = done.tsv
 key = key.tsv
 out = votes.txt
 language = da
-strict = false
 """,
 }
 

@@ -124,6 +124,36 @@ def test_missing_input_file_exits_1(capsys, tmp_path):
     assert _err_line(capsys).startswith("error:")
 
 
+# Every input file is read by one function: whichever flag names it, a file
+# that is missing, a directory, or not UTF-8 is one `error:io:` line, exit 1.
+_READERS = {
+    "corpus": lambda bad, d: ["sample-fewshot", "--in", bad, "--k", "2", "--out", "o.jsonl"],
+    "config": lambda bad, d: ["gen-synthetic", "--out", "g", "--config", bad],
+    "hypotheses": lambda bad, d: ["evaluate", "--hyp", bad, "--ref", f"{d}/tgt_test.jsonl", "--report", "r.jsonl"],
+    "vocab": lambda bad, d: ["evaluate", "--hyp", f"{d}/tgt_vocab.txt", "--ref", f"{d}/tgt_test.jsonl",
+                             "--report", "r.jsonl", "--target-vocab", bad],
+    "sheet": lambda bad, d: ["humaneval-aggregate", "--sheet", bad, "--key", "key.tsv"],
+    "model": lambda bad, d: ["generate", "--model", bad, "--in", f"{d}/tgt_test.jsonl", "--out", "h.txt"],
+}
+_BAD_FILES = {
+    "missing": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "not-utf8": lambda path: path.write_bytes(b"\xff"),
+}
+
+
+@pytest.mark.parametrize("make_bad", list(_BAD_FILES.values()), ids=list(_BAD_FILES))
+@pytest.mark.parametrize("argv", list(_READERS.values()), ids=list(_READERS))
+def test_unreadable_input_file_is_one_io_line(argv, make_bad, data_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "key.tsv").write_text("id\tleft_system\tright_system\n1\tFS-XLT\tFS-XLT_pmpt\n")  # the sheet's key
+    bad = tmp_path / "bad"
+    make_bad(bad)
+    assert main(argv(str(bad), data_dir)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:io: ") and str(bad) in err[0], err
+
+
 def _shape_edited(payload):
     payload["params"]["b_out"]["shape"] = [7]
 
@@ -206,7 +236,6 @@ def test_humaneval_cross_family_exits_1(capsys, data_dir, tmp_path):
 
 _COMMON_FLAGS = {("-h --help", "help", 0, "help"), ("--set", "set", None, "append")}
 _CONFIG = ("--config", "config", None, "store")
-_STRICT = ("--strict", "strict", 0, "store_true")
 
 FLAG_SURFACE = {
     "gen-synthetic": [
@@ -220,14 +249,12 @@ FLAG_SURFACE = {
         ("--k", "k", None, "store"),
         ("--seed", "seed", None, "store"),
         ("--out", "out", None, "store"),
-        _STRICT,
     ],
     "interleave": [
         _CONFIG,
         ("--aux", "aux", None, "store"),
         ("--tgt", "tgt", None, "store"),
         ("--out", "out", None, "store"),
-        _STRICT,
     ],
     "format": [
         _CONFIG,
@@ -235,7 +262,6 @@ FLAG_SURFACE = {
         ("--out", "out", None, "store"),
         ("--layout", "layout", None, "store"),
         ("--template", "template", None, "store"),
-        _STRICT,
     ],
     "pretrain": [
         _CONFIG,
@@ -247,7 +273,6 @@ FLAG_SURFACE = {
         ("--embedding-size", "embedding_size", None, "store"),
         ("--hidden-size", "hidden_size", None, "store"),
         ("--eval-every", "eval_every", None, "store"),
-        _STRICT,
     ],
     **{
         name: [
@@ -259,7 +284,6 @@ FLAG_SURFACE = {
             ("--prompted", "prompted", 0, "store_true"),
             ("--template", "template", None, "store"),
             ("--eval-every", "eval_every", None, "store"),
-            _STRICT,
         ]
         for name in ("train", "adapt")
     },
@@ -272,7 +296,6 @@ FLAG_SURFACE = {
         ("--prompted", "prompted", 0, "store_true"),
         ("--template", "template", None, "store"),
         ("--max-length", "max_length", None, "store"),
-        _STRICT,
     ],
     "evaluate": [
         _CONFIG,
@@ -283,7 +306,6 @@ FLAG_SURFACE = {
         ("--target-vocab", "target_vocab", None, "store"),
         ("--tokenizer", "tokenizer", None, "store"),
         ("--smoothing-epsilon", "smoothing_epsilon", None, "store"),
-        _STRICT,
     ],
     "study": [
         ("--config --spec", "config", None, "store"),
@@ -302,7 +324,6 @@ FLAG_SURFACE = {
         ("--n", "n", None, "store"),
         ("--seed", "seed", None, "store"),
         ("--allow-cross-family", "allow_cross_family", 0, "store_true"),
-        _STRICT,
     ],
     "humaneval-aggregate": [
         _CONFIG,
@@ -310,7 +331,6 @@ FLAG_SURFACE = {
         ("--key", "key", None, "store"),
         ("--out", "out", None, "store"),
         ("--language", "language", None, "store"),
-        _STRICT,
     ],
 }
 
@@ -427,6 +447,8 @@ def test_generate_rejects_non_positive_max_length_before_loading(max_length, mod
 
 
 _EVALUATE_MISSING = ["evaluate", "--hyp", "missing.txt", "--ref", "missing.jsonl", "--report", "r.jsonl"]
+_TRAIN_MISSING = ["train", "--model", "missing.model", "--train", "missing.jsonl", "--valid", "missing.jsonl",
+                  "--out", "m.model"]
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -444,6 +466,9 @@ _EVALUATE_MISSING = ["evaluate", "--hyp", "missing.txt", "--ref", "missing.jsonl
                    f"error:config: evaluate: bad value for 'smoothing_epsilon': must be in (0, 100], got {shown}",
                    id=f"epsilon-{value}")
       for value, shown in (("100.5", "100.5"), ("1e6", "1000000.0"), ("inf", "inf"), ("nan", "nan"))),
+    *(pytest.param(_TRAIN_MISSING + ["--set", f"{key}={value}"],
+                   f"error:config: bad value for '{key}': {key} must be finite, got {value}", id=f"{key}-{value}")
+      for key, value in (("learning_rate", "nan"), ("learning_rate", "inf"), ("eps", "nan"), ("weight_decay", "inf"))),
 ])
 def test_bounded_value_exits_2_before_loading(argv, line, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

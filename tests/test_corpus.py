@@ -56,15 +56,13 @@ def test_load_missing_field(tmp_path):
         load_pairs(path)
 
 
-def test_empty_response_skipped_unless_strict(tmp_path):
+def test_empty_response_skipped(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(
         '{"context": "a", "response": "", "lang": "aa"}\n'
         '{"context": "a", "response": "b", "lang": "aa"}\n'
     )
     assert len(load_pairs(path)) == 1
-    with pytest.raises(CorpusError):
-        load_pairs(path, strict=True)
 
 
 def test_mixed_language_file_loads(tmp_path):

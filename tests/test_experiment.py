@@ -216,6 +216,8 @@ def test_load_study_config(tmp_path):
 def test_study_config_requires_seeds():
     with pytest.raises(ConfigError):
         StudyConfig(seeds=())
+    with pytest.raises(ConfigError, match="seeds must be distinct, got 0,1,0"):
+        StudyConfig(seeds=(0, 1, 0))
 
 
 # -- artifacts ---------------------------------------------------------------

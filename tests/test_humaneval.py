@@ -209,18 +209,14 @@ def test_aggregate_unknown_id_always_errors(tmp_path):
         fh.write("\t".join(["9999", "x", "y", "z", "left"]) + "\n")
     with pytest.raises(HumanEvalError, match="9999"):
         aggregate_votes(voted, key)
-    with pytest.raises(HumanEvalError, match="9999"):
-        aggregate_votes(voted, key, strict=True)
 
 
-def test_aggregate_bad_choice_lenient_vs_strict(tmp_path):
+def test_aggregate_bad_choice_skipped(tmp_path):
     samples, sheet, key = _export(tmp_path, n=4, seed=0)
     voted = tmp_path / "voted.tsv"
     _vote(sheet, voted, ["left", "maybe", "", "right"])
-    report = aggregate_votes(voted, key)  # lenient: bad rows skipped
+    report = aggregate_votes(voted, key)  # bad rows skipped
     assert report.total == 2
-    with pytest.raises(HumanEvalError, match=samples[1].sample_id):
-        aggregate_votes(voted, key, strict=True)
 
 
 def test_aggregate_choice_case_insensitive(tmp_path):

@@ -219,6 +219,10 @@ def test_optimizer_config_validation():
         OptimizerConfig(learning_rate=0.1, epochs=-1, batch_size=1)
     with pytest.raises(ModelError):
         OptimizerConfig(learning_rate=0.1, epochs=1, batch_size=0)
+    for bad in ({"learning_rate": math.nan}, {"learning_rate": math.inf}, {"eps": math.nan}, {"eps": math.inf},
+                {"weight_decay": math.nan}, {"weight_decay": math.inf}):
+        with pytest.raises(ModelError, match="must be finite"):
+            OptimizerConfig(**{"learning_rate": 0.1, "epochs": 1, "batch_size": 1, **bad})
 
 
 # -- training loop ---------------------------------------------------------
