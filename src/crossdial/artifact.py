@@ -26,10 +26,11 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
 
 
 def read_text(path: str) -> str:
-    """The whole of ``path`` as UTF-8 text; a file that is not UTF-8 raises
-    ``OSError`` naming it, like a missing file or a directory does."""
+    """The whole of ``path`` as UTF-8 text, without a leading byte-order
+    mark; a file that is not UTF-8 raises ``OSError`` naming it, like a
+    missing file or a directory does."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

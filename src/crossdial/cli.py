@@ -50,7 +50,6 @@ from .interleave import InterleaveError, interleave_even
 from .kvconfig import ConfigError, coerce, config_from, config_from_kv, config_schema, load_kv, parse_bool, write_kv
 from .metrics import (
     MetricError,
-    TOKENIZERS,
     corpus_bleu,
     distinct_report,
     language_legality,
@@ -132,10 +131,6 @@ def _open_unit_float(value) -> float:
     if not 0.0 < number < 1.0:
         raise ConfigError(f"must be in (0, 1), got {number}")
     return number
-
-
-def _optional_positive_int(value) -> int | None:
-    return None if value is None or value == "" else _positive_int(value)
 
 
 def _flags(schema: dict[str, tuple], **helps: str) -> dict[str, tuple]:
@@ -233,7 +228,7 @@ def _cmd_gen_synthetic(r: dict) -> str:
 _SAMPLE_FEWSHOT_SCHEMA: dict[str, tuple] = {
     "in": (str, _REQUIRED, "input corpus file"),
     "k": (_int_at_least(0), _REQUIRED, "subset size"),
-    "seed": (int, 0, "sampling seed"),
+    "seed": (_int_at_least(0), 0, "sampling seed"),
     "out": (str, _REQUIRED, "output corpus file"),
 }
 
@@ -289,7 +284,6 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
     ),
     "corruption_rate": (_open_unit_float, 0.15, "share of tokens masked by span corruption"),
     "template": (str, "", "prompt template config file (supplies the sentinels)"),
-    "eval_every": (_optional_positive_int, None, "optimizer steps between checkpoints (default: each epoch)"),
     **config_schema(PRETRAIN_DEFAULTS),
 }
 
@@ -308,7 +302,6 @@ def _cmd_pretrain(r: dict) -> str:
         corruption_rate=r["corruption_rate"],
         template=template,
         seed=r["seed"],
-        eval_every=r["eval_every"],
     )
     save_model(result.model, r["out"])
     _write_history(r["out"] + ".history", result)
@@ -323,7 +316,6 @@ def _finetune_schema(defaults: OptimizerConfig) -> dict[str, tuple]:
         "out": (str, _REQUIRED, "output model file"),
         "prompted": (_bool, False, "use the fixed-prompt layout"),
         "template": (str, "", "prompt template config file"),
-        "eval_every": (_optional_positive_int, None, "optimizer steps between checkpoints (default: each epoch)"),
         **config_schema(defaults),
     }
 
@@ -339,7 +331,7 @@ def _cmd_finetune(r: dict) -> str:
     valid_pairs = load_pairs(r["valid"])
     data = format_pairs(train_pairs, r["prompted"], template)
     valid = format_pairs(valid_pairs, r["prompted"], template)
-    result = train(model, data, valid, config, eval_every=r["eval_every"])
+    result = train(model, data, valid, config)
     model.load_snapshot(result.best.params)
     save_model(model, r["out"])
     _write_history(r["out"] + ".history", result)
@@ -374,7 +366,6 @@ _EVALUATE_SCHEMA: dict[str, tuple] = {
     "report": (str, _REQUIRED, "output metric report, JSONL"),
     "system": (str, "system", "system name recorded in the report"),
     "target_vocab": (str, "", "one legal token per line (default: derive from the references)"),
-    "tokenizer": (_choice(*sorted(TOKENIZERS)), "13a", "BLEU tokenizer"),
     "smoothing_epsilon": (_positive_percent, 1e-2, "BLEU floor smoothing for zero n-gram counts"),
 }
 
@@ -387,9 +378,8 @@ def _cmd_evaluate(r: dict) -> str:
         vocabulary = frozenset(tok for tok in read_text(r["target_vocab"]).splitlines() if tok.strip())
     else:
         vocabulary = derive_token_vocabulary([ref_pairs])
-    tokenizer = TOKENIZERS[r["tokenizer"]]
-    bleu = corpus_bleu(hypotheses, references, smoothing_epsilon=r["smoothing_epsilon"], tokenizer=tokenizer)
-    distinct = distinct_report(hypotheses, tokenizer=tokenizer)
+    bleu = corpus_bleu(hypotheses, references, smoothing_epsilon=r["smoothing_epsilon"])
+    distinct = distinct_report(hypotheses)
     legality = language_legality(hypotheses, vocabulary)
     write_metric_report(r["report"], [report_record(r["system"], bleu, distinct, legality)])
     return r["report"] + ".cfg"
@@ -423,7 +413,7 @@ _HUMANEVAL_EXPORT_SCHEMA: dict[str, tuple] = {
     "sheet": (str, _REQUIRED, "output blinded sheet, TSV"),
     "key": (str, _REQUIRED, "output key file, TSV"),
     "n": (_positive_int, 100, "samples to draw"),
-    "seed": (int, 0, "sampling/blinding seed"),
+    "seed": (_int_at_least(0), 0, "sampling/blinding seed"),
     "allow_cross_family": (_bool, False, "allow pairing systems from different scenario families"),
 }
 

@@ -184,6 +184,8 @@ class SyntheticSpec:
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise CorpusError(f"{name} must be a positive integer, got {value!r}")
+        if self.seed < 0:
+            raise CorpusError(f"seed must be >= 0, got {self.seed}")
         if self.vocab_size_per_language < self.template_count + 2:
             raise CorpusError(
                 f"vocab_size_per_language={self.vocab_size_per_language} is too small to realize "

@@ -108,7 +108,6 @@ class ExperimentSpec:
     train_config: OptimizerConfig = SOURCE_TRAIN_DEFAULTS
     adapt_config: OptimizerConfig = TARGET_ADAPT_DEFAULTS
     seed: int = 0
-    eval_every: int | None = None
     max_generate: int = 64
 
     def __post_init__(self) -> None:
@@ -212,7 +211,6 @@ def run_scenario(
             format_pairs(train_pairs, spec.prompted, template),
             format_pairs(valid, spec.prompted, template),
             config,
-            eval_every=spec.eval_every,
         )
         best = result.best
         model.load_snapshot(best.params)
@@ -275,7 +273,7 @@ def _parse_seeds(value: str) -> tuple[int, ...]:
 class StudyConfig:
     """The study's config; its fields declare the stage-prefixed keys
     (``synthetic.*``, ``pretrain.*``, ``train.*``, ``adapt.*``) and the
-    top-level ``seeds``, ``eval_every`` and ``max_generate``.
+    top-level ``seeds`` and ``max_generate``.
 
     Each study seed draws its own corpus, so the synthetic spec's seed is
     not a key and is held at its default.
@@ -286,7 +284,6 @@ class StudyConfig:
     train: OptimizerConfig = STUDY_TRAIN
     adapt: OptimizerConfig = STUDY_ADAPT
     seeds: tuple[int, ...] = field(default=(0, 1, 2), metadata={"parse": _parse_seeds})
-    eval_every: int | None = None
     max_generate: int = 64
 
     def __post_init__(self) -> None:
@@ -294,8 +291,8 @@ class StudyConfig:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {','.join(map(str, self.seeds))}")
-        if self.eval_every is not None and self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if self.max_generate < 1:
             raise ConfigError(f"max_generate must be >= 1, got {self.max_generate}")
         if self.synthetic.seed != REFERENCE_SYNTHETIC.seed:
@@ -344,7 +341,6 @@ def run_forgetting_study(config: StudyConfig = StudyConfig(), template: PromptTe
                 train_config=config.train,
                 adapt_config=config.adapt,
                 seed=seed,
-                eval_every=config.eval_every,
                 max_generate=config.max_generate,
             )
             runs[name].append(run_scenario(model, data, spec, template=template))

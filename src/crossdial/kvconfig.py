@@ -102,7 +102,6 @@ def coerce(
 # Parsers by annotation; the config modules use postponed (string) annotations.
 _PARSERS: dict[str, Callable[[str], object]] = {
     "int": int,
-    "int | None": int,
     "float": float,
     "str": str,
 }

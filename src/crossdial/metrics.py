@@ -17,7 +17,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .artifact import write_lines
 
@@ -54,23 +54,6 @@ def tokenize_13a(text: str) -> list[str]:
     return norm.split()
 
 
-def whitespace_tokenize(text: str) -> list[str]:
-    return text.split()
-
-
-TOKENIZERS: dict[str, Callable[[str], list[str]]] = {
-    "13a": tokenize_13a,
-    "whitespace": whitespace_tokenize,
-}
-
-
-def _tokenizer_name(tokenizer: Callable[[str], list[str]]) -> str:
-    for name, fn in TOKENIZERS.items():
-        if fn is tokenizer:
-            return name
-    return getattr(tokenizer, "__name__", "custom")
-
-
 def count_ngrams(tokens: Sequence[str], n: int) -> Counter:
     """Exact counts of order-n n-grams (as token tuples)."""
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
@@ -94,9 +77,7 @@ class BleuReport:
     precisions: tuple[float, ...]
     score: float
     bp: float
-    smoothing_method: str
     smoothing_epsilon: float
-    tokenizer: str
 
     @property
     def b1(self) -> float:
@@ -111,9 +92,8 @@ def corpus_bleu(
     hypotheses: Sequence[str],
     references: Sequence[str],
     smoothing_epsilon: float = 1e-2,
-    tokenizer: Callable[[str], list[str]] = tokenize_13a,
 ) -> BleuReport:
-    """Corpus-level BLEU against one reference per hypothesis.
+    """Corpus-level BLEU against one reference per hypothesis, on 13a tokens.
 
     Modified precisions are clipped n-gram matches over total hypothesis
     n-grams, aggregated over the corpus.  The brevity penalty is 1 when the
@@ -135,8 +115,8 @@ def corpus_bleu(
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
-        hyp_tokens = tokenizer(hyp)
-        ref_tokens = tokenizer(ref)
+        hyp_tokens = tokenize_13a(hyp)
+        ref_tokens = tokenize_13a(ref)
         hyp_len += len(hyp_tokens)
         ref_len += len(ref_tokens)
         for n in range(1, BLEU_ORDER + 1):
@@ -162,14 +142,7 @@ def corpus_bleu(
         logs = [math.log((p or smoothing_epsilon) / 100.0) for p, t in zip(precisions, total) if t > 0]
         score = 100.0 * bp * math.exp(sum(logs) / len(logs))
 
-    return BleuReport(
-        precisions=precisions,
-        score=score,
-        bp=bp,
-        smoothing_method="floor",
-        smoothing_epsilon=smoothing_epsilon,
-        tokenizer=_tokenizer_name(tokenizer),
-    )
+    return BleuReport(precisions=precisions, score=score, bp=bp, smoothing_epsilon=smoothing_epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +157,14 @@ class DistinctReport:
     d2: float
 
 
-def distinct_n(
-    hypotheses: Sequence[str],
-    n: int,
-    tokenizer: Callable[[str], list[str]] = tokenize_13a,
-) -> float:
-    """100 * (distinct n-grams) / (total n-grams) across all hypotheses."""
+def distinct_n(hypotheses: Sequence[str], n: int) -> float:
+    """100 * (distinct n-grams) / (total n-grams) of 13a tokens across all hypotheses."""
     if n < 1:
         raise MetricError("n must be >= 1")
     seen: set[tuple[str, ...]] = set()
     total = 0
     for hyp in hypotheses:
-        tokens = tokenizer(hyp)
+        tokens = tokenize_13a(hyp)
         for i in range(len(tokens) - n + 1):
             seen.add(tuple(tokens[i : i + n]))
             total += 1
@@ -204,11 +173,8 @@ def distinct_n(
     return 100.0 * len(seen) / total
 
 
-def distinct_report(hypotheses: Sequence[str], tokenizer: Callable[[str], list[str]] = tokenize_13a) -> DistinctReport:
-    return DistinctReport(
-        d1=distinct_n(hypotheses, 1, tokenizer=tokenizer),
-        d2=distinct_n(hypotheses, 2, tokenizer=tokenizer),
-    )
+def distinct_report(hypotheses: Sequence[str]) -> DistinctReport:
+    return DistinctReport(d1=distinct_n(hypotheses, 1), d2=distinct_n(hypotheses, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +236,9 @@ def report_record(
         "d1": distinct.d1,
         "d2": distinct.d2,
         "legality": legality.legality,
-        "smoothing_method": bleu.smoothing_method,
+        "smoothing_method": "floor",
         "smoothing_epsilon": bleu.smoothing_epsilon,
-        "tokenizer": bleu.tokenizer,
+        "tokenizer": "13a",
     }
 
 

@@ -116,25 +116,25 @@ class ModelConfig:
     hidden_size: int = 64  # also the additive-attention width
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ModelError(f"seed must be >= 0, got {self.seed}")
         if self.embedding_size < 1 or self.hidden_size < 1:
             raise ModelError("embedding_size and hidden_size must be positive")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """AdamW hyperparameters plus the epoch/batch/length budget of a stage."""
+    """The learning rate and weight decay of a stage's AdamW, plus its
+    epoch/batch/length budget (the moment constants are on ``AdamW``)."""
 
     learning_rate: float
     epochs: int
     batch_size: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     max_length: int = 64  # sequences are truncated to this many tokens
 
     def __post_init__(self):
-        for name in ("learning_rate", "eps", "weight_decay"):
+        for name in ("learning_rate", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ModelError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
@@ -143,10 +143,8 @@ class OptimizerConfig:
             raise ModelError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ModelError("batch_size must be >= 1")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ModelError("betas must lie in [0, 1)")
-        if self.eps <= 0 or self.weight_decay < 0:
-            raise ModelError("eps must be positive and weight_decay non-negative")
+        if self.weight_decay < 0:
+            raise ModelError("weight_decay must be non-negative")
         if self.max_length < 1:
             raise ModelError("max_length must be >= 1")
 
@@ -629,10 +627,14 @@ class AdamW:
     Steps one flat parameter vector in place.  It works through the vector
     in chunks of ``CHUNK`` elements with ``out=`` into a fixed scratch, so a
     step makes no temporaries the size of the vector; per element the
-    arithmetic and its order are those of the textbook update.
+    arithmetic and its order are those of the textbook update, with the
+    moment constants of Kingma & Ba (2014).
     """
 
     CHUNK = 16384
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
 
     def __init__(self, params: np.ndarray, config: OptimizerConfig):
         self.params = params
@@ -645,17 +647,17 @@ class AdamW:
     def step(self, grad: np.ndarray) -> None:
         c = self.config
         self.t += 1
-        bias1 = 1.0 - c.beta1**self.t
-        bias2 = 1.0 - c.beta2**self.t
+        bias1 = 1.0 - self.BETA1**self.t
+        bias2 = 1.0 - self.BETA2**self.t
         decay = c.learning_rate * c.weight_decay
-        self.m *= c.beta1
-        self.v *= c.beta2
+        self.m *= self.BETA1
+        self.v *= self.BETA2
         for start in range(0, self.params.size, self.CHUNK):
             chunk = slice(start, start + self.CHUNK)
             param, g, m, v = self.params[chunk], grad[chunk], self.m[chunk], self.v[chunk]
             s1, s2 = self._scratch[:, : param.size]
-            m += np.multiply(1.0 - c.beta1, g, out=s1)
-            np.multiply(1.0 - c.beta2, g, out=s1)
+            m += np.multiply(1.0 - self.BETA1, g, out=s1)
+            np.multiply(1.0 - self.BETA2, g, out=s1)
             s1 *= g
             v += s1
             if c.weight_decay:
@@ -665,7 +667,7 @@ class AdamW:
             s1 *= c.learning_rate
             np.divide(v, bias2, out=s2)
             np.sqrt(s2, out=s2)
-            s2 += c.eps
+            s2 += self.EPS
             s1 /= s2
             param -= s1
 
@@ -709,14 +711,12 @@ def train(
     train_data: Sequence[tuple[str, str]],
     valid_data: Sequence[tuple[str, str]],
     config: OptimizerConfig,
-    eval_every: int | None = None,
 ) -> TrainResult:
     """Fine-tune in place on (source, target) text pairs.
 
     Data order is preserved exactly as given, so externally arranged
     schedules, e.g. interleavings, survive every epoch.  The validation
-    loss is evaluated at step 0, every ``eval_every`` optimizer steps (end
-    of each epoch when None), and after the final step.  One snapshot is
+    loss is evaluated at step 0 and at the end of each epoch.  One snapshot is
     kept: the parameters (a deep copy) at the lowest loss so far, replaced
     only by a strictly lower one, so exact ties keep the earliest step.
     The model is left at its last step; callers restore ``best.params``
@@ -725,8 +725,6 @@ def train(
     """
     if not valid_data:
         raise ModelError("validation set must not be empty")
-    if eval_every is not None and eval_every < 1:
-        raise ModelError("eval_every must be >= 1")
     encoded = encode_pairs(model.vocabulary, train_data, config.max_length)
     optimizer = AdamW(model.params.flat, config)
     best: Checkpoint | None = None
@@ -745,10 +743,7 @@ def train(
 
     step = 0
     validate(0)
-    last_eval = 0
-    for _ in range(config.epochs):
-        if not encoded:
-            break
+    for _ in range(config.epochs if encoded else 0):
         for start in range(0, len(encoded), config.batch_size):
             batch = batch_from_encoded(encoded[start : start + config.batch_size])
             loss, grads = model.loss_and_grads(batch)
@@ -757,13 +752,6 @@ def train(
             optimizer.step(grads.flat)
             step += 1
             train_losses.append((step, loss))
-            if eval_every is not None and step % eval_every == 0:
-                validate(step)
-                last_eval = step
-        if eval_every is None and step > last_eval:
-            validate(step)
-            last_eval = step
-    if step > last_eval:
         validate(step)
     return TrainResult(model, best, train_losses, valid_losses)
 
@@ -779,7 +767,6 @@ def pretrain_span_corruption(
     corruption_rate: float = 0.15,
     template=DEFAULT_TEMPLATE,
     seed: int = 0,
-    eval_every: int | None = None,
 ) -> TrainResult:
     """Denoising pretraining on raw "context response" texts.
 
@@ -829,7 +816,7 @@ def pretrain_span_corruption(
         # explicit no-op: still produce the step-0 checkpoint
         valid = valid or [(usable[0], usable[0])]
     flat_config = dataclasses.replace(config, epochs=1 if train_pairs else 0)
-    return train(model, train_pairs, valid, flat_config, eval_every=eval_every)
+    return train(model, train_pairs, valid, flat_config)
 
 
 # ---------------------------------------------------------------------------

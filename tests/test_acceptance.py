@@ -163,9 +163,11 @@ def test_criterion_4_gradient_check_against_finite_differences():
 def test_criterion_5_single_pair_overfit():
     model = _toy_model(emb=16, hid=24, seed=0)
     data = [("a1 a2 a3 a4", "a4 a3 a2")]
-    config = OptimizerConfig(learning_rate=0.01, epochs=200, batch_size=1, max_length=16)
-    result = train(model, data, data, config, eval_every=50)
+    # 4 epochs of 50 copies at batch 1: 200 steps, validated every 50
+    config = OptimizerConfig(learning_rate=0.01, epochs=4, batch_size=1, max_length=16)
+    result = train(model, data * 50, data, config)
     assert len(result.train_losses) == 200
+    assert [step for step, _ in result.valid_losses] == [0, 50, 100, 150, 200]
     batch = make_training_batch(model.vocabulary, data, max_length=16)
     assert result.model.nll(batch) < 0.1
     assert generate_greedy(result.model, "a1 a2 a3 a4", max_length=16).text == "a4 a3 a2"
@@ -175,7 +177,7 @@ def test_criterion_5_single_pair_overfit():
 
 
 def _train_on_scripted_losses(monkeypatch, model, losses):
-    """``train`` at one evaluation per zero-gradient step, with ``evaluate_nll``
+    """``train`` at one zero-gradient step per epoch, with ``evaluate_nll``
     returning ``losses`` in turn; returns the result and its snapshot count."""
     scripted = iter(losses)
     monkeypatch.setattr("crossdial.model.evaluate_nll", lambda *_: next(scripted))
@@ -184,8 +186,8 @@ def _train_on_scripted_losses(monkeypatch, model, losses):
     snapshots = []
     take = type(model).snapshot
     monkeypatch.setattr(model, "snapshot", lambda: snapshots.append(None) or take(model))
-    config = OptimizerConfig(learning_rate=0.01, epochs=1, batch_size=1, max_length=16)
-    result = train(model, [("a1", "a1")] * (len(losses) - 1), [("a1", "a1")], config, eval_every=1)
+    config = OptimizerConfig(learning_rate=0.01, epochs=len(losses) - 1, batch_size=1, max_length=16)
+    result = train(model, [("a1", "a1")], [("a1", "a1")], config)
     return result, len(snapshots)
 
 
@@ -392,9 +394,6 @@ corruption_rate = 0.15
 learning_rate = 0.005
 epochs = 1
 batch_size = 8
-beta1 = 0.9
-beta2 = 0.999
-eps = 1e-08
 weight_decay = 0.0
 max_length = 64
 """,
@@ -407,9 +406,6 @@ prompted = true
 learning_rate = 0.005
 epochs = 1
 batch_size = 8
-beta1 = 0.9
-beta2 = 0.999
-eps = 1e-08
 weight_decay = 0.0
 max_length = 64
 """,
@@ -422,9 +418,6 @@ prompted = true
 learning_rate = 0.005
 epochs = 1
 batch_size = 8
-beta1 = 0.9
-beta2 = 0.999
-eps = 1e-08
 weight_decay = 0.0
 max_length = 64
 """,
@@ -442,7 +435,6 @@ ref = data/tgt_test.jsonl
 report = report.jsonl
 system = system
 target_vocab = data/tgt_vocab.txt
-tokenizer = 13a
 smoothing_epsilon = 0.01
 """,
     "study/study.resolved.cfg": """command = study
@@ -456,25 +448,16 @@ synthetic.templates = 2
 pretrain.learning_rate = 0.005
 pretrain.epochs = 1
 pretrain.batch_size = 8
-pretrain.beta1 = 0.9
-pretrain.beta2 = 0.999
-pretrain.eps = 1e-08
 pretrain.weight_decay = 0.0
 pretrain.max_length = 64
 train.learning_rate = 0.003
 train.epochs = 1
 train.batch_size = 8
-train.beta1 = 0.9
-train.beta2 = 0.999
-train.eps = 1e-08
 train.weight_decay = 0.0
 train.max_length = 64
 adapt.learning_rate = 0.006
 adapt.epochs = 2
 adapt.batch_size = 4
-adapt.beta1 = 0.9
-adapt.beta2 = 0.999
-adapt.eps = 1e-08
 adapt.weight_decay = 0.0
 adapt.max_length = 64
 seeds = 0

@@ -71,10 +71,12 @@ def test_unknown_subcommand_exits_2(capsys):
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["sample-fewshot", "--k", "abc"], "'k'", id="bad-int"),
     pytest.param(["format", "--layout", "fancy"], "'layout'", id="bad-layout"),
-    pytest.param(["evaluate", "--tokenizer", "nope"], "'tokenizer'", id="bad-tokenizer"),
     pytest.param(["gen-synthetic", "--bogus", "1"], "--bogus", id="unknown-flag"),
     pytest.param(["bogus-command"], "bogus-command", id="unknown-subcommand"),
     pytest.param(["pretrain", "--mean-span-length", "3"], "--mean-span-length", id="removed-span-length-flag"),
+    pytest.param(["evaluate", "--tokenizer", "13a"], "--tokenizer", id="removed-tokenizer-flag"),
+    *(pytest.param([name, "--eval-every", "5"], "--eval-every", id=f"removed-eval-every-flag-{name}")
+      for name in ("pretrain", "train", "adapt")),
     pytest.param([], "SUBCOMMAND", id="missing-subcommand"),
 ])
 def test_usage_error_prints_one_config_line(argv, named, capsys):
@@ -152,6 +154,17 @@ def test_unreadable_input_file_is_one_io_line(argv, make_bad, data_dir, tmp_path
     assert main(argv(str(bad), data_dir)) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:io: ") and str(bad) in err[0], err
+
+
+def test_leading_bom_reads_as_text(data_dir, tmp_path, monkeypatch):
+    # some editors save UTF-8 with a byte-order mark; it is not part of the first key or record
+    monkeypatch.chdir(tmp_path)
+    corpus = (data_dir / "aux_train.jsonl").read_bytes()
+    for name, head in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / f"{name}.jsonl").write_bytes(head + corpus)
+        (tmp_path / f"{name}.cfg").write_bytes(head + b"k = 5\nseed = 2\n")
+        assert main(["sample-fewshot", "--config", f"{name}.cfg", "--in", f"{name}.jsonl", "--out", f"{name}.out"]) == 0
+    assert (tmp_path / "bom.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
 
 
 def _shape_edited(payload):
@@ -272,7 +285,6 @@ FLAG_SURFACE = {
         ("--corruption-rate", "corruption_rate", None, "store"),
         ("--embedding-size", "embedding_size", None, "store"),
         ("--hidden-size", "hidden_size", None, "store"),
-        ("--eval-every", "eval_every", None, "store"),
     ],
     **{
         name: [
@@ -283,7 +295,6 @@ FLAG_SURFACE = {
             ("--out", "out", None, "store"),
             ("--prompted", "prompted", 0, "store_true"),
             ("--template", "template", None, "store"),
-            ("--eval-every", "eval_every", None, "store"),
         ]
         for name in ("train", "adapt")
     },
@@ -304,7 +315,6 @@ FLAG_SURFACE = {
         ("--report", "report", None, "store"),
         ("--system", "system", None, "store"),
         ("--target-vocab", "target_vocab", None, "store"),
-        ("--tokenizer", "tokenizer", None, "store"),
         ("--smoothing-epsilon", "smoothing_epsilon", None, "store"),
     ],
     "study": [
@@ -468,7 +478,18 @@ _TRAIN_MISSING = ["train", "--model", "missing.model", "--train", "missing.jsonl
       for value, shown in (("100.5", "100.5"), ("1e6", "1000000.0"), ("inf", "inf"), ("nan", "nan"))),
     *(pytest.param(_TRAIN_MISSING + ["--set", f"{key}={value}"],
                    f"error:config: bad value for '{key}': {key} must be finite, got {value}", id=f"{key}-{value}")
-      for key, value in (("learning_rate", "nan"), ("learning_rate", "inf"), ("eps", "nan"), ("weight_decay", "inf"))),
+      for key, value in (("learning_rate", "nan"), ("learning_rate", "inf"), ("weight_decay", "inf"))),
+    pytest.param(["gen-synthetic", "--out", "g", "--seed", "-1"],
+                 "error:config: bad value for 'seed': seed must be >= 0, got -1", id="gen-synthetic-seed"),
+    pytest.param(["sample-fewshot", "--in", "missing.jsonl", "--out", "s.jsonl", "--k", "2", "--seed", "-2"],
+                 "error:config: sample-fewshot: bad value for 'seed': must be >= 0, got -2", id="sample-fewshot-seed"),
+    pytest.param(["pretrain", "--data", "missing.jsonl", "--out", "m.model", "--seed", "-3"],
+                 "error:config: bad value for 'seed': seed must be >= 0, got -3", id="pretrain-seed"),
+    pytest.param(["study", "--out", "s", "--seeds=-1"], "error:config: seeds must be >= 0, got -1", id="study-seeds"),
+    pytest.param(["humaneval-export", "--hyp-a", "a.txt", "--hyp-b", "b.txt", "--system-a", "FS-XLT",
+                  "--system-b", "FS-XLT_pmpt", "--test", "missing.jsonl", "--sheet", "sheet.tsv",
+                  "--key", "key.tsv", "--seed", "-4"],
+                 "error:config: humaneval-export: bad value for 'seed': must be >= 0, got -4", id="humaneval-export-seed"),
 ])
 def test_bounded_value_exits_2_before_loading(argv, line, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -566,7 +587,7 @@ def test_study_rejects_synthetic_seed(capsys, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["eval_every", "max_generate"])
+@pytest.mark.parametrize("key", ["max_generate"])
 def test_study_rejects_non_positive_value_before_pretraining(key, capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "pretrain_span_corruption", lambda *a, **k: pytest.fail("pretraining ran"))
     out = tmp_path / "s"
@@ -594,13 +615,27 @@ def test_gen_synthetic_rejects_bad_size(capsys, tmp_path):
     assert not out.exists()
 
 
-def test_pretrain_rejects_eval_every_zero_before_training(capsys, data_dir, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "pretrain_span_corruption", lambda *a, **k: pytest.fail("pretraining ran"))
-    out = tmp_path / "m.model"
-    assert main(["pretrain", "--data", str(data_dir / "aux_train.jsonl"), "--out", str(out),
-                 "--eval-every", "0"]) == 2
-    assert _err_line(capsys) == "error:config: pretrain: bad value for 'eval_every': must be >= 1, got 0"
-    assert not out.exists()
+# The AdamW moment constants, the per-epoch validation schedule and the 13a
+# BLEU tokenizer are not settings, so an echo that names one exits 2 before
+# any file is read.
+@pytest.mark.parametrize("command, key", [
+    ("pretrain", "eval_every"),
+    ("pretrain", "beta1"),
+    ("train", "eval_every"),
+    ("train", "beta2"),
+    ("adapt", "eps"),
+    ("study", "eval_every"),
+    ("study", "pretrain.beta1"),
+    ("study", "train.beta2"),
+    ("study", "adapt.eps"),
+    ("evaluate", "tokenizer"),
+])
+def test_removed_key_is_unknown(command, key, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "old.cfg").write_text(f"command = {command}\n{key} = 1\n")
+    assert main([command, "--config", "old.cfg"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error:config: {command}: unknown config key {key!r}"]
+    assert [path.name for path in tmp_path.iterdir()] == ["old.cfg"]
 
 
 @pytest.mark.parametrize("rate", ["1.5", "0"])

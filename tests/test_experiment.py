@@ -160,7 +160,7 @@ def test_optimizer_config_from_kv_partial():
     assert cfg.learning_rate == 0.01
     assert cfg.epochs == 2
     assert cfg.batch_size == SOURCE_TRAIN_DEFAULTS.batch_size
-    assert cfg.beta2 == 0.999
+    assert cfg.weight_decay == SOURCE_TRAIN_DEFAULTS.weight_decay
 
 
 def test_optimizer_config_unknown_key():

@@ -127,7 +127,8 @@ def test_smoothing_epsilon_upper_bound_is_inclusive():
 
 def test_report_is_frozen_and_tokenizer_named():
     report = corpus_bleu(["a"], ["a"])
-    assert report.tokenizer == "13a"
+    record = report_record("s", report, distinct_report(["a b"]), language_legality(["a"], {"a"}))
+    assert (record["tokenizer"], record["smoothing_method"]) == ("13a", "floor")
     with pytest.raises(AttributeError):
         report.score = 0.0
 

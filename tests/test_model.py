@@ -209,7 +209,8 @@ def test_optimizer_config_defaults():
     assert (SOURCE_TRAIN_DEFAULTS.learning_rate, SOURCE_TRAIN_DEFAULTS.epochs, SOURCE_TRAIN_DEFAULTS.batch_size) == (5e-5, 5, 8)
     assert (TARGET_ADAPT_DEFAULTS.learning_rate, TARGET_ADAPT_DEFAULTS.epochs, TARGET_ADAPT_DEFAULTS.batch_size) == (1e-4, 6, 4)
     for cfg in (PRETRAIN_DEFAULTS, SOURCE_TRAIN_DEFAULTS, TARGET_ADAPT_DEFAULTS):
-        assert (cfg.beta1, cfg.beta2, cfg.eps, cfg.max_length) == (0.9, 0.999, 1e-8, 64)
+        assert (cfg.weight_decay, cfg.max_length) == (0.0, 64)
+    assert (AdamW.BETA1, AdamW.BETA2, AdamW.EPS) == (0.9, 0.999, 1e-8)
 
 
 def test_optimizer_config_validation():
@@ -219,7 +220,7 @@ def test_optimizer_config_validation():
         OptimizerConfig(learning_rate=0.1, epochs=-1, batch_size=1)
     with pytest.raises(ModelError):
         OptimizerConfig(learning_rate=0.1, epochs=1, batch_size=0)
-    for bad in ({"learning_rate": math.nan}, {"learning_rate": math.inf}, {"eps": math.nan}, {"eps": math.inf},
+    for bad in ({"learning_rate": math.nan}, {"learning_rate": math.inf},
                 {"weight_decay": math.nan}, {"weight_decay": math.inf}):
         with pytest.raises(ModelError, match="must be finite"):
             OptimizerConfig(**{"learning_rate": 0.1, "epochs": 1, "batch_size": 1, **bad})
@@ -231,8 +232,8 @@ def test_optimizer_config_validation():
 def test_overfit_single_pair():
     model = _model(emb=16, hid=24, seed=0)
     data = [("a1 a2 a3 a4", "a4 a3 a2")]
-    cfg = OptimizerConfig(learning_rate=0.01, epochs=200, batch_size=1, max_length=16)
-    result = train(model, data, data, cfg, eval_every=50)
+    cfg = OptimizerConfig(learning_rate=0.01, epochs=4, batch_size=1, max_length=16)
+    result = train(model, data * 50, data, cfg)  # 200 steps, validated every 50
     batch = make_training_batch(model.vocabulary, data, max_length=16)
     assert result.model.nll(batch) < 0.1
     assert generate_greedy(result.model, "a1 a2 a3 a4", max_length=16).text == "a4 a3 a2"
@@ -299,10 +300,10 @@ def test_evaluate_nll_matches_forward():
 # -- checkpoint selection --------------------------------------------------
 
 
-def _scripted_train(monkeypatch, model, losses, eval_every=1):
+def _scripted_train(monkeypatch, model, losses, steps_per_epoch=1):
     """``train`` with ``evaluate_nll`` returning ``losses`` in turn, one
-    evaluation every ``eval_every`` zero-gradient steps; returns the result
-    and the number of snapshots taken."""
+    evaluation per epoch of ``steps_per_epoch`` zero-gradient steps; returns
+    the result and the number of snapshots taken."""
     scripted = iter(losses)
     monkeypatch.setattr("crossdial.model.evaluate_nll", lambda *_: next(scripted))
     zero = SimpleNamespace(flat=np.zeros_like(model.params.flat))
@@ -310,14 +311,14 @@ def _scripted_train(monkeypatch, model, losses, eval_every=1):
     snapshots = []
     take = type(model).snapshot
     monkeypatch.setattr(model, "snapshot", lambda: snapshots.append(None) or take(model))
-    cfg = OptimizerConfig(learning_rate=0.01, epochs=1, batch_size=1, max_length=16)
-    result = train(model, [("a1", "a1")] * ((len(losses) - 1) * eval_every), [("a1", "a1")], cfg, eval_every)
+    cfg = OptimizerConfig(learning_rate=0.01, epochs=len(losses) - 1, batch_size=1, max_length=16)
+    result = train(model, [("a1", "a1")] * steps_per_epoch, [("a1", "a1")], cfg)
     assert [loss for _, loss in result.valid_losses] == list(losses)
     return result, len(snapshots)
 
 
 def test_train_best_earliest_tie(monkeypatch):
-    result, snapshots = _scripted_train(monkeypatch, _model(), [2.0, 1.5, 1.5, 1.7], eval_every=5)
+    result, snapshots = _scripted_train(monkeypatch, _model(), [2.0, 1.5, 1.5, 1.7], steps_per_epoch=5)
     assert [step for step, _ in result.valid_losses] == [0, 5, 10, 15]
     assert (result.best.step, result.best.valid_loss) == (5, 1.5)
     assert snapshots == 2
@@ -353,7 +354,7 @@ def test_train_best_is_a_copy_of_its_step(monkeypatch):
     taken = []
     take = type(model).snapshot
     monkeypatch.setattr(model, "snapshot", lambda: taken.append(model.parameters_flat()) or take(model))
-    result = train(model, data, data, cfg, eval_every=1)
+    result = train(model, data, data, cfg)
     best = result.best
     assert 0 < best.step < result.valid_losses[-1][0]
     assert result.valid_losses[-1][1] > best.valid_loss
