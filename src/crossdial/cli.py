@@ -47,7 +47,7 @@ from .experiment import (
 )
 from .humaneval import HumanEvalError, aggregate_votes, export_pairs
 from .interleave import InterleaveError, interleave_even
-from .kvconfig import ConfigError, coerce, config_from, config_from_kv, config_schema, load_kv, parse_bool, write_kv
+from .kvconfig import ConfigError, coerce, config_from, config_schema, load_kv, parse_bool, write_kv
 from .metrics import (
     MetricError,
     corpus_bleu,
@@ -96,16 +96,6 @@ def _paths(value) -> list[str]:
     return [item.strip() for item in str(value).split(",") if item.strip()]
 
 
-def _choice(*allowed: str) -> Callable[[object], str]:
-    def parse(value) -> str:
-        text = str(value)
-        if text not in allowed:
-            raise ConfigError(f"must be one of {', '.join(allowed)}, got {text!r}")
-        return text
-
-    return parse
-
-
 def _int_at_least(low: int) -> Callable[[object], int]:
     def parse(value) -> int:
         number = int(value)
@@ -123,13 +113,6 @@ def _positive_percent(value) -> float:
     number = float(value)
     if not 0.0 < number <= 100.0:  # NaN fails too
         raise ConfigError(f"must be in (0, 100], got {number}")
-    return number
-
-
-def _open_unit_float(value) -> float:
-    number = float(value)
-    if not 0.0 < number < 1.0:
-        raise ConfigError(f"must be in (0, 1), got {number}")
     return number
 
 
@@ -186,10 +169,6 @@ def _load_single_language_corpus(path: str, split: str) -> Corpus:
     if len(languages) != 1:
         raise CorpusError(f"{path}: expected a single language, found {sorted(languages) or 'no records'}")
     return Corpus(pairs=tuple(pairs), split=split, language=languages.pop())
-
-
-def _template(name: str):
-    return config_from_kv(DEFAULT_TEMPLATE, load_kv(name), source=name) if name else DEFAULT_TEMPLATE
 
 
 def _write_history(path: str, result) -> None:
@@ -256,20 +235,21 @@ def _cmd_interleave(r: dict) -> str:
     return r["out"] + ".cfg"
 
 
+# the one spelling of the layout choice, on every subcommand that formats pairs
+_PROMPTED = (_bool, False, "use the fixed-prompt layout")
+
 _FORMAT_SCHEMA: dict[str, tuple] = {
     "in": (str, _REQUIRED, "input corpus file"),
     "out": (str, _REQUIRED, "output JSONL of formatted examples"),
-    "layout": (_choice("prompted", "plain"), "prompted", "prompt layout"),
-    "template": (str, "", "prompt template config file"),
+    "prompted": _PROMPTED,
 }
 
 
 def _cmd_format(r: dict) -> str:
     pairs = load_pairs(r["in"])
-    prompted = r["layout"] == "prompted"
-    formatted = format_pairs(pairs, prompted, _template(r["template"]))
+    prompted = r["prompted"]
     write_lines(r["out"], (json.dumps({"source": source, "target": target, "prompted": prompted}, ensure_ascii=False)
-                           for source, target in formatted))
+                           for source, target in format_pairs(pairs, prompted)))
     return r["out"] + ".cfg"
 
 
@@ -282,8 +262,6 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
         embedding_size="token embedding width",
         hidden_size="GRU state and attention width",
     ),
-    "corruption_rate": (_open_unit_float, 0.15, "share of tokens masked by span corruption"),
-    "template": (str, "", "prompt template config file (supplies the sentinels)"),
     **config_schema(PRETRAIN_DEFAULTS),
 }
 
@@ -291,18 +269,10 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
 def _cmd_pretrain(r: dict) -> str:
     model_config = config_from(ModelConfig(), r)
     optimizer_config = config_from(PRETRAIN_DEFAULTS, r)
-    template = _template(r["template"])
     corpora = [_load_single_language_corpus(path, "train") for path in r["data"]]
-    vocabulary = Vocabulary.build(corpora, extra_texts=template_texts(template))
+    vocabulary = Vocabulary.build(corpora, extra_texts=template_texts(DEFAULT_TEMPLATE))
     model = AttentiveSeq2Seq(vocabulary, model_config)
-    result = pretrain_span_corruption(
-        model,
-        corpora,
-        optimizer_config,
-        corruption_rate=r["corruption_rate"],
-        template=template,
-        seed=r["seed"],
-    )
+    result = pretrain_span_corruption(model, corpora, optimizer_config, seed=r["seed"])
     save_model(result.model, r["out"])
     _write_history(r["out"] + ".history", result)
     return r["out"] + ".cfg"
@@ -314,8 +284,7 @@ def _finetune_schema(defaults: OptimizerConfig) -> dict[str, tuple]:
         "train": (str, _REQUIRED, "training corpus file"),
         "valid": (str, _REQUIRED, "validation corpus file for checkpoint selection"),
         "out": (str, _REQUIRED, "output model file"),
-        "prompted": (_bool, False, "use the fixed-prompt layout"),
-        "template": (str, "", "prompt template config file"),
+        "prompted": _PROMPTED,
         **config_schema(defaults),
     }
 
@@ -325,12 +294,11 @@ def _cmd_finetune(r: dict) -> str:
     defaults, and ``r`` holds every optimizer key, so either stage's
     defaults give the same config."""
     config = config_from(SOURCE_TRAIN_DEFAULTS, r)
-    template = _template(r["template"])
     model = load_model(r["model"])
     train_pairs = load_pairs(r["train"])
     valid_pairs = load_pairs(r["valid"])
-    data = format_pairs(train_pairs, r["prompted"], template)
-    valid = format_pairs(valid_pairs, r["prompted"], template)
+    data = format_pairs(train_pairs, r["prompted"])
+    valid = format_pairs(valid_pairs, r["prompted"])
     result = train(model, data, valid, config)
     model.load_snapshot(result.best.params)
     save_model(model, r["out"])
@@ -343,17 +311,15 @@ _GENERATE_SCHEMA: dict[str, tuple] = {
     "in": (str, _REQUIRED, "corpus file supplying the contexts"),
     "out": (str, _REQUIRED, "output text file, one hypothesis per line"),
     "raw_out": (str, "", "also write the unextracted generations"),
-    "prompted": (_bool, False, "use the fixed-prompt layout"),
-    "template": (str, "", "prompt template config file"),
+    "prompted": _PROMPTED,
     "max_length": (_positive_int, 64, "maximum generated tokens per response"),
 }
 
 
 def _cmd_generate(r: dict) -> str:
-    template = _template(r["template"])
     model = load_model(r["model"])
     pairs = load_pairs(r["in"])
-    raw, hypotheses = generate_responses(model, pairs, r["prompted"], template, r["max_length"])
+    raw, hypotheses = generate_responses(model, pairs, r["prompted"], r["max_length"])
     write_lines(r["out"], hypotheses)
     if r["raw_out"]:
         write_lines(r["raw_out"], raw)
@@ -498,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = {_bool: {"action": "store_true", "default": None}, _paths: {"nargs": "+"}}  # others take one string
     for name, (helptext, _, schema) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        config_flags = ("--config", "--spec") if name == "study" else ("--config",)  # a study config is its spec
-        p.add_argument(*config_flags, help="flat key=value config file (echoes re-load here)")
+        p.add_argument("--config", help="flat key=value config file (echoes re-load here)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one config entry (repeatable)")
         for key, (parse, default, *helps) in schema.items():
             if not helps:

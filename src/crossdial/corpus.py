@@ -153,6 +153,8 @@ def sample_few_shot(corpus: Corpus, k: int, seed: int) -> Corpus:
         raise CorpusError("k must be non-negative")
     if k > len(corpus):
         raise CorpusError(f"k={k} exceeds corpus size {len(corpus)}")
+    if seed < 0:
+        raise CorpusError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     indices = sorted(rng.choice(len(corpus), size=k, replace=False).tolist())
     return Corpus(

@@ -73,11 +73,11 @@ def template_texts(template: PromptTemplate) -> list[str]:
     return [template.context_prefix, template.response_prefix, template.sentinel0, template.sentinel1]
 
 
-def format_pairs(pairs: Iterable, prompted: bool, template: PromptTemplate = DEFAULT_TEMPLATE) -> list[tuple[str, str]]:
+def format_pairs(pairs: Iterable, prompted: bool) -> list[tuple[str, str]]:
     """Render dialogue pairs to (source, target) texts in one layout."""
     out = []
     for pair in pairs:
-        ex = format_prompted(pair, template) if prompted else format_plain(pair)
+        ex = format_prompted(pair) if prompted else format_plain(pair)
         out.append((ex.source, ex.target))
     return out
 
@@ -86,7 +86,6 @@ def generate_responses(
     model: AttentiveSeq2Seq,
     pairs: Iterable,
     prompted: bool,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
     max_length: int = 64,
 ) -> tuple[list[str], list[str]]:
     """Greedy generation for every context of ``pairs`` in one layout.
@@ -94,9 +93,9 @@ def generate_responses(
     Returns the raw generations and the responses; the prompted layout
     extracts each response from between the sentinels.
     """
-    sources = [source for source, _ in format_pairs(pairs, prompted, template)]
+    sources = [source for source, _ in format_pairs(pairs, prompted)]
     raw = generate_corpus(model, sources, max_length=max_length)
-    return raw, ([extract_response(text, template) for text in raw] if prompted else raw)
+    return raw, ([extract_response(text) for text in raw] if prompted else raw)
 
 
 @dataclass(frozen=True)
@@ -187,12 +186,7 @@ class RunReport:
         return report_record(f"{self.setting}@seed{self.seed}", self.bleu, self.distinct, self.legality)
 
 
-def run_scenario(
-    model: AttentiveSeq2Seq,
-    data: ScenarioData,
-    spec: ExperimentSpec,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
-) -> RunReport:
+def run_scenario(model: AttentiveSeq2Seq, data: ScenarioData, spec: ExperimentSpec) -> RunReport:
     """Run one setting on an already (pre)trained model, in place."""
     started = time.perf_counter()
     # (train pairs, selection validation set, budget) per stage
@@ -208,8 +202,8 @@ def run_scenario(
     for train_pairs, valid, config in stages:
         result = train(
             model,
-            format_pairs(train_pairs, spec.prompted, template),
-            format_pairs(valid, spec.prompted, template),
+            format_pairs(train_pairs, spec.prompted),
+            format_pairs(valid, spec.prompted),
             config,
         )
         best = result.best
@@ -217,7 +211,7 @@ def run_scenario(
         total_steps += result.train_losses[-1][0] if result.train_losses else 0
     selection_language = stages[-1][1].language  # the last stage's validation set picked the checkpoint
 
-    _, hypotheses = generate_responses(model, data.tgt_test, spec.prompted, template, spec.max_generate)
+    _, hypotheses = generate_responses(model, data.tgt_test, spec.prompted, spec.max_generate)
     references = [pair.response for pair in data.tgt_test]
 
     bleu = corpus_bleu(hypotheses, references)
@@ -316,7 +310,7 @@ class StudyReport:
         )
 
 
-def run_forgetting_study(config: StudyConfig = StudyConfig(), template: PromptTemplate = DEFAULT_TEMPLATE) -> StudyReport:
+def run_forgetting_study(config: StudyConfig = StudyConfig()) -> StudyReport:
     """Pretrain once per seed, then replay all four settings from the same
     snapshot; aggregate per-setting medians over seeds."""
     started = time.perf_counter()
@@ -327,11 +321,11 @@ def run_forgetting_study(config: StudyConfig = StudyConfig(), template: PromptTe
         data = ScenarioData.from_synthetic(bundle)
         vocabulary = Vocabulary.build(
             [bundle.aux_train, bundle.aux_valid, bundle.aux_test, bundle.tgt_fewshot, bundle.tgt_valid, bundle.tgt_test],
-            extra_texts=template_texts(template),
+            extra_texts=template_texts(DEFAULT_TEMPLATE),
         )
         model = AttentiveSeq2Seq(vocabulary, ModelConfig(seed=seed))
         log.info("seed %d: pretraining on %d + %d raw texts", seed, len(bundle.aux_train), len(bundle.tgt_valid))
-        pretrain_span_corruption(model, [bundle.aux_train, bundle.tgt_valid], config.pretrain, template=template, seed=seed)
+        pretrain_span_corruption(model, [bundle.aux_train, bundle.tgt_valid], config.pretrain, seed=seed)
         base = model.snapshot()
         for name, (scenario, prompted) in SETTINGS.items():
             model.load_snapshot(base)
@@ -343,7 +337,7 @@ def run_forgetting_study(config: StudyConfig = StudyConfig(), template: PromptTe
                 seed=seed,
                 max_generate=config.max_generate,
             )
-            runs[name].append(run_scenario(model, data, spec, template=template))
+            runs[name].append(run_scenario(model, data, spec))
 
     medians = {}
     for name, reports in runs.items():

@@ -137,6 +137,8 @@ def export_pairs(
         )
     if not 1 <= n <= len(test_corpus):
         raise HumanEvalError(f"n={n} must be between 1 and the test size {len(test_corpus)}")
+    if seed < 0:
+        raise HumanEvalError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     indices = sorted(rng.choice(len(test_corpus), size=n, replace=False).tolist())

@@ -1,10 +1,10 @@
 """Flat ``key = value`` config files.
 
-All on-disk configuration in this package (synthetic corpus specs, prompt
-template overrides, experiment specs, resolved-config echoes) uses one
-format: UTF-8 text, one ``key = value`` entry per line, ``#`` comments,
-blank lines ignored.  Keys may be stage-prefixed (``adapt.lr``).  Flat
-files keep diffs reviewable and make override semantics trivial.
+All on-disk configuration in this package (synthetic corpus specs,
+experiment specs, resolved-config echoes) uses one format: UTF-8 text,
+one ``key = value`` entry per line, ``#`` comments, blank lines ignored.
+Keys may be stage-prefixed (``adapt.lr``).  Flat files keep diffs
+reviewable and make override semantics trivial.
 
 The config dataclasses declare their keys: :func:`config_schema` flattens
 an instance into ``{key: (parse, value)}`` entries and :func:`config_from`
@@ -165,10 +165,3 @@ def _accepts(config, name: str, value: object) -> bool:
     except ValueError:
         return False
     return True
-
-
-def config_from_kv(config: C, raw: Mapping[str, str], source: str = "<config>") -> C:
-    """Overlay raw file entries onto ``config``; unknown keys and
-    unparseable values raise ConfigError."""
-    parsers = {key: parse for key, (parse, _) in config_schema(config).items()}
-    return config_from(config, coerce(raw, parsers, source=source))

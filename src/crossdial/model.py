@@ -760,12 +760,15 @@ def train(
 # Span-corruption pretraining
 
 
+# T5's share of masked tokens (Raffel et al. 2020): a text masks
+# round(CORRUPTION_RATE * tokens) tokens, which is none below 4 tokens
+CORRUPTION_RATE = 0.15
+
+
 def pretrain_span_corruption(
     model: AttentiveSeq2Seq,
     corpora: Sequence[Corpus],
     config: OptimizerConfig,
-    corruption_rate: float = 0.15,
-    template=DEFAULT_TEMPLATE,
     seed: int = 0,
 ) -> TrainResult:
     """Denoising pretraining on raw "context response" texts.
@@ -776,7 +779,9 @@ def pretrain_span_corruption(
     than two tokens are skipped.  Identity corruptions (an empty target)
     teach nothing and are dropped.
     """
-    missing = [s for s in (template.sentinel0, template.sentinel1) if s not in model.vocabulary]
+    if seed < 0:
+        raise ModelError(f"seed must be >= 0, got {seed}")
+    missing = [s for s in (DEFAULT_TEMPLATE.sentinel0, DEFAULT_TEMPLATE.sentinel1) if s not in model.vocabulary]
     if missing:
         # sentinels absent from the vocabulary encode to <unk>, so the
         # model would learn to emit <unk> instead of the span markers
@@ -790,7 +795,7 @@ def pretrain_span_corruption(
     rng = np.random.default_rng(seed)
 
     def corrupted(text: str) -> tuple[str, str] | None:
-        ex = corrupt_spans(text, corruption_rate, template, seed=int(rng.integers(2**31)))
+        ex = corrupt_spans(text, CORRUPTION_RATE, seed=int(rng.integers(2**31)))
         if ex.identity_corruption:
             return None
         return ex.source, ex.target
@@ -798,7 +803,9 @@ def pretrain_span_corruption(
     valid_idx = rng.choice(len(usable), size=min(64, len(usable)), replace=False)
     valid = [ex for ex in (corrupted(usable[int(i)]) for i in sorted(valid_idx)) if ex is not None]
     if not valid and config.epochs > 0:
-        raise ModelError("corruption produced no usable examples; increase corruption_rate")
+        raise ModelError(
+            "span corruption masked no validation text: at the fixed 15% rate a text needs at least 4 tokens"
+        )
 
     train_pairs: list[tuple[str, str]] = []
     dropped = 0

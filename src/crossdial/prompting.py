@@ -1,6 +1,7 @@
 """Prompt formatting for dialogue pairs and its inverse.
 
-Three layouts are produced here:
+Three layouts are produced here; the prompted and corruption layouts
+take their strings from the one fixed prompt, ``DEFAULT_TEMPLATE``:
 
 * prompted   -- "Context: [X] Response: <extra_id_0>"  /  "<extra_id_0> [Y] <extra_id_1>"
 * plain      -- source and target are the raw context and response
@@ -27,27 +28,19 @@ log = logging.getLogger(__name__)
 
 
 class PromptError(ValueError):
-    """Raised for invalid templates or unformattable inputs."""
+    """Raised for unformattable inputs."""
 
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Hand-written prompt strings plus the two sentinel tokens."""
+    """Hand-written prompt strings plus the two sentinel tokens;
+    ``DEFAULT_TEMPLATE`` is the one prompt, which the prompted and
+    corruption layouts use."""
 
     context_prefix: str = "Context:"
     response_prefix: str = "Response:"
     sentinel0: str = "<extra_id_0>"
     sentinel1: str = "<extra_id_1>"
-
-    def __post_init__(self) -> None:
-        for name in ("context_prefix", "response_prefix", "sentinel0", "sentinel1"):
-            if not getattr(self, name):
-                raise PromptError(f"template field {name} must not be empty")
-        if self.sentinel0 == self.sentinel1:
-            raise PromptError("the two sentinels must differ")
-        for name in ("sentinel0", "sentinel1"):
-            if any(ch.isspace() for ch in getattr(self, name)):
-                raise PromptError(f"sentinel {name} must not contain whitespace")
 
 
 DEFAULT_TEMPLATE = PromptTemplate()
@@ -67,12 +60,13 @@ class FormattedExample:
     identity_corruption: bool = False
 
 
-def format_prompted(pair: DialoguePair, template: PromptTemplate = DEFAULT_TEMPLATE) -> FormattedExample:
+def format_prompted(pair: DialoguePair) -> FormattedExample:
     """Wrap a pair in the fixed prompt with sentinel-framed target.
 
     Rejects pairs whose text contains either sentinel: extraction from
     generated text must stay unambiguous.
     """
+    template = DEFAULT_TEMPLATE
     for sentinel in (template.sentinel0, template.sentinel1):
         if sentinel in pair.context or sentinel in pair.response:
             raise PromptError(f"pair text contains the sentinel {sentinel!r}")
@@ -86,28 +80,23 @@ def format_plain(pair: DialoguePair) -> FormattedExample:
     return FormattedExample(source=pair.context, target=pair.response)
 
 
-def extract_response(generated: str, template: PromptTemplate = DEFAULT_TEMPLATE) -> str:
+def extract_response(generated: str) -> str:
     """Recover the response between the first sentinel pair of a generation.
 
     Total on arbitrary text: without sentinel0 the whole input (trimmed) is
     returned; without a closing sentinel1 everything after sentinel0 is.
     """
-    start = generated.find(template.sentinel0)
+    start = generated.find(DEFAULT_TEMPLATE.sentinel0)
     if start < 0:
         return generated.strip()
-    start += len(template.sentinel0)
-    end = generated.find(template.sentinel1, start)
+    start += len(DEFAULT_TEMPLATE.sentinel0)
+    end = generated.find(DEFAULT_TEMPLATE.sentinel1, start)
     if end < 0:
         return generated[start:].strip()
     return generated[start:end].strip()
 
 
-def corrupt_spans(
-    text: str,
-    corruption_rate: float,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
-    seed: int = 0,
-) -> FormattedExample:
+def corrupt_spans(text: str, corruption_rate: float, seed: int = 0) -> FormattedExample:
     """Mask one token span of ``text`` with sentinel0; target restates it.
 
     The two-sentinel frame masks exactly one span per text: its length is
@@ -120,6 +109,8 @@ def corrupt_spans(
         raise PromptError("span corruption needs at least 2 tokens")
     if not 0.0 < corruption_rate < 1.0:
         raise PromptError("corruption_rate must be in (0, 1)")
+    if seed < 0:
+        raise PromptError(f"seed must be >= 0, got {seed}")
 
     span_length = int(corruption_rate * len(tokens) + 0.5)  # <= len(tokens), as the rate is below 1
     if span_length == 0:
@@ -128,6 +119,6 @@ def corrupt_spans(
     rng = np.random.default_rng(seed)
     start = int(rng.integers(0, len(tokens) - span_length + 1))
     span = tokens[start : start + span_length]
-    source_tokens = tokens[:start] + [template.sentinel0] + tokens[start + span_length :]
-    target_tokens = [template.sentinel0] + span + [template.sentinel1]
+    source_tokens = tokens[:start] + [DEFAULT_TEMPLATE.sentinel0] + tokens[start + span_length :]
+    target_tokens = [DEFAULT_TEMPLATE.sentinel0] + span + [DEFAULT_TEMPLATE.sentinel1]
     return FormattedExample(source=" ".join(source_tokens), target=" ".join(target_tokens))

@@ -297,7 +297,7 @@ def _run_all_subcommands(root):
     run(["interleave", "--aux", data / "aux_train.jsonl", "--tgt", data / "tgt_train.jsonl",
          "--out", root / "mixed.jsonl"],
         [root / "mixed.jsonl", root / "mixed.jsonl.cfg"])
-    run(["format", "--in", data / "tgt_train.jsonl", "--out", root / "fmt.jsonl"],
+    run(["format", "--in", data / "tgt_train.jsonl", "--out", root / "fmt.jsonl", "--prompted"],
         [root / "fmt.jsonl", root / "fmt.jsonl.cfg"])
     tiny_opt = ["--set", "epochs=1", "--set", "batch_size=8", "--set", "learning_rate=5e-3"]
     run(["pretrain", "--data", data / "aux_train.jsonl", data / "tgt_valid.jsonl",
@@ -382,7 +382,7 @@ out = mixed.jsonl
     "fmt.jsonl.cfg": """command = format
 in = data/tgt_train.jsonl
 out = fmt.jsonl
-layout = prompted
+prompted = true
 """,
     "pre.model.cfg": """command = pretrain
 data = data/aux_train.jsonl,data/tgt_valid.jsonl
@@ -390,7 +390,6 @@ out = pre.model
 seed = 1
 embedding_size = 12
 hidden_size = 16
-corruption_rate = 0.15
 learning_rate = 0.005
 epochs = 1
 batch_size = 8

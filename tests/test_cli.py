@@ -7,13 +7,16 @@ byte-identity sweep lives in the acceptance suite.
 import argparse
 import filecmp
 import json
+import pathlib
 import re
+import shlex
 
 import pytest
 
 import crossdial.cli as cli
 import crossdial.experiment as experiment
 from crossdial.cli import main
+from crossdial.corpus import Corpus, DialoguePair, save_pairs
 from crossdial.kvconfig import load_kv
 
 TINY_SYNTH = [
@@ -70,13 +73,17 @@ def test_unknown_subcommand_exits_2(capsys):
 
 @pytest.mark.parametrize("argv, named", [
     pytest.param(["sample-fewshot", "--k", "abc"], "'k'", id="bad-int"),
-    pytest.param(["format", "--layout", "fancy"], "'layout'", id="bad-layout"),
+    pytest.param(["format", "--layout", "fancy"], "--layout", id="bad-layout"),
     pytest.param(["gen-synthetic", "--bogus", "1"], "--bogus", id="unknown-flag"),
     pytest.param(["bogus-command"], "bogus-command", id="unknown-subcommand"),
     pytest.param(["pretrain", "--mean-span-length", "3"], "--mean-span-length", id="removed-span-length-flag"),
     pytest.param(["evaluate", "--tokenizer", "13a"], "--tokenizer", id="removed-tokenizer-flag"),
     *(pytest.param([name, "--eval-every", "5"], "--eval-every", id=f"removed-eval-every-flag-{name}")
       for name in ("pretrain", "train", "adapt")),
+    *(pytest.param([name, "--template", "tpl.cfg"], "--template", id=f"removed-template-flag-{name}")
+      for name in ("format", "pretrain", "train", "adapt", "generate")),
+    pytest.param(["pretrain", "--corruption-rate", "0.15"], "--corruption-rate", id="removed-corruption-rate-flag"),
+    pytest.param(["study", "--spec", "study.cfg"], "--spec", id="removed-spec-flag"),
     pytest.param([], "SUBCOMMAND", id="missing-subcommand"),
 ])
 def test_usage_error_prints_one_config_line(argv, named, capsys):
@@ -273,16 +280,13 @@ FLAG_SURFACE = {
         _CONFIG,
         ("--in", "in", None, "store"),
         ("--out", "out", None, "store"),
-        ("--layout", "layout", None, "store"),
-        ("--template", "template", None, "store"),
+        ("--prompted", "prompted", 0, "store_true"),
     ],
     "pretrain": [
         _CONFIG,
         ("--data", "data", "+", "store"),
         ("--out", "out", None, "store"),
         ("--seed", "seed", None, "store"),
-        ("--template", "template", None, "store"),
-        ("--corruption-rate", "corruption_rate", None, "store"),
         ("--embedding-size", "embedding_size", None, "store"),
         ("--hidden-size", "hidden_size", None, "store"),
     ],
@@ -294,7 +298,6 @@ FLAG_SURFACE = {
             ("--valid", "valid", None, "store"),
             ("--out", "out", None, "store"),
             ("--prompted", "prompted", 0, "store_true"),
-            ("--template", "template", None, "store"),
         ]
         for name in ("train", "adapt")
     },
@@ -305,7 +308,6 @@ FLAG_SURFACE = {
         ("--out", "out", None, "store"),
         ("--raw-out", "raw_out", None, "store"),
         ("--prompted", "prompted", 0, "store_true"),
-        ("--template", "template", None, "store"),
         ("--max-length", "max_length", None, "store"),
     ],
     "evaluate": [
@@ -318,7 +320,7 @@ FLAG_SURFACE = {
         ("--smoothing-epsilon", "smoothing_epsilon", None, "store"),
     ],
     "study": [
-        ("--config --spec", "config", None, "store"),
+        _CONFIG,
         ("--seeds", "seeds", None, "store"),
         ("--out", "out", None, "store"),
     ],
@@ -367,6 +369,25 @@ def test_subcommand_flags_pinned(name, capsys):
     assert _flag_set(_subparsers(cli.build_parser())[name]) == _COMMON_FLAGS | set(FLAG_SURFACE[name])
     assert main([name, "--help"]) == 0
     assert capsys.readouterr().out.startswith(f"usage: crossdial {name}")
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands() -> list[str]:
+    """Every ``crossdial ...`` command in README's sh fences, continuations joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [" ".join(line.split()) for line in lines if line.strip().startswith("crossdial ")]
+
+
+def test_readme_names_commands():
+    assert len(_readme_commands()) >= 10
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_parses(command):
+    cli.build_parser().parse_args(shlex.split(command, comments=True)[1:])
 
 
 # -- resolved-config echoes ------------------------------------------------------
@@ -571,12 +592,10 @@ def test_study_artifacts_written(tiny_study):
 
 
 def test_study_echo_reload_is_byte_identical(tiny_study, tmp_path):
-    for flag in ("--config", "--spec"):  # --spec is an alias of --config
-        again = tmp_path / flag.strip("-")
-        assert main(["study", flag, str(tiny_study / "study.resolved.cfg"),
-                     "--out", str(again)]) == 0
-        for name in ("report.jsonl", "study.json", "samples.txt"):
-            assert filecmp.cmp(tiny_study / name, again / name, shallow=False), (flag, name)
+    again = tmp_path / "again"
+    assert main(["study", "--config", str(tiny_study / "study.resolved.cfg"), "--out", str(again)]) == 0
+    for name in ("report.jsonl", "study.json", "samples.txt"):
+        assert filecmp.cmp(tiny_study / name, again / name, shallow=False), name
 
 
 def test_study_rejects_synthetic_seed(capsys, tmp_path):
@@ -615,9 +634,10 @@ def test_gen_synthetic_rejects_bad_size(capsys, tmp_path):
     assert not out.exists()
 
 
-# The AdamW moment constants, the per-epoch validation schedule and the 13a
-# BLEU tokenizer are not settings, so an echo that names one exits 2 before
-# any file is read.
+# The AdamW moment constants, the per-epoch validation schedule, the 13a
+# BLEU tokenizer, the prompt template, the corruption rate and the layout
+# choice (now the --prompted boolean) are not settings, so an echo that
+# names one exits 2 before any file is read.
 @pytest.mark.parametrize("command, key", [
     ("pretrain", "eval_every"),
     ("pretrain", "beta1"),
@@ -629,6 +649,9 @@ def test_gen_synthetic_rejects_bad_size(capsys, tmp_path):
     ("study", "train.beta2"),
     ("study", "adapt.eps"),
     ("evaluate", "tokenizer"),
+    *((command, "template") for command in ("format", "pretrain", "train", "adapt", "generate")),
+    ("pretrain", "corruption_rate"),
+    ("format", "layout"),
 ])
 def test_removed_key_is_unknown(command, key, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -638,13 +661,15 @@ def test_removed_key_is_unknown(command, key, capsys, tmp_path, monkeypatch):
     assert [path.name for path in tmp_path.iterdir()] == ["old.cfg"]
 
 
-@pytest.mark.parametrize("rate", ["1.5", "0"])
-def test_pretrain_rejects_corruption_rate_outside_open_unit_before_loading(rate, capsys, tmp_path):
+def test_pretrain_on_texts_under_four_tokens_exits_1(capsys, tmp_path):
+    # the fixed 15% corruption rate masks no token of a 3-token text
+    data = tmp_path / "short.jsonl"
+    save_pairs(Corpus(pairs=tuple(DialoguePair(f"a{i} b{i}", f"c{i}", "da") for i in range(4)),
+                      split="train", language="da"), str(data))
     out = tmp_path / "m.model"
-    assert main(["pretrain", "--data", str(tmp_path / "missing.jsonl"), "--out", str(out),
-                 "--corruption-rate", rate]) == 2
+    assert main(["pretrain", "--data", str(data), "--out", str(out), "--set", "epochs=1"]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error:config: pretrain: bad value for 'corruption_rate': must be in (0, 1), got {float(rate)}"
+        "error:model: span corruption masked no validation text: at the fixed 15% rate a text needs at least 4 tokens"
     ]
     assert not out.exists()
 
@@ -654,7 +679,7 @@ def test_pretrain_echo_with_span_length_key_is_rejected(capsys, data_dir, tmp_pa
     out = tmp_path / "m.model"
     echo = tmp_path / "old.cfg"
     echo.write_text(f"command = pretrain\ndata = {data_dir / 'aux_train.jsonl'}\nout = {out}\n"
-                    "corruption_rate = 0.15\nmean_span_length = 3.0\n")
+                    "mean_span_length = 3.0\n")
     assert main(["pretrain", "--config", str(echo)]) == 2
     assert capsys.readouterr().err.splitlines() == ["error:config: pretrain: unknown config key 'mean_span_length'"]
     assert not out.exists()

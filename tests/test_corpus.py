@@ -16,7 +16,14 @@ from crossdial.corpus import (
     sample_few_shot,
     save_pairs,
 )
-from crossdial.kvconfig import ConfigError, config_from_kv, load_kv
+from crossdial.kvconfig import ConfigError, coerce, config_from, config_schema, load_kv
+
+
+def _from_kv(config, raw, source="<config>"):
+    # the path the command line resolves raw entries by: coerce against the
+    # config's schema, then config_from
+    parsers = {key: parse for key, (parse, _) in config_schema(config).items()}
+    return config_from(config, coerce(raw, parsers, source=source))
 
 
 def _corpus(n=8, lang="aa", split="train"):
@@ -120,6 +127,11 @@ def test_sample_few_shot_k_too_large():
         sample_few_shot(_corpus(3), 4, seed=0)
 
 
+def test_sample_few_shot_negative_seed():
+    with pytest.raises(CorpusError, match="seed must be >= 0, got -1"):
+        sample_few_shot(_corpus(5), 2, -1)
+
+
 def test_sample_few_shot_train_only():
     with pytest.raises(CorpusError):
         sample_few_shot(_corpus(5, split="test"), 2, seed=0)
@@ -187,7 +199,7 @@ def test_synthetic_content_avoids_markers(seed):
 
 
 def test_synthetic_spec_from_kv_partial():
-    spec = config_from_kv(SyntheticSpec(), {"vocab_size": "12", "seed": "9"})
+    spec = _from_kv(SyntheticSpec(), {"vocab_size": "12", "seed": "9"})
     assert spec.vocab_size_per_language == 12
     assert spec.seed == 9
     assert spec.n_train_aux == SyntheticSpec().n_train_aux
@@ -195,13 +207,13 @@ def test_synthetic_spec_from_kv_partial():
 
 def test_synthetic_spec_unknown_key():
     with pytest.raises(ConfigError, match="n_tran"):
-        config_from_kv(SyntheticSpec(), {"n_tran": "5"})
+        _from_kv(SyntheticSpec(), {"n_tran": "5"})
 
 
 def test_load_synthetic_spec(tmp_path):
     path = tmp_path / "synth.cfg"
     path.write_text("vocab_size = 16\ntemplates = 2\n")
-    spec = config_from_kv(SyntheticSpec(), load_kv(path), source=str(path))
+    spec = _from_kv(SyntheticSpec(), load_kv(path), source=str(path))
     assert (spec.vocab_size_per_language, spec.template_count) == (16, 2)
 
 

@@ -15,7 +15,15 @@ from crossdial.experiment import (
     template_texts,
     write_study_artifacts,
 )
-from crossdial.kvconfig import ConfigError, config_from_kv, config_schema, dump_kv, load_kv, parse_kv_text
+from crossdial.kvconfig import (
+    ConfigError,
+    coerce,
+    config_from,
+    config_schema,
+    dump_kv,
+    load_kv,
+    parse_kv_text,
+)
 from crossdial.model import (
     AttentiveSeq2Seq,
     ModelConfig,
@@ -155,8 +163,15 @@ def test_scenario_seeds_are_reproducible():
 # -- config files ------------------------------------------------------------
 
 
+def _from_kv(config, raw, source="<config>"):
+    # the path the command line resolves raw entries by: coerce against the
+    # config's schema, then config_from
+    parsers = {key: parse for key, (parse, _) in config_schema(config).items()}
+    return config_from(config, coerce(raw, parsers, source=source))
+
+
 def test_optimizer_config_from_kv_partial():
-    cfg = config_from_kv(SOURCE_TRAIN_DEFAULTS, {"learning_rate": "0.01", "epochs": "2"})
+    cfg = _from_kv(SOURCE_TRAIN_DEFAULTS, {"learning_rate": "0.01", "epochs": "2"})
     assert cfg.learning_rate == 0.01
     assert cfg.epochs == 2
     assert cfg.batch_size == SOURCE_TRAIN_DEFAULTS.batch_size
@@ -165,14 +180,14 @@ def test_optimizer_config_from_kv_partial():
 
 def test_optimizer_config_unknown_key():
     with pytest.raises(ConfigError, match="lr"):
-        config_from_kv(SOURCE_TRAIN_DEFAULTS, {"lr": "0.01"})
+        _from_kv(SOURCE_TRAIN_DEFAULTS, {"lr": "0.01"})
 
 
 def test_optimizer_entries_round_trip():
     cfg = OptimizerConfig(learning_rate=0.007, epochs=3, batch_size=2, weight_decay=0.1)
     entries = {key: value for key, (_, value) in config_schema(cfg).items()}
     raw = parse_kv_text(dump_kv(entries))
-    assert config_from_kv(SOURCE_TRAIN_DEFAULTS, raw) == cfg
+    assert _from_kv(SOURCE_TRAIN_DEFAULTS, raw) == cfg
 
 
 def test_study_config_round_trip():
@@ -186,11 +201,11 @@ def test_study_config_round_trip():
     )
     entries = {key: value for key, (_, value) in config_schema(config).items()}
     raw = parse_kv_text(dump_kv(entries))
-    assert config_from_kv(StudyConfig(), raw) == config
+    assert _from_kv(StudyConfig(), raw) == config
 
 
 def test_study_config_stage_prefixes():
-    config = config_from_kv(StudyConfig(), {"pretrain.epochs": "9", "adapt.learning_rate": "0.5", "seeds": "3"})
+    config = _from_kv(StudyConfig(), {"pretrain.epochs": "9", "adapt.learning_rate": "0.5", "seeds": "3"})
     assert config.pretrain.epochs == 9
     assert config.adapt.learning_rate == 0.5
     assert config.train == experiment.STUDY_TRAIN  # untouched stage keeps defaults
@@ -199,15 +214,15 @@ def test_study_config_stage_prefixes():
 
 def test_study_config_unknown_key_named():
     with pytest.raises(ConfigError, match="pretrain.lr"):
-        config_from_kv(StudyConfig(), {"pretrain.lr": "0.1"})
+        _from_kv(StudyConfig(), {"pretrain.lr": "0.1"})
     with pytest.raises(ConfigError, match="surprise"):
-        config_from_kv(StudyConfig(), {"surprise": "1"})
+        _from_kv(StudyConfig(), {"surprise": "1"})
 
 
 def test_load_study_config(tmp_path):
     path = tmp_path / "study.cfg"
     path.write_text("synthetic.vocab_size = 15\ntrain.epochs = 7\nseeds = 1,2\n")
-    config = config_from_kv(StudyConfig(), load_kv(path), source=str(path))
+    config = _from_kv(StudyConfig(), load_kv(path), source=str(path))
     assert config.synthetic.vocab_size_per_language == 15
     assert config.train.epochs == 7
     assert config.seeds == (1, 2)

@@ -155,6 +155,12 @@ def test_export_n_bounds(tmp_path):
         export_pairs(_hyps("A"), _hyps("B"), "FS-XLT", "FS-XLT_pmpt", _test_corpus(), n=13, **kwargs)
 
 
+def test_export_negative_seed(tmp_path):
+    with pytest.raises(HumanEvalError, match="seed must be >= 0, got -1"):
+        _export(tmp_path, seed=-1)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sheet_cells_sanitized(tmp_path):
     hyps_a = _hyps("A")
     hyps_a[0] = "line one\nline two\twith tab"

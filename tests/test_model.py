@@ -514,3 +514,25 @@ def test_pretrain_deterministic():
         return model.parameters_flat()
 
     np.testing.assert_array_equal(run(), run())
+
+
+def test_pretrain_rejects_negative_seed():
+    cfg = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=8)
+    with pytest.raises(ModelError, match="seed must be >= 0, got -1"):
+        pretrain_span_corruption(_model(extra=_SENTINELS), [_tiny_bundle().aux_train], cfg, seed=-1)
+
+
+def _texts_of(n_tokens: int) -> Corpus:
+    # each raw text is "context response", n_tokens long in all
+    pairs = tuple(DialoguePair(" ".join(f"a{i + j}" for j in range(n_tokens - 1)), "a4", "aa") for i in range(1, 4))
+    return Corpus(pairs=pairs, split="train", language="aa")
+
+
+def test_pretrain_on_texts_under_four_tokens_names_the_length():
+    # the fixed 15% rate masks int(0.15 * n + 0.5) tokens: none for n <= 3
+    cfg = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=2)
+    with pytest.raises(ModelError, match="^span corruption masked no validation text: at the fixed 15% rate "
+                                         "a text needs at least 4 tokens$"):
+        pretrain_span_corruption(_model(extra=_SENTINELS), [_texts_of(3)], cfg, seed=0)
+    result = pretrain_span_corruption(_model(extra=_SENTINELS), [_texts_of(4)], cfg, seed=0)
+    assert result.train_losses

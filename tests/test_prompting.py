@@ -3,11 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossdial.corpus import DialoguePair
-from crossdial.kvconfig import config_from_kv, load_kv
 from crossdial.prompting import (
     DEFAULT_TEMPLATE,
     PromptError,
-    PromptTemplate,
     corrupt_spans,
     extract_response,
     format_plain,
@@ -42,34 +40,9 @@ def test_prompted_source_ends_with_sentinel():
     assert ex.source.endswith(S0)
 
 
-def test_custom_template():
-    tpl = PromptTemplate(context_prefix="Q:", response_prefix="A:", sentinel0="<m0>", sentinel1="<m1>")
-    ex = format_prompted(_pair("x", "y"), tpl)
-    assert ex.source == "Q: x A: <m0>"
-    assert ex.target == "<m0> y <m1>"
-
-
-def test_template_rejects_equal_sentinels():
-    with pytest.raises(PromptError):
-        PromptTemplate(sentinel0="<m>", sentinel1="<m>")
-
-
-def test_template_rejects_whitespace_sentinel():
-    with pytest.raises(PromptError):
-        PromptTemplate(sentinel0="<a b>")
-
-
 def test_format_rejects_pair_containing_sentinel():
     with pytest.raises(PromptError):
         format_prompted(_pair(ctx=f"hello {S0} there"))
-
-
-def test_load_template(tmp_path):
-    path = tmp_path / "tpl.cfg"
-    path.write_text("context_prefix = Q:\nresponse_prefix = A:\n")
-    tpl = config_from_kv(DEFAULT_TEMPLATE, load_kv(path), source=str(path))
-    assert tpl.context_prefix == "Q:"
-    assert tpl.sentinel0 == S0  # defaults preserved
 
 
 # -- extraction ------------------------------------------------------------
@@ -153,6 +126,11 @@ def test_corrupt_spans_rate_validated():
         corrupt_spans("a b c", 0.0, seed=0)
     with pytest.raises(PromptError):
         corrupt_spans("a b c", 1.0, seed=0)
+
+
+def test_corrupt_spans_seed_validated():
+    with pytest.raises(PromptError, match="seed must be >= 0, got -1"):
+        corrupt_spans("a b c d e", 0.3, seed=-1)
 
 
 @settings(max_examples=100, deadline=None)
