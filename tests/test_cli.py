@@ -661,6 +661,17 @@ def test_removed_key_is_unknown(command, key, capsys, tmp_path, monkeypatch):
     assert [path.name for path in tmp_path.iterdir()] == ["old.cfg"]
 
 
+# The rate is the constant CORRUPTION_RATE, so a value the old flag rejected
+# as out of range is now refused as an unknown flag, still before loading.
+@pytest.mark.parametrize("rate", ["1.5", "0"])
+def test_pretrain_rejects_corruption_rate_outside_open_unit_before_loading(rate, capsys, tmp_path):
+    out = tmp_path / "m.model"
+    assert main(["pretrain", "--data", str(tmp_path / "missing.jsonl"), "--out", str(out),
+                 "--corruption-rate", rate]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error:config: unrecognized arguments: --corruption-rate {rate}"]
+    assert not out.exists()
+
+
 def test_pretrain_on_texts_under_four_tokens_exits_1(capsys, tmp_path):
     # the fixed 15% corruption rate masks no token of a 3-token text
     data = tmp_path / "short.jsonl"
