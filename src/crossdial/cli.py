@@ -38,6 +38,9 @@ from .corpus import (
 )
 from .experiment import (
     SETTINGS,
+    STUDY_ADAPT,
+    STUDY_PRETRAIN,
+    STUDY_TRAIN,
     StudyConfig,
     format_pairs,
     generate_responses,
@@ -57,9 +60,6 @@ from .metrics import (
     write_metric_report,
 )
 from .model import (
-    PRETRAIN_DEFAULTS,
-    SOURCE_TRAIN_DEFAULTS,
-    TARGET_ADAPT_DEFAULTS,
     AttentiveSeq2Seq,
     ModelConfig,
     ModelError,
@@ -206,7 +206,7 @@ def _cmd_gen_synthetic(r: dict) -> str:
 
 _SAMPLE_FEWSHOT_SCHEMA: dict[str, tuple] = {
     "in": (str, _REQUIRED, "input corpus file"),
-    "k": (_int_at_least(0), _REQUIRED, "subset size"),
+    "k": (_positive_int, _REQUIRED, "subset size"),
     "seed": (_int_at_least(0), 0, "sampling seed"),
     "out": (str, _REQUIRED, "output corpus file"),
 }
@@ -262,13 +262,13 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
         embedding_size="token embedding width",
         hidden_size="GRU state and attention width",
     ),
-    **config_schema(PRETRAIN_DEFAULTS),
+    **config_schema(STUDY_PRETRAIN),
 }
 
 
 def _cmd_pretrain(r: dict) -> str:
     model_config = config_from(ModelConfig(), r)
-    optimizer_config = config_from(PRETRAIN_DEFAULTS, r)
+    optimizer_config = config_from(STUDY_PRETRAIN, r)
     corpora = [_load_single_language_corpus(path, "train") for path in r["data"]]
     vocabulary = Vocabulary.build(corpora, extra_texts=template_texts(DEFAULT_TEMPLATE))
     model = AttentiveSeq2Seq(vocabulary, model_config)
@@ -293,7 +293,7 @@ def _cmd_finetune(r: dict) -> str:
     """``train`` and ``adapt``: their schemas differ only in the optimizer
     defaults, and ``r`` holds every optimizer key, so either stage's
     defaults give the same config."""
-    config = config_from(SOURCE_TRAIN_DEFAULTS, r)
+    config = config_from(STUDY_TRAIN, r)
     model = load_model(r["model"])
     train_pairs = load_pairs(r["train"])
     valid_pairs = load_pairs(r["valid"])
@@ -429,10 +429,10 @@ _COMMANDS: dict[str, tuple[str, Callable[[dict], str | None], dict[str, tuple]]]
     "interleave": ("evenly interleave few-shot targets into an auxiliary stream", _cmd_interleave, _INTERLEAVE_SCHEMA),
     "format": ("render pairs to (source, target) training texts", _cmd_format, _FORMAT_SCHEMA),
     "pretrain": ("span-corruption pretraining on raw corpus text", _cmd_pretrain, _PRETRAIN_SCHEMA),
-    "train": ("fine-tune a model on a corpus (source-stage defaults)",
-              _cmd_finetune, _finetune_schema(SOURCE_TRAIN_DEFAULTS)),
-    "adapt": ("few-shot adaptation (target-stage defaults)",
-              _cmd_finetune, _finetune_schema(TARGET_ADAPT_DEFAULTS)),
+    "train": ("fine-tune a model on a corpus (defaults: the study's source-stage budget)",
+              _cmd_finetune, _finetune_schema(STUDY_TRAIN)),
+    "adapt": ("few-shot adaptation (defaults: the study's target-stage budget)",
+              _cmd_finetune, _finetune_schema(STUDY_ADAPT)),
     "generate": ("greedy generation for every context of a corpus", _cmd_generate, _GENERATE_SCHEMA),
     "evaluate": ("score hypotheses against a reference corpus", _cmd_evaluate, _EVALUATE_SCHEMA),
     "study": ("run the 4-setting forgetting study over several seeds", _cmd_study, _STUDY_SCHEMA),

@@ -45,8 +45,6 @@ from .metrics import (
     write_metric_report,
 )
 from .model import (
-    SOURCE_TRAIN_DEFAULTS,
-    TARGET_ADAPT_DEFAULTS,
     AttentiveSeq2Seq,
     ModelConfig,
     OptimizerConfig,
@@ -104,8 +102,8 @@ class ExperimentSpec:
 
     scenario: str
     prompted: bool
-    train_config: OptimizerConfig = SOURCE_TRAIN_DEFAULTS
-    adapt_config: OptimizerConfig = TARGET_ADAPT_DEFAULTS
+    train_config: OptimizerConfig
+    adapt_config: OptimizerConfig
     seed: int = 0
     max_generate: int = 64
 
@@ -245,9 +243,8 @@ def run_scenario(model: AttentiveSeq2Seq, data: ScenarioData, spec: ExperimentSp
 
 REFERENCE_SYNTHETIC = SyntheticSpec()
 
-# The reference budgets below drive a from-scratch ~80k-parameter model, so
-# the learning rates sit well above the defaults that suit a large
-# pretrained network.
+# The stage budgets, also the defaults of `crossdial pretrain`, `train` and
+# `adapt`: a from-scratch ~80k-parameter model needs these large learning rates.
 STUDY_PRETRAIN = OptimizerConfig(learning_rate=5e-3, epochs=8, batch_size=8)
 STUDY_TRAIN = OptimizerConfig(learning_rate=3e-3, epochs=4, batch_size=8)
 STUDY_ADAPT = OptimizerConfig(learning_rate=6e-3, epochs=6, batch_size=4)

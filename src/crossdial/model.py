@@ -149,13 +149,6 @@ class OptimizerConfig:
             raise ModelError("max_length must be >= 1")
 
 
-# Stage defaults: lr 5e-5 / 5 epochs / batch 8 for pretraining and source
-# training, lr 1e-4 / 6 epochs / batch 4 for few-shot target adaptation.
-PRETRAIN_DEFAULTS = OptimizerConfig(learning_rate=5e-5, epochs=5, batch_size=8)
-SOURCE_TRAIN_DEFAULTS = OptimizerConfig(learning_rate=5e-5, epochs=5, batch_size=8)
-TARGET_ADAPT_DEFAULTS = OptimizerConfig(learning_rate=1e-4, epochs=6, batch_size=4)
-
-
 # ---------------------------------------------------------------------------
 # Batching
 

@@ -7,17 +7,22 @@ byte-identity sweep lives in the acceptance suite.
 import argparse
 import filecmp
 import json
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import crossdial.cli as cli
 import crossdial.experiment as experiment
 from crossdial.cli import main
 from crossdial.corpus import Corpus, DialoguePair, save_pairs
-from crossdial.kvconfig import load_kv
+from crossdial.humaneval import CHOICES
+from crossdial.kvconfig import config_schema, load_kv
 
 TINY_SYNTH = [
     "--set", "vocab_size=16",
@@ -437,6 +442,21 @@ def test_every_stage_writes_an_echo(models):
         assert "learning_rate" in echo
 
 
+def test_training_stages_default_to_study_budgets(data_dir, tmp_path):
+    pre, src, adapted = tmp_path / "pre.model", tmp_path / "src.model", tmp_path / "adapted.model"
+    assert main(["pretrain", "--data", str(data_dir / "aux_train.jsonl"), str(data_dir / "tgt_valid.jsonl"),
+                 "--out", str(pre), "--embedding-size", "12", "--hidden-size", "16"]) == 0
+    assert main(["train", "--model", str(pre), "--train", str(data_dir / "aux_train.jsonl"),
+                 "--valid", str(data_dir / "aux_valid.jsonl"), "--out", str(src)]) == 0
+    assert main(["adapt", "--model", str(src), "--train", str(data_dir / "tgt_train.jsonl"),
+                 "--valid", str(data_dir / "tgt_valid.jsonl"), "--out", str(adapted)]) == 0
+    for model, budget in ((pre, experiment.STUDY_PRETRAIN), (src, experiment.STUDY_TRAIN),
+                          (adapted, experiment.STUDY_ADAPT)):
+        expected = {key: str(value) for key, (_, value) in config_schema(budget).items()}
+        echo = load_kv(str(model) + ".cfg")
+        assert {key: echo[key] for key in expected} == expected, model.name
+
+
 # -- pipeline outputs ------------------------------------------------------------
 
 
@@ -484,7 +504,9 @@ _TRAIN_MISSING = ["train", "--model", "missing.model", "--train", "missing.jsonl
 
 @pytest.mark.parametrize("argv, line", [
     pytest.param(["sample-fewshot", "--in", "missing.jsonl", "--out", "s.jsonl", "--k", "-1"],
-                 "error:config: sample-fewshot: bad value for 'k': must be >= 0, got -1", id="k"),
+                 "error:config: sample-fewshot: bad value for 'k': must be >= 1, got -1", id="k"),
+    pytest.param(["sample-fewshot", "--in", "missing.jsonl", "--out", "s.jsonl", "--k", "0"],
+                 "error:config: sample-fewshot: bad value for 'k': must be >= 1, got 0", id="k-0"),
     pytest.param(["humaneval-export", "--hyp-a", "a.txt", "--hyp-b", "b.txt", "--system-a", "FS-XLT",
                   "--system-b", "FS-XLT_pmpt", "--test", "missing.jsonl", "--sheet", "sheet.tsv",
                   "--key", "key.tsv", "--n", "0"],
@@ -734,3 +756,34 @@ def test_humaneval_cli_round_trip(data_dir, tmp_path, capsys):
     assert main(["humaneval-aggregate", "--sheet", str(done), "--key", str(key), "--language", "da"]) == 0
     assert capsys.readouterr().out == out.read_text()
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_readme_humaneval_commands_run_on_gen_synthetic_output(tmp_path, monkeypatch, capsys):
+    commands = {}
+    for line in _readme_commands():
+        commands.setdefault(line.split()[1], line)  # the first of each subcommand: the pipeline's
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(commands["gen-synthetic"])[1:]) == 0
+    test_size = len((tmp_path / "data" / "tgt_test.jsonl").read_text(encoding="utf-8").splitlines())
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "plain_hyp.txt").write_text("".join(f"plain {i}\n" for i in range(test_size)))
+    (tmp_path / "runs" / "prompted_hyp.txt").write_text("".join(f"prompted {i}\n" for i in range(test_size)))
+    assert main(shlex.split(commands["humaneval-export"])[1:]) == 0
+
+    sheet = tmp_path / "eval" / "sheet.tsv"
+    header, *rows = sheet.read_text(encoding="utf-8").splitlines()
+    votes = np.random.default_rng(0).choice(CHOICES, size=len(rows)).tolist()
+    sheet.write_text("\n".join([header] + [row + vote for row, vote in zip(rows, votes)]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(shlex.split(commands["humaneval-aggregate"])[1:]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].endswith(f"({len(rows)} judged)")
+    assert table[2].split()[:2] == ["Neutral", str(votes.count("neutral"))]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    done = subprocess.run([sys.executable, "-m", "crossdial", "--help"], cwd=README.parent, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: crossdial")

@@ -28,7 +28,6 @@ from crossdial.model import (
     AttentiveSeq2Seq,
     ModelConfig,
     OptimizerConfig,
-    SOURCE_TRAIN_DEFAULTS,
     Vocabulary,
     train,
 )
@@ -78,12 +77,13 @@ def test_template_texts_cover_all_template_tokens():
 
 
 def test_experiment_spec_setting_names():
-    assert ExperimentSpec(scenario="fs-xlt", prompted=False).setting_name == "FS-XLT"
-    assert ExperimentSpec(scenario="fs-xlt", prompted=True).setting_name == "FS-XLT_pmpt"
-    assert ExperimentSpec(scenario="mtl", prompted=False).setting_name == "MTL"
-    assert ExperimentSpec(scenario="mtl", prompted=True).setting_name == "MTL_pmpt"
+    configs = {"train_config": _TINY_OPT, "adapt_config": _TINY_OPT}
+    assert ExperimentSpec(scenario="fs-xlt", prompted=False, **configs).setting_name == "FS-XLT"
+    assert ExperimentSpec(scenario="fs-xlt", prompted=True, **configs).setting_name == "FS-XLT_pmpt"
+    assert ExperimentSpec(scenario="mtl", prompted=False, **configs).setting_name == "MTL"
+    assert ExperimentSpec(scenario="mtl", prompted=True, **configs).setting_name == "MTL_pmpt"
     with pytest.raises(ConfigError):
-        ExperimentSpec(scenario="zero-shot", prompted=False)
+        ExperimentSpec(scenario="zero-shot", prompted=False, **configs)
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -171,23 +171,23 @@ def _from_kv(config, raw, source="<config>"):
 
 
 def test_optimizer_config_from_kv_partial():
-    cfg = _from_kv(SOURCE_TRAIN_DEFAULTS, {"learning_rate": "0.01", "epochs": "2"})
+    cfg = _from_kv(experiment.STUDY_TRAIN, {"learning_rate": "0.01", "epochs": "2"})
     assert cfg.learning_rate == 0.01
     assert cfg.epochs == 2
-    assert cfg.batch_size == SOURCE_TRAIN_DEFAULTS.batch_size
-    assert cfg.weight_decay == SOURCE_TRAIN_DEFAULTS.weight_decay
+    assert cfg.batch_size == experiment.STUDY_TRAIN.batch_size
+    assert cfg.weight_decay == experiment.STUDY_TRAIN.weight_decay
 
 
 def test_optimizer_config_unknown_key():
     with pytest.raises(ConfigError, match="lr"):
-        _from_kv(SOURCE_TRAIN_DEFAULTS, {"lr": "0.01"})
+        _from_kv(experiment.STUDY_TRAIN, {"lr": "0.01"})
 
 
 def test_optimizer_entries_round_trip():
     cfg = OptimizerConfig(learning_rate=0.007, epochs=3, batch_size=2, weight_decay=0.1)
     entries = {key: value for key, (_, value) in config_schema(cfg).items()}
     raw = parse_kv_text(dump_kv(entries))
-    assert _from_kv(SOURCE_TRAIN_DEFAULTS, raw) == cfg
+    assert _from_kv(experiment.STUDY_TRAIN, raw) == cfg
 
 
 def test_study_config_round_trip():

@@ -16,10 +16,7 @@ from crossdial.model import (
     ModelError,
     OptimizerConfig,
     PAD_ID,
-    PRETRAIN_DEFAULTS,
     ParamViews,
-    SOURCE_TRAIN_DEFAULTS,
-    TARGET_ADAPT_DEFAULTS,
     TrainingDivergedError,
     Vocabulary,
     batch_from_encoded,
@@ -205,11 +202,8 @@ def test_weight_decay_is_decoupled():
 
 
 def test_optimizer_config_defaults():
-    assert (PRETRAIN_DEFAULTS.learning_rate, PRETRAIN_DEFAULTS.epochs, PRETRAIN_DEFAULTS.batch_size) == (5e-5, 5, 8)
-    assert (SOURCE_TRAIN_DEFAULTS.learning_rate, SOURCE_TRAIN_DEFAULTS.epochs, SOURCE_TRAIN_DEFAULTS.batch_size) == (5e-5, 5, 8)
-    assert (TARGET_ADAPT_DEFAULTS.learning_rate, TARGET_ADAPT_DEFAULTS.epochs, TARGET_ADAPT_DEFAULTS.batch_size) == (1e-4, 6, 4)
-    for cfg in (PRETRAIN_DEFAULTS, SOURCE_TRAIN_DEFAULTS, TARGET_ADAPT_DEFAULTS):
-        assert (cfg.weight_decay, cfg.max_length) == (0.0, 64)
+    cfg = OptimizerConfig(learning_rate=1e-3, epochs=1, batch_size=1)
+    assert (cfg.weight_decay, cfg.max_length) == (0.0, 64)
     assert (AdamW.BETA1, AdamW.BETA2, AdamW.EPS) == (0.9, 0.999, 1e-8)
 
 
