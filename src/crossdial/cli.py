@@ -37,41 +37,26 @@ from .corpus import (
     generate_synthetic_bilingual,
 )
 from .experiment import (
+    MAX_GENERATE,
     SETTINGS,
     STUDY_ADAPT,
     STUDY_PRETRAIN,
     STUDY_TRAIN,
     StudyConfig,
+    finetune,
     format_pairs,
     generate_responses,
+    pretrain_base,
     run_forgetting_study,
-    template_texts,
+    score,
     write_study_artifacts,
 )
 from .humaneval import HumanEvalError, aggregate_votes, export_pairs
 from .interleave import InterleaveError, interleave_even
 from .kvconfig import ConfigError, coerce, config_from, config_schema, load_kv, parse_bool, write_kv
-from .metrics import (
-    MetricError,
-    corpus_bleu,
-    distinct_report,
-    language_legality,
-    report_record,
-    write_metric_report,
-)
-from .model import (
-    AttentiveSeq2Seq,
-    ModelConfig,
-    ModelError,
-    OptimizerConfig,
-    TrainingDivergedError,
-    Vocabulary,
-    load_model,
-    pretrain_span_corruption,
-    save_model,
-    train,
-)
-from .prompting import DEFAULT_TEMPLATE, PromptError
+from .metrics import SMOOTHING_EPSILON, MetricError, report_record, write_metric_report
+from .model import ModelConfig, ModelError, OptimizerConfig, TrainingDivergedError, load_model, save_model
+from .prompting import PromptError
 
 log = logging.getLogger(__name__)
 
@@ -267,12 +252,9 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
 
 
 def _cmd_pretrain(r: dict) -> str:
-    model_config = config_from(ModelConfig(), r)
-    optimizer_config = config_from(STUDY_PRETRAIN, r)
-    corpora = [_load_single_language_corpus(path, "train") for path in r["data"]]
-    vocabulary = Vocabulary.build(corpora, extra_texts=template_texts(DEFAULT_TEMPLATE))
-    model = AttentiveSeq2Seq(vocabulary, model_config)
-    result = pretrain_span_corruption(model, corpora, optimizer_config, seed=r["seed"])
+    model_config, config = config_from(ModelConfig(), r), config_from(STUDY_PRETRAIN, r)
+    pool = [_load_single_language_corpus(path, "train") for path in r["data"]]
+    result = pretrain_base(pool, model_config, config)
     save_model(result.model, r["out"])
     _write_history(r["out"] + ".history", result)
     return r["out"] + ".cfg"
@@ -295,12 +277,7 @@ def _cmd_finetune(r: dict) -> str:
     defaults give the same config."""
     config = config_from(STUDY_TRAIN, r)
     model = load_model(r["model"])
-    train_pairs = load_pairs(r["train"])
-    valid_pairs = load_pairs(r["valid"])
-    data = format_pairs(train_pairs, r["prompted"])
-    valid = format_pairs(valid_pairs, r["prompted"])
-    result = train(model, data, valid, config)
-    model.load_snapshot(result.best.params)
+    result = finetune(model, load_pairs(r["train"]), load_pairs(r["valid"]), r["prompted"], config)
     save_model(model, r["out"])
     _write_history(r["out"] + ".history", result)
     return r["out"] + ".cfg"
@@ -312,7 +289,7 @@ _GENERATE_SCHEMA: dict[str, tuple] = {
     "out": (str, _REQUIRED, "output text file, one hypothesis per line"),
     "raw_out": (str, "", "also write the unextracted generations"),
     "prompted": _PROMPTED,
-    "max_length": (_positive_int, 64, "maximum generated tokens per response"),
+    "max_length": (_positive_int, MAX_GENERATE, "maximum generated tokens per response"),
 }
 
 
@@ -332,7 +309,7 @@ _EVALUATE_SCHEMA: dict[str, tuple] = {
     "report": (str, _REQUIRED, "output metric report, JSONL"),
     "system": (str, "system", "system name recorded in the report"),
     "target_vocab": (str, "", "one legal token per line (default: derive from the references)"),
-    "smoothing_epsilon": (_positive_percent, 1e-2, "BLEU floor smoothing for zero n-gram counts"),
+    "smoothing_epsilon": (_positive_percent, SMOOTHING_EPSILON, "BLEU floor smoothing for zero n-gram counts"),
 }
 
 
@@ -344,10 +321,8 @@ def _cmd_evaluate(r: dict) -> str:
         vocabulary = frozenset(tok for tok in read_text(r["target_vocab"]).splitlines() if tok.strip())
     else:
         vocabulary = derive_token_vocabulary([ref_pairs])
-    bleu = corpus_bleu(hypotheses, references, smoothing_epsilon=r["smoothing_epsilon"])
-    distinct = distinct_report(hypotheses)
-    legality = language_legality(hypotheses, vocabulary)
-    write_metric_report(r["report"], [report_record(r["system"], bleu, distinct, legality)])
+    reports = score(hypotheses, references, vocabulary, r["smoothing_epsilon"])
+    write_metric_report(r["report"], [report_record(r["system"], *reports)])
     return r["report"] + ".cfg"
 
 

@@ -149,8 +149,8 @@ def sample_few_shot(corpus: Corpus, k: int, seed: int) -> Corpus:
     """
     if corpus.split != "train":
         raise CorpusError(f"few-shot sampling expects a train corpus, got split {corpus.split!r}")
-    if k < 0:
-        raise CorpusError("k must be non-negative")
+    if k < 1:
+        raise CorpusError(f"k must be >= 1, got {k}")
     if k > len(corpus):
         raise CorpusError(f"k={k} exceeds corpus size {len(corpus)}")
     if seed < 0:

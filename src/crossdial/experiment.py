@@ -16,6 +16,10 @@ languages' raw text, snapshots it, and replays all four settings from the
 identical snapshot, so any difference between settings is caused by the
 fine-tuning recipe alone.  Wall-clock timings are kept out of every
 deterministic artifact (they go to a separate diagnostics log).
+
+Each stage has one implementation, which the study and the stage
+subcommands both run: ``pretrain_base`` (a model's vocabulary is its
+pretraining pool's tokens plus the prompt strings), ``finetune`` and ``score``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from .corpus import Corpus, SyntheticSpec, generate_synthetic_bilingual
 from .interleave import interleave_even
 from .kvconfig import ConfigError
 from .metrics import (
+    SMOOTHING_EPSILON,
     BleuReport,
     DistinctReport,
     LegalityReport,
@@ -48,6 +53,7 @@ from .model import (
     AttentiveSeq2Seq,
     ModelConfig,
     OptimizerConfig,
+    TrainResult,
     Vocabulary,
     generate_corpus,
     pretrain_span_corruption,
@@ -64,6 +70,10 @@ SETTINGS = {
     "MTL": ("mtl", False),
     "MTL_pmpt": ("mtl", True),
 }
+
+# tokens greedy decoding may generate per response: the default of the study
+# and of `crossdial generate`
+MAX_GENERATE = 64
 
 
 def template_texts(template: PromptTemplate) -> list[str]:
@@ -84,7 +94,7 @@ def generate_responses(
     model: AttentiveSeq2Seq,
     pairs: Iterable,
     prompted: bool,
-    max_length: int = 64,
+    max_length: int,
 ) -> tuple[list[str], list[str]]:
     """Greedy generation for every context of ``pairs`` in one layout.
 
@@ -96,6 +106,30 @@ def generate_responses(
     return raw, ([extract_response(text) for text in raw] if prompted else raw)
 
 
+def pretrain_base(pool: Sequence[Corpus], model_config: ModelConfig, config: OptimizerConfig) -> TrainResult:
+    """A fresh model pretrained with span corruption on ``pool``; its
+    vocabulary is the pool's tokens plus the prompt strings."""
+    vocabulary = Vocabulary.build(pool, extra_texts=template_texts(DEFAULT_TEMPLATE))
+    model = AttentiveSeq2Seq(vocabulary, model_config)
+    log.info("pretraining on %d raw texts", sum(len(corpus) for corpus in pool))
+    return pretrain_span_corruption(model, pool, config, seed=model_config.seed)
+
+
+def finetune(model: AttentiveSeq2Seq, train_pairs: Iterable, valid_pairs: Iterable, prompted: bool,
+             config: OptimizerConfig) -> TrainResult:
+    """Fine-tune in place in one layout and restore the lowest-valid-loss checkpoint."""
+    result = train(model, format_pairs(train_pairs, prompted), format_pairs(valid_pairs, prompted), config)
+    model.load_snapshot(result.best.params)
+    return result
+
+
+def score(hypotheses: Sequence[str], references: Sequence[str], vocabulary: Iterable[str],
+          smoothing_epsilon: float) -> tuple[BleuReport, DistinctReport, LegalityReport]:
+    """BLEU against the references, distinct-n, and legality against the target vocabulary."""
+    bleu = corpus_bleu(hypotheses, references, smoothing_epsilon=smoothing_epsilon)
+    return bleu, distinct_report(hypotheses), language_legality(hypotheses, vocabulary)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """What to run: scenario, layout, per-stage optimizer budgets."""
@@ -105,7 +139,7 @@ class ExperimentSpec:
     train_config: OptimizerConfig
     adapt_config: OptimizerConfig
     seed: int = 0
-    max_generate: int = 64
+    max_generate: int = MAX_GENERATE
 
     def __post_init__(self) -> None:
         scenarios = tuple(dict.fromkeys(scenario for scenario, _ in SETTINGS.values()))
@@ -198,23 +232,15 @@ def run_scenario(model: AttentiveSeq2Seq, data: ScenarioData, spec: ExperimentSp
 
     total_steps = 0
     for train_pairs, valid, config in stages:
-        result = train(
-            model,
-            format_pairs(train_pairs, spec.prompted),
-            format_pairs(valid, spec.prompted),
-            config,
-        )
+        result = finetune(model, train_pairs, valid, spec.prompted, config)
         best = result.best
-        model.load_snapshot(best.params)
         total_steps += result.train_losses[-1][0] if result.train_losses else 0
     selection_language = stages[-1][1].language  # the last stage's validation set picked the checkpoint
 
     _, hypotheses = generate_responses(model, data.tgt_test, spec.prompted, spec.max_generate)
     references = [pair.response for pair in data.tgt_test]
 
-    bleu = corpus_bleu(hypotheses, references)
-    distinct = distinct_report(hypotheses)
-    legality = language_legality(hypotheses, data.target_vocabulary)
+    bleu, distinct, legality = score(hypotheses, references, data.target_vocabulary, SMOOTHING_EPSILON)
     wall = time.perf_counter() - started
     log.info(
         "%s seed=%d: bleu %.2f, legality %.1f%% (selected step %d on %s valid)",
@@ -275,7 +301,7 @@ class StudyConfig:
     train: OptimizerConfig = STUDY_TRAIN
     adapt: OptimizerConfig = STUDY_ADAPT
     seeds: tuple[int, ...] = field(default=(0, 1, 2), metadata={"parse": _parse_seeds})
-    max_generate: int = 64
+    max_generate: int = MAX_GENERATE
 
     def __post_init__(self) -> None:
         if not self.seeds:
@@ -316,13 +342,7 @@ def run_forgetting_study(config: StudyConfig = StudyConfig()) -> StudyReport:
         synth = dataclasses.replace(config.synthetic, seed=seed)
         bundle = generate_synthetic_bilingual(synth)
         data = ScenarioData.from_synthetic(bundle)
-        vocabulary = Vocabulary.build(
-            [bundle.aux_train, bundle.aux_valid, bundle.aux_test, bundle.tgt_fewshot, bundle.tgt_valid, bundle.tgt_test],
-            extra_texts=template_texts(DEFAULT_TEMPLATE),
-        )
-        model = AttentiveSeq2Seq(vocabulary, ModelConfig(seed=seed))
-        log.info("seed %d: pretraining on %d + %d raw texts", seed, len(bundle.aux_train), len(bundle.tgt_valid))
-        pretrain_span_corruption(model, [bundle.aux_train, bundle.tgt_valid], config.pretrain, seed=seed)
+        model = pretrain_base([bundle.aux_train, bundle.tgt_valid], ModelConfig(seed=seed), config.pretrain).model
         base = model.snapshot()
         for name, (scenario, prompted) in SETTINGS.items():
             model.load_snapshot(base)

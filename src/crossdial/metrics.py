@@ -63,6 +63,7 @@ def count_ngrams(tokens: Sequence[str], n: int) -> Counter:
 # BLEU
 
 BLEU_ORDER = 4  # n-gram orders 1..4 in the geometric mean
+SMOOTHING_EPSILON = 1e-2  # the floor for a zero higher-order precision, on the 0-100 scale
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class BleuReport:
 def corpus_bleu(
     hypotheses: Sequence[str],
     references: Sequence[str],
-    smoothing_epsilon: float = 1e-2,
+    smoothing_epsilon: float = SMOOTHING_EPSILON,
 ) -> BleuReport:
     """Corpus-level BLEU against one reference per hypothesis, on 13a tokens.
 

@@ -830,7 +830,7 @@ class GenerationResult:
     distributions: tuple[np.ndarray, ...]  # softmax at every decode step
 
 
-def generate_greedy(model: AttentiveSeq2Seq, source_text: str, max_length: int = 64) -> GenerationResult:
+def generate_greedy(model: AttentiveSeq2Seq, source_text: str, max_length: int) -> GenerationResult:
     """Greedy decoding of at most ``max_length`` tokens from the whole
     source; argmax ties resolve to the lowest token id."""
     if max_length < 1:
@@ -861,7 +861,7 @@ def generate_greedy(model: AttentiveSeq2Seq, source_text: str, max_length: int =
     return GenerationResult(model.vocabulary.decode(ids), tuple(ids), tuple(dists))
 
 
-def generate_corpus(model: AttentiveSeq2Seq, sources: Iterable[str], max_length: int = 64) -> list[str]:
+def generate_corpus(model: AttentiveSeq2Seq, sources: Iterable[str], max_length: int) -> list[str]:
     return [generate_greedy(model, source, max_length=max_length).text for source in sources]
 
 

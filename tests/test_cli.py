@@ -395,6 +395,31 @@ def test_readme_command_parses(command):
     cli.build_parser().parse_args(shlex.split(command, comments=True)[1:])
 
 
+# the keys that name an input file; "out", "raw_out" and "report" name outputs,
+# and humaneval-export writes its "sheet" and "key"
+_INPUT_KEYS = ("config", "in", "aux", "tgt", "data", "model", "train", "valid", "hyp", "ref", "target_vocab",
+               "hyp_a", "hyp_b", "test", "sheet", "key")
+
+
+def test_readme_commands_read_only_what_earlier_commands_wrote():
+    written: set[str] = set()
+    synthetic_dirs: set[str] = set()
+    for command in _readme_commands():
+        args = cli.build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        entries = {**vars(args), **(dict(item.split("=", 1) for item in args.set or ()))}
+        paths = {key: value if isinstance(value, list) else [value] for key, value in entries.items() if value}
+        inputs = [path for key in _INPUT_KEYS if args.command != "humaneval-export" or key not in ("sheet", "key")
+                  for path in paths.get(key, [])]
+        unwritten = [path for path in inputs if path not in written and os.path.dirname(path) not in synthetic_dirs]
+        assert not unwritten, f"{command!r} reads {unwritten}, which no earlier README command writes"
+        outputs = [path for key in ("out", "raw_out", "report") for path in paths.get(key, [])]
+        if args.command == "humaneval-export":
+            outputs += paths["sheet"] + paths["key"]
+        if args.command == "gen-synthetic":
+            synthetic_dirs.update(outputs)
+        written.update(path + suffix for path in outputs for suffix in ("", ".cfg", ".history"))
+
+
 # -- resolved-config echoes ------------------------------------------------------
 
 
@@ -618,6 +643,36 @@ def test_study_echo_reload_is_byte_identical(tiny_study, tmp_path):
     assert main(["study", "--config", str(tiny_study / "study.resolved.cfg"), "--out", str(again)]) == 0
     for name in ("report.jsonl", "study.json", "samples.txt"):
         assert filecmp.cmp(tiny_study / name, again / name, shallow=False), name
+
+
+def test_stage_pipeline_reproduces_study_records(tiny_study, tmp_path, monkeypatch):
+    # the stage subcommands on the study's seed-0 corpus and budgets: FS-XLT_pmpt
+    # through pretrain/train/adapt, MTL through interleave/train, both from one base
+    monkeypatch.chdir(tmp_path)
+    synthetic = [arg.replace("synthetic.", "") for arg in TINY_STUDY[:12]]
+    assert main(["gen-synthetic", "--out", "data", "--seed", "0"] + synthetic) == 0
+    assert main(["pretrain", "--data", "data/aux_train.jsonl", "data/tgt_valid.jsonl", "--out", "base.model",
+                 "--seed", "0", "--set", "epochs=1"]) == 0
+    evaluate = ["evaluate", "--ref", "data/tgt_test.jsonl", "--target-vocab", "data/tgt_vocab.txt"]
+    assert main(["train", "--model", "base.model", "--train", "data/aux_train.jsonl", "--valid", "data/aux_valid.jsonl",
+                 "--out", "src.model", "--prompted", "--set", "epochs=1"]) == 0
+    assert main(["adapt", "--model", "src.model", "--train", "data/tgt_train.jsonl", "--valid", "data/tgt_valid.jsonl",
+                 "--out", "final.model", "--prompted", "--set", "epochs=2"]) == 0
+    assert main(["generate", "--model", "final.model", "--in", "data/tgt_test.jsonl", "--out", "pmpt.txt",
+                 "--max-length", "6", "--prompted"]) == 0
+    assert main(evaluate + ["--hyp", "pmpt.txt", "--report", "pmpt.jsonl", "--system", "FS-XLT_pmpt@seed0"]) == 0
+    assert main(["interleave", "--aux", "data/aux_train.jsonl", "--tgt", "data/tgt_train.jsonl",
+                 "--out", "data/mixed.jsonl"]) == 0
+    assert main(["train", "--model", "base.model", "--train", "data/mixed.jsonl", "--valid", "data/aux_valid.jsonl",
+                 "--out", "mtl.model", "--set", "epochs=1"]) == 0
+    assert main(["generate", "--model", "mtl.model", "--in", "data/tgt_test.jsonl", "--out", "mtl.txt",
+                 "--max-length", "6"]) == 0
+    assert main(evaluate + ["--hyp", "mtl.txt", "--report", "mtl.jsonl", "--system", "MTL@seed0"]) == 0
+
+    study = (tiny_study / "report.jsonl").read_text(encoding="utf-8").splitlines()
+    for report in ("pmpt.jsonl", "mtl.jsonl"):
+        line = (tmp_path / report).read_text(encoding="utf-8").strip()
+        assert line == next(row for row in study if json.loads(row)["system"] == json.loads(line)["system"])
 
 
 def test_study_rejects_synthetic_seed(capsys, tmp_path):

@@ -127,6 +127,13 @@ def test_sample_few_shot_k_too_large():
         sample_few_shot(_corpus(3), 4, seed=0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_sample_few_shot_k_below_one(k):
+    # an empty subset would be a corpus that every reader refuses
+    with pytest.raises(CorpusError, match=f"k must be >= 1, got {k}"):
+        sample_few_shot(_corpus(3), k, seed=0)
+
+
 def test_sample_few_shot_negative_seed():
     with pytest.raises(CorpusError, match="seed must be >= 0, got -1"):
         sample_few_shot(_corpus(5), 2, -1)

@@ -3,8 +3,12 @@
 Each rule is a function of a checkout root that returns one line per
 violation under ``src/`` (``dead_definitions`` also reads ``perfbench/``).
 Each is tested on a seeded violation in a temporary tree and on this tree.
+
+``size_report`` is not a rule: it counts the four numbers a simplicity
+change reports, and ``python3 tests/test_source_rules.py`` prints them.
 """
 
+import argparse
 import ast
 import pathlib
 import shutil
@@ -111,3 +115,32 @@ def test_dead_definitions_flags_a_restored_config_from_kv(tmp_path):
     line = len(text.splitlines()) + 3
     assert dead_definitions(tmp_path) == [
         f"src/crossdial/kvconfig.py:{line}: 'config_from_kv' is neither exported nor referenced"]
+
+
+def size_report(root: pathlib.Path) -> dict[str, int]:
+    """Lines under ``src/``; config keys (every key of every subcommand's
+    schema); subcommand flags (every option of every subcommand except -h);
+    public names in ``crossdial.__all__``.  The last three are read from the
+    ``crossdial`` package on the import path."""
+    import crossdial
+    from crossdial.cli import _COMMANDS, build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [a for p in sub.choices.values() for a in p._actions if not isinstance(a, argparse._HelpAction)]
+    return {
+        "src_lines": sum(len(path.read_text(encoding="utf-8").splitlines()) for path in (root / "src").rglob("*.py")),
+        "config_keys": sum(len(schema) for _, _, schema in _COMMANDS.values()),
+        "subcommand_flags": len(flags),
+        "public_names": len(crossdial.__all__),
+    }
+
+
+def test_size_report_counts_this_tree():
+    report = size_report(ROOT)
+    assert list(report) == ["src_lines", "config_keys", "subcommand_flags", "public_names"]
+    assert all(isinstance(value, int) and value > 0 for value in report.values())
+
+
+if __name__ == "__main__":
+    for name, value in size_report(ROOT).items():
+        print(f"{name}: {value}")
