@@ -278,12 +278,9 @@ STUDY_ADAPT = OptimizerConfig(learning_rate=6e-3, epochs=6, batch_size=4)
 
 def _parse_seeds(value: str) -> tuple[int, ...]:
     try:
-        seeds = tuple(int(part.strip()) for part in value.split(",") if part.strip())
+        return tuple(int(part.strip()) for part in value.split(",") if part.strip())
     except ValueError:
         raise ConfigError(f"bad seeds list {value!r} (expected comma-separated integers)") from None
-    if not seeds:
-        raise ConfigError("seeds list is empty")
-    return seeds
 
 
 @dataclass(frozen=True)

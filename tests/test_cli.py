@@ -554,6 +554,8 @@ _TRAIN_MISSING = ["train", "--model", "missing.model", "--train", "missing.jsonl
     pytest.param(["pretrain", "--data", "missing.jsonl", "--out", "m.model", "--seed", "-3"],
                  "error:config: bad value for 'seed': seed must be >= 0, got -3", id="pretrain-seed"),
     pytest.param(["study", "--out", "s", "--seeds=-1"], "error:config: seeds must be >= 0, got -1", id="study-seeds"),
+    pytest.param(["study", "--out", "s", "--seeds", " , "], "error:config: at least one seed is required",
+                 id="study-seeds-empty"),
     pytest.param(["humaneval-export", "--hyp-a", "a.txt", "--hyp-b", "b.txt", "--system-a", "FS-XLT",
                   "--system-b", "FS-XLT_pmpt", "--test", "missing.jsonl", "--sheet", "sheet.tsv",
                   "--key", "key.tsv", "--seed", "-4"],

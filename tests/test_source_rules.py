@@ -117,18 +117,20 @@ def test_dead_definitions_flags_a_restored_config_from_kv(tmp_path):
         f"src/crossdial/kvconfig.py:{line}: 'config_from_kv' is neither exported nor referenced"]
 
 
-def size_report(root: pathlib.Path) -> dict[str, int]:
-    """Lines under ``src/``; config keys (every key of every subcommand's
-    schema); subcommand flags (every option of every subcommand except -h);
-    public names in ``crossdial.__all__``.  The last three are read from the
-    ``crossdial`` package on the import path."""
+def size_report() -> dict[str, int]:
+    """Of the ``crossdial`` package on the import path: lines of its source
+    tree; config keys (every key of every subcommand's schema); subcommand
+    flags (every option of every subcommand except -h); public names in
+    ``crossdial.__all__``."""
     import crossdial
     from crossdial.cli import _COMMANDS, build_parser
+
+    src = pathlib.Path(crossdial.__file__).parent
 
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = [a for p in sub.choices.values() for a in p._actions if not isinstance(a, argparse._HelpAction)]
     return {
-        "src_lines": sum(len(path.read_text(encoding="utf-8").splitlines()) for path in (root / "src").rglob("*.py")),
+        "src_lines": sum(len(path.read_text(encoding="utf-8").splitlines()) for path in src.rglob("*.py")),
         "config_keys": sum(len(schema) for _, _, schema in _COMMANDS.values()),
         "subcommand_flags": len(flags),
         "public_names": len(crossdial.__all__),
@@ -136,11 +138,11 @@ def size_report(root: pathlib.Path) -> dict[str, int]:
 
 
 def test_size_report_counts_this_tree():
-    report = size_report(ROOT)
+    report = size_report()
     assert list(report) == ["src_lines", "config_keys", "subcommand_flags", "public_names"]
     assert all(isinstance(value, int) and value > 0 for value in report.values())
 
 
 if __name__ == "__main__":
-    for name, value in size_report(ROOT).items():
+    for name, value in size_report().items():
         print(f"{name}: {value}")
