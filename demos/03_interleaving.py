@@ -13,7 +13,7 @@ from crossdial import Corpus, DialoguePair, InterleaveError, interleave_even
 
 def stream(language, n, tag):
     pairs = tuple(DialoguePair(f"{tag} ctx {i}", f"{tag} svar {i}", language) for i in range(n))
-    return Corpus(pairs=pairs, split="train", language=language)
+    return Corpus(pairs=pairs, language=language)
 
 
 # -- a small, visible example -----------------------------------------------------

@@ -26,8 +26,8 @@ from crossdial import (
 
 # -- a tiny model ------------------------------------------------------------------
 
-ca = Corpus(pairs=(DialoguePair("a1 a2 a3 a4", "a4 a3 a2", "aa"),), split="train", language="aa")
-cb = Corpus(pairs=(DialoguePair("b1 b2 b3", "b3 b1", "ba"),), split="train", language="ba")
+ca = Corpus(pairs=(DialoguePair("a1 a2 a3 a4", "a4 a3 a2", "aa"),), language="aa")
+cb = Corpus(pairs=(DialoguePair("b1 b2 b3", "b3 b1", "ba"),), language="ba")
 vocab = Vocabulary.build([ca, cb])
 model = AttentiveSeq2Seq(vocab, ModelConfig(embedding_size=16, hidden_size=24, seed=0))
 print("vocabulary:", len(vocab), "tokens;", "parameters:", model.parameter_count)
@@ -41,7 +41,7 @@ print("  max relative error:", f"{report.max_relative_error:.3e}", "(tolerance 1
 
 # -- the pretraining view of a sentence --------------------------------------------------
 
-ex = corrupt_spans("a1 a2 a3 a4 a1 a2", corruption_rate=0.4, seed=5)
+ex = corrupt_spans("a1 a2 a3 a4 a1 a2", seed=5)
 print("\nspan corruption turns raw text into a fill-in-the-blank pair:")
 print("  source:", ex.source)
 print("  target:", ex.target)

@@ -20,7 +20,6 @@ with tempfile.TemporaryDirectory(prefix="humaneval-demo-") as tmp:
 
     test = Corpus(
         pairs=tuple(DialoguePair(f"spørgsmål {i}", f"facit {i}", "da") for i in range(8)),
-        split="test",
         language="da",
     )
     hyp_plain = [f"svar {i}" for i in range(8)]

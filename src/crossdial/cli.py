@@ -53,8 +53,8 @@ from .experiment import (
 )
 from .humaneval import HumanEvalError, aggregate_votes, export_pairs
 from .interleave import InterleaveError, interleave_even
-from .kvconfig import ConfigError, coerce, config_from, config_schema, load_kv, parse_bool, write_kv
-from .metrics import SMOOTHING_EPSILON, MetricError, report_record, write_metric_report
+from .kvconfig import ConfigError, coerce, config_from, config_schema, load_kv, parse_bool, parse_kv_text, write_kv
+from .metrics import MetricError, report_record, write_metric_report
 from .model import ModelConfig, ModelError, OptimizerConfig, TrainingDivergedError, load_model, save_model, train
 from .prompting import PromptError
 
@@ -98,29 +98,9 @@ def _int_at_least(low: int) -> Callable[[object], int]:
 _positive_int = _int_at_least(1)
 
 
-def _positive_percent(value) -> float:
-    number = float(value)
-    if not 0.0 < number <= 100.0:  # NaN fails too
-        raise ConfigError(f"must be in (0, 100], got {number}")
-    return number
-
-
 def _flags(schema: dict[str, tuple], **helps: str) -> dict[str, tuple]:
     """``schema`` with a flag, described by ``helps[key]``, for each key in ``helps``."""
     return {key: entry + (helps[key],) if key in helps else entry for key, entry in schema.items()}
-
-
-def _parse_set_entries(items: list[str] | None) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for item in items or []:
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        if key in out:
-            raise ConfigError(f"--set: duplicate key {key!r}")
-        out[key] = value.strip()
-    return out
 
 
 def _merged_entries(args, command: str) -> dict[str, object]:
@@ -128,7 +108,7 @@ def _merged_entries(args, command: str) -> dict[str, object]:
     entries: dict[str, object] = {}
     if args.config:
         entries.update(load_kv(args.config))
-    entries.update(_parse_set_entries(args.set))
+    entries.update(parse_kv_text("\n".join(args.set or ()), source="--set"))  # line N: the Nth --set
     echoed_by = entries.pop("command", None)
     if echoed_by is not None and echoed_by != command:
         raise ConfigError(f"config was written by {echoed_by!r}, expected {command!r}")
@@ -152,12 +132,12 @@ def _resolve(args, command: str, schema: dict[str, tuple]) -> dict:
     return {key: resolved[key] for key in schema}  # canonical order
 
 
-def _load_single_language_corpus(path: str, split: str) -> Corpus:
+def _load_single_language_corpus(path: str) -> Corpus:
     pairs = load_pairs(path)
     languages = {pair.language for pair in pairs}
     if len(languages) != 1:
         raise CorpusError(f"{path}: expected a single language, found {sorted(languages) or 'no records'}")
-    return Corpus(pairs=tuple(pairs), split=split, language=languages.pop())
+    return Corpus(pairs=tuple(pairs), language=languages.pop())
 
 
 def _write_history(path: str, result) -> None:
@@ -202,7 +182,7 @@ _SAMPLE_FEWSHOT_SCHEMA: dict[str, tuple] = {
 
 
 def _cmd_sample_fewshot(r: dict) -> str:
-    corpus = _load_single_language_corpus(r["in"], "train")
+    corpus = _load_single_language_corpus(r["in"])
     subset = sample_few_shot(corpus, r["k"], r["seed"])
     save_pairs(subset, r["out"])
     return r["out"] + ".cfg"
@@ -216,8 +196,8 @@ _INTERLEAVE_SCHEMA: dict[str, tuple] = {
 
 
 def _cmd_interleave(r: dict) -> str:
-    aux = _load_single_language_corpus(r["aux"], "train")
-    tgt = _load_single_language_corpus(r["tgt"], "train")
+    aux = _load_single_language_corpus(r["aux"])
+    tgt = _load_single_language_corpus(r["tgt"])
     mixed = interleave_even(aux, tgt)
     save_pairs(mixed.pairs, r["out"])
     log.info("interleaved %d aux + %d tgt pairs (block size %d)", len(aux), len(tgt), mixed.block_size)
@@ -258,7 +238,7 @@ _PRETRAIN_SCHEMA: dict[str, tuple] = {
 def _cmd_pretrain(r: dict) -> str:
     model_config = config_from(ModelConfig(), r)
     config = config_from(STUDY_PRETRAIN, r)
-    pool = [_load_single_language_corpus(path, "train") for path in r["data"]]
+    pool = [_load_single_language_corpus(path) for path in r["data"]]
     result = pretrain_base(pool, model_config, config)
     save_model(result.model, r["out"])
     _write_history(r["out"] + ".history", result)
@@ -314,7 +294,6 @@ _EVALUATE_SCHEMA: dict[str, tuple] = {
     "report": (str, _REQUIRED, "output metric report, JSONL"),
     "system": (str, "system", "system name recorded in the report"),
     "target_vocab": (str, "", "one legal token per line (default: derive from the references)"),
-    "smoothing_epsilon": (_positive_percent, SMOOTHING_EPSILON, "BLEU floor smoothing for zero n-gram counts"),
 }
 
 
@@ -326,7 +305,7 @@ def _cmd_evaluate(r: dict) -> str:
         vocabulary = frozenset(tok for tok in read_text(r["target_vocab"]).splitlines() if tok.strip())
     else:
         vocabulary = derive_token_vocabulary([ref_pairs])
-    reports = score(hypotheses, references, vocabulary, r["smoothing_epsilon"])
+    reports = score(hypotheses, references, vocabulary)
     write_metric_report(r["report"], [report_record(r["system"], *reports)])
     return r["report"] + ".cfg"
 
@@ -367,7 +346,7 @@ _HUMANEVAL_EXPORT_SCHEMA: dict[str, tuple] = {
 def _cmd_humaneval_export(r: dict) -> str:
     hyp_a = read_text(r["hyp_a"]).splitlines()
     hyp_b = read_text(r["hyp_b"]).splitlines()
-    test = _load_single_language_corpus(r["test"], "test")
+    test = _load_single_language_corpus(r["test"])
     export_pairs(
         hyp_a,
         hyp_b,

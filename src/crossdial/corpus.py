@@ -19,8 +19,6 @@ from .artifact import read_text, write_lines
 
 log = logging.getLogger(__name__)
 
-SPLITS = ("train", "valid", "test")
-
 # ISO 639-1 two-letter codes.
 ISO_639_1 = frozenset(
     """
@@ -65,15 +63,12 @@ class DialoguePair:
 
 @dataclass(frozen=True)
 class Corpus:
-    """An ordered collection of pairs for one language and split."""
+    """An ordered collection of pairs, all in one language."""
 
     pairs: tuple[DialoguePair, ...]
-    split: str
     language: str
 
     def __post_init__(self) -> None:
-        if self.split not in SPLITS:
-            raise CorpusError(f"unknown split {self.split!r} (expected one of {SPLITS})")
         if self.language not in ISO_639_1:
             raise CorpusError(f"unknown language code {self.language!r}")
         for pair in self.pairs:
@@ -147,8 +142,6 @@ def sample_few_shot(corpus: Corpus, k: int, seed: int) -> Corpus:
     so a fixed seed always selects the same subset.  The selected indices
     are re-sorted ascending, which keeps batching stable.
     """
-    if corpus.split != "train":
-        raise CorpusError(f"few-shot sampling expects a train corpus, got split {corpus.split!r}")
     if k < 1:
         raise CorpusError(f"k must be >= 1, got {k}")
     if k > len(corpus):
@@ -159,7 +152,6 @@ def sample_few_shot(corpus: Corpus, k: int, seed: int) -> Corpus:
     indices = sorted(rng.choice(len(corpus), size=k, replace=False).tolist())
     return Corpus(
         pairs=tuple(corpus.pairs[i] for i in indices),
-        split="train",
         language=corpus.language,
     )
 
@@ -229,9 +221,9 @@ def _make_pair(rng: np.random.Generator, language: str, markers: list[str], cont
     return DialoguePair(context=context, response=response, language=language)
 
 
-def _make_corpus(rng: np.random.Generator, language: str, split: str, count: int, markers, content) -> Corpus:
+def _make_corpus(rng: np.random.Generator, language: str, count: int, markers, content) -> Corpus:
     pairs = tuple(_make_pair(rng, language, markers, content) for _ in range(count))
-    return Corpus(pairs=pairs, split=split, language=language)
+    return Corpus(pairs=pairs, language=language)
 
 
 def generate_synthetic_bilingual(spec: SyntheticSpec) -> SyntheticBilingual:
@@ -239,7 +231,7 @@ def generate_synthetic_bilingual(spec: SyntheticSpec) -> SyntheticBilingual:
 
     Language "aa" plays the high-resource auxiliary role (train/valid/test),
     language "ba" the low-resource target role (few-shot train subset plus
-    valid/test).  The few-shot corpus carries split label "train".
+    valid/test).
     """
     aux_markers, aux_content = _language_inventory("a", spec.vocab_size_per_language, spec.template_count)
     tgt_markers, tgt_content = _language_inventory("b", spec.vocab_size_per_language, spec.template_count)
@@ -247,12 +239,12 @@ def generate_synthetic_bilingual(spec: SyntheticSpec) -> SyntheticBilingual:
     streams = np.random.SeedSequence(spec.seed).spawn(6)
     rngs = [np.random.default_rng(s) for s in streams]
 
-    aux_train = _make_corpus(rngs[0], SYNTH_AUX_LANG, "train", spec.n_train_aux, aux_markers, aux_content)
-    aux_valid = _make_corpus(rngs[1], SYNTH_AUX_LANG, "valid", spec.n_valid, aux_markers, aux_content)
-    aux_test = _make_corpus(rngs[2], SYNTH_AUX_LANG, "test", spec.n_test, aux_markers, aux_content)
-    tgt_fewshot = _make_corpus(rngs[3], SYNTH_TGT_LANG, "train", spec.n_fewshot_tgt, tgt_markers, tgt_content)
-    tgt_valid = _make_corpus(rngs[4], SYNTH_TGT_LANG, "valid", spec.n_valid, tgt_markers, tgt_content)
-    tgt_test = _make_corpus(rngs[5], SYNTH_TGT_LANG, "test", spec.n_test, tgt_markers, tgt_content)
+    aux_train = _make_corpus(rngs[0], SYNTH_AUX_LANG, spec.n_train_aux, aux_markers, aux_content)
+    aux_valid = _make_corpus(rngs[1], SYNTH_AUX_LANG, spec.n_valid, aux_markers, aux_content)
+    aux_test = _make_corpus(rngs[2], SYNTH_AUX_LANG, spec.n_test, aux_markers, aux_content)
+    tgt_fewshot = _make_corpus(rngs[3], SYNTH_TGT_LANG, spec.n_fewshot_tgt, tgt_markers, tgt_content)
+    tgt_valid = _make_corpus(rngs[4], SYNTH_TGT_LANG, spec.n_valid, tgt_markers, tgt_content)
+    tgt_test = _make_corpus(rngs[5], SYNTH_TGT_LANG, spec.n_test, tgt_markers, tgt_content)
 
     return SyntheticBilingual(
         aux_train=aux_train,

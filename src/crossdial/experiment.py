@@ -39,7 +39,6 @@ from .corpus import Corpus, SyntheticSpec, generate_synthetic_bilingual
 from .interleave import interleave_even
 from .kvconfig import ConfigError
 from .metrics import (
-    SMOOTHING_EPSILON,
     BleuReport,
     DistinctReport,
     LegalityReport,
@@ -123,10 +122,10 @@ def finetune(model: AttentiveSeq2Seq, train_pairs: Iterable, valid_pairs: Iterab
     return result
 
 
-def score(hypotheses: Sequence[str], references: Sequence[str], vocabulary: Iterable[str],
-          smoothing_epsilon: float) -> tuple[BleuReport, DistinctReport, LegalityReport]:
+def score(hypotheses: Sequence[str], references: Sequence[str],
+          vocabulary: Iterable[str]) -> tuple[BleuReport, DistinctReport, LegalityReport]:
     """BLEU against the references, distinct-n, and legality against the target vocabulary."""
-    bleu = corpus_bleu(hypotheses, references, smoothing_epsilon=smoothing_epsilon)
+    bleu = corpus_bleu(hypotheses, references)
     return bleu, distinct_report(hypotheses), language_legality(hypotheses, vocabulary)
 
 
@@ -240,7 +239,7 @@ def run_scenario(model: AttentiveSeq2Seq, data: ScenarioData, spec: ExperimentSp
     _, hypotheses = generate_responses(model, data.tgt_test, spec.prompted, spec.max_generate)
     references = [pair.response for pair in data.tgt_test]
 
-    bleu, distinct, legality = score(hypotheses, references, data.target_vocabulary, SMOOTHING_EPSILON)
+    bleu, distinct, legality = score(hypotheses, references, data.target_vocabulary)
     wall = time.perf_counter() - started
     log.info(
         "%s seed=%d: bleu %.2f, legality %.1f%% (selected step %d on %s valid)",

@@ -52,7 +52,6 @@ class PairedSample:
     response_right: str
     left_system: str
     right_system: str
-    language: str
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,6 @@ def export_pairs(
                 response_right=right,
                 left_system=left_system,
                 right_system=right_system,
-                language=test_corpus.language,
             )
         )
 

@@ -26,12 +26,6 @@ class InterleavedCorpus:
     pairs: tuple[DialoguePair, ...]
     block_size: int
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
 
 def interleave_even(aux: Corpus, tgt: Corpus) -> InterleavedCorpus:
     """Merge the auxiliary stream with target examples at even spacing."""

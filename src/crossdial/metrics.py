@@ -78,7 +78,6 @@ class BleuReport:
     precisions: tuple[float, ...]
     score: float
     bp: float
-    smoothing_epsilon: float
 
     @property
     def b1(self) -> float:
@@ -89,27 +88,20 @@ class BleuReport:
         return self.precisions[1]
 
 
-def corpus_bleu(
-    hypotheses: Sequence[str],
-    references: Sequence[str],
-    smoothing_epsilon: float = SMOOTHING_EPSILON,
-) -> BleuReport:
+def corpus_bleu(hypotheses: Sequence[str], references: Sequence[str]) -> BleuReport:
     """Corpus-level BLEU against one reference per hypothesis, on 13a tokens.
 
     Modified precisions are clipped n-gram matches over total hypothesis
     n-grams, aggregated over the corpus.  The brevity penalty is 1 when the
     hypothesis corpus is at least as long as the reference corpus, else
     exp(1 - r/c).  Floor smoothing replaces a zero higher-order precision
-    with ``smoothing_epsilon`` (in (0, 100], on the 0-100 scale, so a
-    zero-match order never outscores a perfect one) inside the geometric
-    mean; a zero order-1 precision always yields score 0.
+    with ``SMOOTHING_EPSILON`` inside the geometric mean; a zero order-1
+    precision always yields score 0.
     """
     if len(hypotheses) != len(references):
         raise MetricError(f"got {len(hypotheses)} hypotheses but {len(references)} references")
     if not hypotheses:
         raise MetricError("empty corpus")
-    if not 0 < smoothing_epsilon <= 100:  # NaN fails too
-        raise MetricError(f"smoothing_epsilon must be in (0, 100], got {smoothing_epsilon}")
 
     correct = [0] * BLEU_ORDER
     total = [0] * BLEU_ORDER
@@ -140,10 +132,10 @@ def corpus_bleu(
     else:
         # work on the p/100 ratio scale: log(1.0) == 0.0 exactly, so a
         # perfect match scores exactly 100 * bp with no exp/log round-off
-        logs = [math.log((p or smoothing_epsilon) / 100.0) for p, t in zip(precisions, total) if t > 0]
+        logs = [math.log((p or SMOOTHING_EPSILON) / 100.0) for p, t in zip(precisions, total) if t > 0]
         score = 100.0 * bp * math.exp(sum(logs) / len(logs))
 
-    return BleuReport(precisions=precisions, score=score, bp=bp, smoothing_epsilon=smoothing_epsilon)
+    return BleuReport(precisions=precisions, score=score, bp=bp)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +230,7 @@ def report_record(
         "d2": distinct.d2,
         "legality": legality.legality,
         "smoothing_method": "floor",
-        "smoothing_epsilon": bleu.smoothing_epsilon,
+        "smoothing_epsilon": SMOOTHING_EPSILON,
         "tokenizer": "13a",
     }
 

@@ -753,11 +753,6 @@ def train(
 # Span-corruption pretraining
 
 
-# T5's share of masked tokens (Raffel et al. 2020): a text masks
-# round(CORRUPTION_RATE * tokens) tokens, which is none below 4 tokens
-CORRUPTION_RATE = 0.15
-
-
 def pretrain_span_corruption(
     model: AttentiveSeq2Seq,
     corpora: Sequence[Corpus],
@@ -788,7 +783,7 @@ def pretrain_span_corruption(
     rng = np.random.default_rng(seed)
 
     def corrupted(text: str) -> tuple[str, str] | None:
-        ex = corrupt_spans(text, CORRUPTION_RATE, seed=int(rng.integers(2**31)))
+        ex = corrupt_spans(text, seed=int(rng.integers(2**31)))
         if ex.identity_corruption:
             return None
         return ex.source, ex.target

@@ -96,23 +96,26 @@ def extract_response(generated: str) -> str:
     return generated[start:end].strip()
 
 
-def corrupt_spans(text: str, corruption_rate: float, seed: int = 0) -> FormattedExample:
+# T5's share of masked tokens (Raffel et al. 2020): a text masks
+# round(CORRUPTION_RATE * tokens) tokens, which is none below 4 tokens
+CORRUPTION_RATE = 0.15
+
+
+def corrupt_spans(text: str, seed: int = 0) -> FormattedExample:
     """Mask one token span of ``text`` with sentinel0; target restates it.
 
     The two-sentinel frame masks exactly one span per text: its length is
-    round(corruption_rate * token count) and its position is seed-chosen.
+    round(CORRUPTION_RATE * token count) and its position is seed-chosen.
     A length of zero returns the identity corruption (source unchanged,
     empty target) with ``identity_corruption`` set.
     """
     tokens = text.split()
     if len(tokens) < 2:
         raise PromptError("span corruption needs at least 2 tokens")
-    if not 0.0 < corruption_rate < 1.0:
-        raise PromptError("corruption_rate must be in (0, 1)")
     if seed < 0:
         raise PromptError(f"seed must be >= 0, got {seed}")
 
-    span_length = int(corruption_rate * len(tokens) + 0.5)  # <= len(tokens), as the rate is below 1
+    span_length = int(CORRUPTION_RATE * len(tokens) + 0.5)  # <= len(tokens), as the rate is below 1
     if span_length == 0:
         return FormattedExample(source=text, target="", identity_corruption=True)
 

@@ -88,7 +88,7 @@ def test_criterion_1_metric_oracles():
 
 def _stream(language, n, tag):
     pairs = tuple(DialoguePair(f"{tag} ctx {i}", f"{tag} svar {i}", language) for i in range(n))
-    return Corpus(pairs=pairs, split="train", language=language)
+    return Corpus(pairs=pairs, language=language)
 
 
 def test_criterion_2_interleave_even_spacing():
@@ -132,8 +132,8 @@ def test_criterion_3_prompt_round_trip():
 
 
 def _toy_model(emb=8, hid=10, seed=3):
-    ca = Corpus(pairs=(DialoguePair("a1 a2 a3 a4", "a4 a3 a2", "aa"),), split="train", language="aa")
-    cb = Corpus(pairs=(DialoguePair("b1 b2 b3", "b3 b1", "ba"),), split="train", language="ba")
+    ca = Corpus(pairs=(DialoguePair("a1 a2 a3 a4", "a4 a3 a2", "aa"),), language="aa")
+    cb = Corpus(pairs=(DialoguePair("b1 b2 b3", "b3 b1", "ba"),), language="ba")
     vocab = Vocabulary.build([ca, cb])
     return AttentiveSeq2Seq(vocab, ModelConfig(embedding_size=emb, hidden_size=hid, seed=seed))
 
@@ -434,7 +434,6 @@ ref = data/tgt_test.jsonl
 report = report.jsonl
 system = system
 target_vocab = data/tgt_vocab.txt
-smoothing_epsilon = 0.01
 """,
     "study/study.resolved.cfg": """command = study
 out = study
@@ -498,7 +497,6 @@ def test_criterion_9_humaneval_round_trip(tmp_path):
     n = 8
     corpus = Corpus(
         pairs=tuple(DialoguePair(f"ctx {i}", f"svar {i}", "da") for i in range(n)),
-        split="test",
         language="da",
     )
     sheet, key_path = tmp_path / "sheet.tsv", tmp_path / "key.tsv"

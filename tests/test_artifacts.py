@@ -9,10 +9,10 @@ from crossdial.kvconfig import write_kv
 from crossdial.metrics import BleuReport, DistinctReport, LegalityReport, report_record, write_metric_report
 
 # binary-exact scores, so the bytes below hold on every BLAS kernel
-_BLEU = BleuReport(precisions=(50.0, 25.0, 12.5, 0.0), score=6.25, bp=0.75, smoothing_epsilon=0.01)
+_BLEU = BleuReport(precisions=(50.0, 25.0, 12.5, 0.0), score=6.25, bp=0.75)
 _DISTINCT = DistinctReport(d1=87.5, d2=100.0)
 _LEGALITY = LegalityReport(legality=62.5)
-_SAMPLES = [PairedSample("s1", "hej du", "svar æ", "svar b", "FS-XLT", "FS-XLT_pmpt", "da")]
+_SAMPLES = [PairedSample("s1", "hej du", "svar æ", "svar b", "FS-XLT", "FS-XLT_pmpt")]
 
 
 def _study_report() -> StudyReport:

@@ -22,7 +22,7 @@ import crossdial.experiment as experiment
 from crossdial.cli import main
 from crossdial.corpus import Corpus, DialoguePair, save_pairs
 from crossdial.humaneval import CHOICES
-from crossdial.kvconfig import config_schema, load_kv
+from crossdial.kvconfig import config_schema, load_kv, write_kv
 
 TINY_SYNTH = [
     "--set", "vocab_size=16",
@@ -89,6 +89,12 @@ def test_unknown_subcommand_exits_2(capsys):
       for name in ("format", "pretrain", "train", "adapt", "generate")),
     pytest.param(["pretrain", "--corruption-rate", "0.15"], "--corruption-rate", id="removed-corruption-rate-flag"),
     pytest.param(["study", "--spec", "study.cfg"], "--spec", id="removed-spec-flag"),
+    pytest.param(["evaluate", "--smoothing-epsilon", "0.01"], "--smoothing-epsilon",
+                 id="removed-smoothing-epsilon-flag"),
+    pytest.param(["gen-synthetic", "--out", "g", "--set", "noequals"],
+                 "error:config: --set:1: expected 'key = value', got 'noequals'", id="set-without-equals"),
+    pytest.param(["gen-synthetic", "--out", "g", "--set", "seed=1", "--set", "seed=2"],
+                 "error:config: --set:2: duplicate key 'seed'", id="set-duplicate-key"),
     pytest.param([], "SUBCOMMAND", id="missing-subcommand"),
 ])
 def test_usage_error_prints_one_config_line(argv, named, capsys):
@@ -124,7 +130,7 @@ def test_bad_value_exits_2(capsys, tmp_path):
 
 def test_set_without_equals_rejected(capsys, tmp_path):
     assert main(["gen-synthetic", "--out", str(tmp_path / "x"), "--set", "noequals"]) == 2
-    assert "key=value" in _err_line(capsys)
+    assert "'key = value'" in _err_line(capsys)
 
 
 def test_set_duplicate_key_rejected(capsys, tmp_path):
@@ -322,7 +328,6 @@ FLAG_SURFACE = {
         ("--report", "report", None, "store"),
         ("--system", "system", None, "store"),
         ("--target-vocab", "target_vocab", None, "store"),
-        ("--smoothing-epsilon", "smoothing_epsilon", None, "store"),
     ],
     "study": [
         _CONFIG,
@@ -401,8 +406,16 @@ _INPUT_KEYS = ("config", "in", "aux", "tgt", "data", "model", "train", "valid", 
                "hyp_a", "hyp_b", "test", "sheet", "key")
 
 
-def test_readme_commands_read_only_what_earlier_commands_wrote():
-    written: set[str] = set()
+# the echo of a directory output lies inside it; every other echo is "<first output>.cfg"
+_DIRECTORY_ECHOES = {"gen-synthetic": "synthetic.resolved.cfg", "study": "study.resolved.cfg"}
+
+
+def test_readme_commands_read_only_what_earlier_commands_wrote(tmp_path, monkeypatch):
+    # A command may write a path an earlier command wrote only by re-running that
+    # command's settings: the same subcommand and resolved keys.  Each echo is
+    # written here, so a --config echo resolves to its writer's keys.
+    monkeypatch.chdir(tmp_path)
+    writers: dict[str, tuple[str, dict]] = {}  # path -> (subcommand, resolved keys) of its writer
     synthetic_dirs: set[str] = set()
     for command in _readme_commands():
         args = cli.build_parser().parse_args(shlex.split(command, comments=True)[1:])
@@ -410,14 +423,21 @@ def test_readme_commands_read_only_what_earlier_commands_wrote():
         paths = {key: value if isinstance(value, list) else [value] for key, value in entries.items() if value}
         inputs = [path for key in _INPUT_KEYS if args.command != "humaneval-export" or key not in ("sheet", "key")
                   for path in paths.get(key, [])]
-        unwritten = [path for path in inputs if path not in written and os.path.dirname(path) not in synthetic_dirs]
+        unwritten = [path for path in inputs if path not in writers and os.path.dirname(path) not in synthetic_dirs]
         assert not unwritten, f"{command!r} reads {unwritten}, which no earlier README command writes"
+        resolved = cli._resolve(args, args.command, cli._COMMANDS[args.command][2])
         outputs = [path for key in ("out", "raw_out", "report") for path in paths.get(key, [])]
         if args.command == "humaneval-export":
             outputs += paths["sheet"] + paths["key"]
         if args.command == "gen-synthetic":
             synthetic_dirs.update(outputs)
-        written.update(path + suffix for path in outputs for suffix in ("", ".cfg", ".history"))
+        for path in (path + suffix for path in outputs for suffix in ("", ".cfg", ".history")):
+            writer = writers.setdefault(path, (args.command, resolved))
+            assert writer == (args.command, resolved), f"{command!r} overwrites {path} with other settings"
+        if outputs:
+            name = _DIRECTORY_ECHOES.get(args.command)
+            write_kv(os.path.join(outputs[0], name) if name else outputs[0] + ".cfg",
+                     {"command": args.command, **resolved})
 
 
 # -- resolved-config echoes ------------------------------------------------------
@@ -536,14 +556,6 @@ _TRAIN_MISSING = ["train", "--model", "missing.model", "--train", "missing.jsonl
                   "--system-b", "FS-XLT_pmpt", "--test", "missing.jsonl", "--sheet", "sheet.tsv",
                   "--key", "key.tsv", "--n", "0"],
                  "error:config: humaneval-export: bad value for 'n': must be >= 1, got 0", id="n"),
-    pytest.param(_EVALUATE_MISSING + ["--smoothing-epsilon", "0"],
-                 "error:config: evaluate: bad value for 'smoothing_epsilon': must be in (0, 100], got 0.0", id="epsilon-0"),
-    pytest.param(_EVALUATE_MISSING + ["--smoothing-epsilon", "-1"],
-                 "error:config: evaluate: bad value for 'smoothing_epsilon': must be in (0, 100], got -1.0", id="epsilon-neg"),
-    *(pytest.param(_EVALUATE_MISSING + ["--smoothing-epsilon", value],
-                   f"error:config: evaluate: bad value for 'smoothing_epsilon': must be in (0, 100], got {shown}",
-                   id=f"epsilon-{value}")
-      for value, shown in (("100.5", "100.5"), ("1e6", "1000000.0"), ("inf", "inf"), ("nan", "nan"))),
     *(pytest.param(_TRAIN_MISSING + ["--set", f"{key}={value}"],
                    f"error:config: bad value for '{key}': {key} must be finite, got {value}", id=f"{key}-{value}")
       for key, value in (("learning_rate", "nan"), ("learning_rate", "inf"), ("weight_decay", "inf"))),
@@ -593,18 +605,6 @@ def test_evaluate_perfect_hypotheses_score_100(data_dir, tmp_path):
     record = json.loads(report.read_text().splitlines()[0])
     assert record["score"] == 100.0
     assert record["legality"] == 100.0
-
-
-def test_evaluate_accepts_smoothing_epsilon_100(data_dir, tmp_path):
-    refs = [json.loads(line)["response"] for line in (data_dir / "tgt_test.jsonl").read_text().splitlines()]
-    hyp = tmp_path / "h.txt"
-    hyp.write_text("\n".join(" ".join(reversed(ref.split())) for ref in refs) + "\n")
-    report = tmp_path / "report.jsonl"
-    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(data_dir / "tgt_test.jsonl"),
-                 "--report", str(report), "--smoothing-epsilon", "100"]) == 0
-    record = json.loads(report.read_text().splitlines()[0])
-    assert record["smoothing_epsilon"] == 100.0
-    assert 0.0 <= record["score"] <= 100.0
 
 
 # -- study -----------------------------------------------------------------------
@@ -714,9 +714,9 @@ def test_gen_synthetic_rejects_bad_size(capsys, tmp_path):
 
 
 # The AdamW moment constants, the per-epoch validation schedule, the 13a
-# BLEU tokenizer, the prompt template, the corruption rate and the layout
-# choice (now the --prompted boolean) are not settings, so an echo that
-# names one exits 2 before any file is read.
+# BLEU tokenizer, the prompt template, the corruption rate, the layout
+# choice (now the --prompted boolean) and the BLEU floor are not settings,
+# so an echo that names one exits 2 before any file is read.
 @pytest.mark.parametrize("command, key", [
     ("pretrain", "eval_every"),
     ("pretrain", "beta1"),
@@ -728,6 +728,7 @@ def test_gen_synthetic_rejects_bad_size(capsys, tmp_path):
     ("study", "train.beta2"),
     ("study", "adapt.eps"),
     ("evaluate", "tokenizer"),
+    ("evaluate", "smoothing_epsilon"),
     *((command, "template") for command in ("format", "pretrain", "train", "adapt", "generate")),
     ("pretrain", "corruption_rate"),
     ("format", "layout"),
@@ -755,7 +756,7 @@ def test_pretrain_on_texts_under_four_tokens_exits_1(capsys, tmp_path):
     # the fixed 15% corruption rate masks no token of a 3-token text
     data = tmp_path / "short.jsonl"
     save_pairs(Corpus(pairs=tuple(DialoguePair(f"a{i} b{i}", f"c{i}", "da") for i in range(4)),
-                      split="train", language="da"), str(data))
+                      language="da"), str(data))
     out = tmp_path / "m.model"
     assert main(["pretrain", "--data", str(data), "--out", str(out), "--set", "epochs=1"]) == 1
     assert capsys.readouterr().err.splitlines() == [

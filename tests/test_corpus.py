@@ -26,9 +26,9 @@ def _from_kv(config, raw, source="<config>"):
     return config_from(config, coerce(raw, parsers, source=source))
 
 
-def _corpus(n=8, lang="aa", split="train"):
+def _corpus(n=8, lang="aa"):
     pairs = tuple(DialoguePair(f"c{i} x{i}", f"r{i}", lang) for i in range(n))
-    return Corpus(pairs=pairs, split=split, language=lang)
+    return Corpus(pairs=pairs, language=lang)
 
 
 # -- round trips -----------------------------------------------------------
@@ -83,12 +83,7 @@ def test_mixed_language_file_loads(tmp_path):
 
 def test_corpus_rejects_language_mismatch():
     with pytest.raises(CorpusError):
-        Corpus(pairs=(DialoguePair("a", "b", "ba"),), split="train", language="aa")
-
-
-def test_corpus_rejects_unknown_split():
-    with pytest.raises(CorpusError):
-        Corpus(pairs=(), split="all", language="aa")
+        Corpus(pairs=(DialoguePair("a", "b", "ba"),), language="aa")
 
 
 # -- few-shot sampling -----------------------------------------------------
@@ -139,11 +134,6 @@ def test_sample_few_shot_negative_seed():
         sample_few_shot(_corpus(5), 2, -1)
 
 
-def test_sample_few_shot_train_only():
-    with pytest.raises(CorpusError):
-        sample_few_shot(_corpus(5, split="test"), 2, seed=0)
-
-
 # -- synthetic bilingual corpus --------------------------------------------
 
 
@@ -156,9 +146,6 @@ def test_synthetic_sizes_and_splits():
     assert len(bundle.tgt_fewshot) == 7
     assert len(bundle.tgt_valid) == 11
     assert len(bundle.tgt_test) == 13
-    assert bundle.aux_train.split == "train"
-    assert bundle.tgt_fewshot.split == "train"
-    assert bundle.tgt_test.split == "test"
 
 
 def test_synthetic_languages_disjoint():

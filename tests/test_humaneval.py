@@ -18,7 +18,7 @@ from crossdial.humaneval import (
 
 def _test_corpus(n=12, lang="da"):
     pairs = tuple(DialoguePair(f"ctx {i} spørgsmål", f"svar {i}", lang) for i in range(n))
-    return Corpus(pairs=pairs, split="test", language=lang)
+    return Corpus(pairs=pairs, language=lang)
 
 
 def _hyps(tag, n=12):

@@ -10,7 +10,7 @@ from crossdial.interleave import InterleaveError, interleave_even
 
 def _corpus(n, lang):
     pairs = tuple(DialoguePair(f"{lang} c{i}", f"{lang} r{i}", lang) for i in range(n))
-    return Corpus(pairs=pairs, split="train", language=lang)
+    return Corpus(pairs=pairs, language=lang)
 
 
 def test_block_structure_small():
@@ -23,7 +23,7 @@ def test_block_structure_small():
 
 def test_reference_spacing():
     mixed = interleave_even(_corpus(10000, "aa"), _corpus(10, "ba"))
-    assert len(mixed) == 10010
+    assert len(mixed.pairs) == 10010
     positions = [i + 1 for i, p in enumerate(mixed.pairs) if p.language == "ba"]
     assert positions == [1001 * i for i in range(1, 11)]
 

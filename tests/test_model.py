@@ -33,8 +33,8 @@ from crossdial.model import (
 
 
 def _vocab(extra=()):
-    ca = Corpus(pairs=(DialoguePair("a1 a2 a3 a4", "a4 a3 a2", "aa"),), split="train", language="aa")
-    cb = Corpus(pairs=(DialoguePair("b1 b2 b3", "b3 b1", "ba"),), split="train", language="ba")
+    ca = Corpus(pairs=(DialoguePair("a1 a2 a3 a4", "a4 a3 a2", "aa"),), language="aa")
+    cb = Corpus(pairs=(DialoguePair("b1 b2 b3", "b3 b1", "ba"),), language="ba")
     return Vocabulary.build([ca, cb], extra_texts=extra)
 
 
@@ -519,7 +519,7 @@ def test_pretrain_rejects_negative_seed():
 def _texts_of(n_tokens: int) -> Corpus:
     # each raw text is "context response", n_tokens long in all
     pairs = tuple(DialoguePair(" ".join(f"a{i + j}" for j in range(n_tokens - 1)), "a4", "aa") for i in range(1, 4))
-    return Corpus(pairs=pairs, split="train", language="aa")
+    return Corpus(pairs=pairs, language="aa")
 
 
 def test_pretrain_on_texts_under_four_tokens_names_the_length():

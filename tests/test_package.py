@@ -1,8 +1,13 @@
-"""Package surface: the names ``crossdial`` exports."""
+"""Package surface: the names ``crossdial`` exports, and the names README cites."""
 
+import importlib
+import pathlib
+import re
 import types
 
 import crossdial
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_lists_exactly_the_public_bindings():
@@ -10,3 +15,12 @@ def test_all_lists_exactly_the_public_bindings():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(crossdial.__all__) == sorted(bound)
     assert len(crossdial.__all__) == len(set(crossdial.__all__))
+
+
+def test_readme_module_names_resolve():
+    # README names constants and functions by module path; a moved one must not leave it stale
+    cited = re.findall(r"`crossdial\.(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
+    assert cited
+    missing = [f"crossdial.{module}.{name}" for module, name in cited
+               if not hasattr(importlib.import_module(f"crossdial.{module}"), name)]
+    assert not missing, f"README names {missing}, which do not resolve"

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from crossdial.corpus import DialoguePair
 from crossdial.prompting import (
+    CORRUPTION_RATE,
     DEFAULT_TEMPLATE,
     PromptError,
     corrupt_spans,
@@ -90,15 +91,15 @@ def test_round_trip_extraction(ctx, resp):
 
 
 def test_corrupt_spans_shape():
-    text = "t0 t1 t2 t3 t4 t5 t6 t7 t8 t9"
-    ex = corrupt_spans(text, corruption_rate=0.3, seed=4)
+    text = " ".join(f"t{i}" for i in range(20))
+    ex = corrupt_spans(text, seed=4)
     assert not ex.identity_corruption
     src_toks = ex.source.split()
     tgt_toks = ex.target.split()
     assert src_toks.count(S0) == 1
     assert tgt_toks[0] == S0 and tgt_toks[-1] == S1
     span = tgt_toks[1:-1]
-    assert len(span) == 3  # int(0.3 * 10 + 0.5)
+    assert len(span) == int(CORRUPTION_RATE * 20 + 0.5) == 3
     # source with the span re-inserted at the sentinel reproduces the text
     i = src_toks.index(S0)
     assert src_toks[:i] + span + src_toks[i + 1 :] == text.split()
@@ -106,46 +107,41 @@ def test_corrupt_spans_shape():
 
 def test_corrupt_spans_deterministic():
     text = "a b c d e f g h"
-    one = corrupt_spans(text, 0.25, seed=11)
-    two = corrupt_spans(text, 0.25, seed=11)
+    one = corrupt_spans(text, seed=11)
+    two = corrupt_spans(text, seed=11)
     assert (one.source, one.target) == (two.source, two.target)
 
 
 def test_corrupt_spans_zero_budget_is_identity():
-    ex = corrupt_spans("a b", 0.15, seed=0)  # int(0.15*2+0.5) == 0
+    ex = corrupt_spans("a b c", seed=0)  # int(0.15*3+0.5) == 0
     assert ex.identity_corruption
 
 
 def test_corrupt_spans_needs_two_tokens():
     with pytest.raises(PromptError):
-        corrupt_spans("solo", 0.5, seed=0)
-
-
-def test_corrupt_spans_rate_validated():
-    with pytest.raises(PromptError):
-        corrupt_spans("a b c", 0.0, seed=0)
-    with pytest.raises(PromptError):
-        corrupt_spans("a b c", 1.0, seed=0)
+        corrupt_spans("solo", seed=0)
 
 
 def test_corrupt_spans_seed_validated():
     with pytest.raises(PromptError, match="seed must be >= 0, got -1"):
-        corrupt_spans("a b c d e", 0.3, seed=-1)
+        corrupt_spans("a b c d e", seed=-1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     tokens=st.lists(_token, min_size=2, max_size=30),
-    rate=st.floats(0.05, 0.95),
     seed=st.integers(0, 2**16),
 )
-def test_corrupt_spans_reconstruction(tokens, rate, seed):
+def test_corrupt_spans_reconstruction(tokens, seed):
     text = " ".join(tokens)
-    ex = corrupt_spans(text, rate, seed=seed)
+    ex = corrupt_spans(text, seed=seed)
+    assert ex.identity_corruption == (len(tokens) < 4)
     if ex.identity_corruption:
+        assert (ex.source, ex.target) == (text, "")
         return
     src = ex.source.split()
     tgt = ex.target.split()
     assert tgt[0] == S0 and tgt[-1] == S1
+    assert len(tgt) - 2 == int(CORRUPTION_RATE * len(tokens) + 0.5)
     i = src.index(S0)
     assert src[:i] + tgt[1:-1] + src[i + 1 :] == tokens
