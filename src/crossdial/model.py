@@ -253,12 +253,17 @@ class _ForwardCache:
     state entering step t (``states[0]`` is s_0), ``x[t]`` the GRU input
     [E[y_{t-1}]; c_t], ``o[t]`` the readout input [s_t; c_t] and ``probs[t]``
     the softmax, which ``backward`` turns into the logit grads in place.
+    Per decoder step ``dec_steps`` keeps the attention query
+    ``q = s_{t-1} A_dec`` (B, a) and weights ``alpha`` (B, S), and the GRU
+    cache; ``backward`` rebuilds the step's (B, S, a) activations
+    ``tanh(enc_proj + q + a_bias)`` from ``q`` and ``enc_proj``.
     """
 
     batch: Batch
     src_emb: np.ndarray  # (S, B, d), the encoder's inputs
     enc_steps: list  # GRU cache per encoder step
     enc_out: np.ndarray
+    enc_proj: np.ndarray  # (B, S, a), the attention keys enc_out A_enc
     h_last: np.ndarray
     states: np.ndarray
     x: np.ndarray
@@ -292,6 +297,12 @@ class AttentiveSeq2Seq:
     for bit as it was; a flattened ``(T*B, K)`` product would not.
     Greedy decoding runs the same ``_run_encoder``, ``_decoder_step`` and
     ``_readout`` one token at a time.
+
+    Attention's (B, S, a) activations are not kept per decoder step: each
+    pass writes them into one scratch array it allocates, and ``backward``
+    recomputes them from the cached query (see ``_ForwardCache``).  The
+    recomputation repeats the forward's elementwise operations on the same
+    operands and no BLAS call, so it is exact.
     """
 
     def __init__(self, vocabulary: Vocabulary, config: ModelConfig = ModelConfig()):
@@ -420,33 +431,46 @@ class AttentiveSeq2Seq:
         dx += dxs[..., 1, :, :]
         return dx
 
-    def _attention_forward(self, s_prev, enc_proj, enc_out, src_mask, live):
-        """``live`` is ``src_mask > 0``, computed once per batch."""
+    def _attention_activations(self, q, enc_proj, u):
+        """u = tanh(enc_proj + q + a_bias), written into ``u`` (B, S, a)."""
+        np.add(enc_proj, q[:, None, :], out=u)
+        u += self.params["a_bias"]
+        return np.tanh(u, out=u)
+
+    def _attention_forward(self, s_prev, enc_proj, enc_out, src_mask, live, u):
+        """``live`` is ``src_mask > 0``, computed once per batch; ``u`` is the
+        (B, S, a) scratch for the step's activations."""
         p = self.params
         q = s_prev @ p["A_dec"]
-        u = np.tanh(enc_proj + q[:, None, :] + p["a_bias"])
-        e = u @ p["a_v"]
+        e = self._attention_activations(q, enc_proj, u) @ p["a_v"]
         e = np.where(live, e, -1e30)  # pads never win the softmax
         e = e - e.max(axis=1, keepdims=True)
         w = np.exp(e) * src_mask
         alpha = w / w.sum(axis=1, keepdims=True)
         c = np.einsum("bs,bsh->bh", alpha, enc_out)
-        return c, (u, alpha)
+        return c, (q, alpha)
 
-    def _attention_backward(self, dc, att_cache, enc_out, grads, dq):
-        """Writes the query grad into ``dq`` (B, a); A_dec's grad is left to
-        the caller, which stacks dq over the steps."""
+    def _attention_backward(self, dc, att_cache, memory, grads, dq):
+        """Adds the step's grads into ``denc`` and ``d_proj`` and writes the
+        query grad into ``dq`` (B, a); A_dec's grad is left to the caller,
+        which stacks dq over the steps.  ``memory`` is (enc_proj, enc_out,
+        denc, d_proj, u, work): ``u`` and ``work`` are (B, S, a) scratch."""
         p = self.params
-        u, alpha = att_cache
+        q, alpha = att_cache
+        enc_proj, enc_out, denc, d_proj, u, work = memory
         dalpha = np.einsum("bh,bsh->bs", dc, enc_out)
-        denc = alpha[:, :, None] * dc[:, None, :]
+        denc += np.multiply(alpha[:, :, None], dc[:, None, :], out=work)
         de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
+        self._attention_activations(q, enc_proj, u)
         grads["a_v"] += np.einsum("bsa,bs->a", u, de)
-        dpre = de[:, :, None] * p["a_v"] * (1.0 - u * u)
+        np.multiply(u, u, out=u)
+        np.subtract(1.0, u, out=u)  # 1 - u*u
+        dpre = np.multiply(de[:, :, None], p["a_v"], out=work)
+        dpre *= u
         grads["a_bias"] += dpre.sum(axis=(0, 1))
         dpre.sum(axis=1, out=dq)
-        ds_prev = dq @ p["A_dec"].T
-        return ds_prev, denc, dpre
+        d_proj += dpre
+        return dq @ p["A_dec"].T
 
     def _run_encoder(self, src, src_mask):
         """The encoder and the decoder's prologue: ``enc_out``, ``h_last``,
@@ -470,7 +494,8 @@ class AttentiveSeq2Seq:
     def _decoder_step(self, s_prev, x, o, memory, mask_col, carry_col):
         """One decoder step at B rows.  ``x`` (B, d+h) holds E[y_{t-1}] in its
         first d columns; the step writes c_t after them and [s_t; c_t] into
-        ``o`` (B, 2h).  ``memory`` is (enc_proj, enc_out, src_mask, live)."""
+        ``o`` (B, 2h).  ``memory`` is (enc_proj, enc_out, src_mask, live, u)
+        with ``u`` the attention scratch."""
         d, h = self.config.embedding_size, self.config.hidden_size
         c, att_cache = self._attention_forward(s_prev, *memory)
         x[:, d:] = c
@@ -503,7 +528,7 @@ class AttentiveSeq2Seq:
             raise ModelError("batch has a row with an empty source")
 
         enc_out, h_last, src_emb, enc_steps, s0, enc_proj = self._run_encoder(batch.src, batch.src_mask)
-        memory = (enc_proj, enc_out, batch.src_mask, batch.src_mask > 0)
+        memory = (enc_proj, enc_out, batch.src_mask, batch.src_mask > 0, np.empty_like(enc_proj))
         mask_cols, carry_cols = _step_masks(batch.tgt_mask)
 
         states = np.empty((t_len + 1, n, h))
@@ -526,7 +551,9 @@ class AttentiveSeq2Seq:
         for nll in step_nll.tolist():
             total_nll += nll
         loss = total_nll / token_count
-        cache = _ForwardCache(batch, src_emb, enc_steps, enc_out, h_last, states, x, o, probs, dec_steps, token_count)
+        cache = _ForwardCache(
+            batch, src_emb, enc_steps, enc_out, enc_proj, h_last, states, x, o, probs, dec_steps, token_count
+        )
         return loss, cache
 
     def backward(self, cache: _ForwardCache) -> ParamViews:
@@ -561,8 +588,9 @@ class AttentiveSeq2Seq:
 
         steps, cache.dec_steps = cache.dec_steps, None
         ds_next = np.zeros((n, h))
-        d_proj = np.zeros_like(cache.enc_out)
+        d_proj = np.zeros_like(cache.enc_proj)
         denc = np.zeros_like(cache.enc_out)
+        memory = (cache.enc_proj, cache.enc_out, denc, d_proj, np.empty_like(d_proj), np.empty_like(d_proj))
         da = np.empty((3, n, h))
         dq = np.empty((t_len, n, h))
         for t in reversed(range(t_len)):
@@ -572,10 +600,7 @@ class AttentiveSeq2Seq:
             dx = self._gru_input_grad(da, "dec_")
             emb_rows[t_len - 1 - t] = dx[:, :d]
             dc = do[t, :, h:] + dx[:, d:]
-            ds_prev_att, denc_t, dpre = self._attention_backward(dc, att_cache, cache.enc_out, grads, dq[t])
-            denc += denc_t
-            d_proj += dpre
-            ds_next = ds_prev + ds_prev_att
+            ds_next = ds_prev + self._attention_backward(dc, att_cache, memory, grads, dq[t])
         a_dec_steps = cache.states[:-1].transpose(0, 2, 1) @ dq
         for t in reversed(range(t_len)):  # not one reduce: at h=1 that would sum pairwise
             grads["A_dec"] += a_dec_steps[t]
@@ -836,7 +861,7 @@ def generate_greedy(model: AttentiveSeq2Seq, source_text: str, max_length: int) 
     src = np.array([src_ids], dtype=np.int64)
     src_mask = np.ones((1, len(src_ids)))
     enc_out, _, _, _, s, enc_proj = model._run_encoder(src, src_mask)
-    memory = (enc_proj, enc_out, src_mask, src_mask > 0)
+    memory = (enc_proj, enc_out, src_mask, src_mask > 0, np.empty_like(enc_proj))
     mask_col, carry_col = np.ones((1, 1)), np.zeros((1, 1))
     d, h = model.config.embedding_size, model.config.hidden_size
     x, o = np.empty((1, d + h)), np.empty((1, 2 * h))  # the step's input and readout rows

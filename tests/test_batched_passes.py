@@ -13,6 +13,7 @@ import pytest
 
 from crossdial.model import (
     BOS_ID,
+    CONTROL_TOKENS,
     EOS_ID,
     AttentiveSeq2Seq,
     ModelConfig,
@@ -245,8 +246,9 @@ def _pairs(rng, count, max_src=12, max_tgt=10):
     return pairs
 
 
-def _model(seed, hidden_size=64, embedding_size=32):
-    model = AttentiveSeq2Seq(_vocab(), ModelConfig(embedding_size=embedding_size, hidden_size=hidden_size, seed=seed))
+def _model(seed, hidden_size=64, embedding_size=32, vocabulary=None):
+    config = ModelConfig(embedding_size=embedding_size, hidden_size=hidden_size, seed=seed)
+    model = AttentiveSeq2Seq(vocabulary or _vocab(), config)
     # move every parameter off its init (zero biases included), as training does
     rng = np.random.default_rng(seed + 100)
     model.params.flat[...] += rng.normal(scale=0.05, size=model.params.flat.size)
@@ -299,6 +301,22 @@ def test_hidden_size_one_long_target_matches_per_step_code(batch_size):
         _assert_same_pass(model, batch)
 
 
+def test_train_long_shape_matches_per_step_code():
+    # the train_long benchmark's regime: B=32, ~50-token sources, ~25-token
+    # targets, an 800-token vocabulary and h=64
+    tokens = tuple(f"v{i}" for i in range(796))
+    vocabulary = Vocabulary(CONTROL_TOKENS + tokens)
+    rng = np.random.default_rng(20)
+    pairs = [
+        tuple(" ".join(rng.choice(tokens, size=int(rng.integers(low, high)))) for low, high in ((40, 52), (15, 27)))
+        for _ in range(32)
+    ]
+    model = _model(5, vocabulary=vocabulary)
+    batch = make_training_batch(vocabulary, pairs)
+    assert batch.src.shape[0] == 32 and batch.src.shape[1] >= 48 and batch.tgt_in.shape[1] >= 24
+    _assert_same_pass(model, batch)
+
+
 def test_greedy_matches_per_step_code():
     model = _model(2)
     ref = _PerStep(model)
@@ -319,3 +337,24 @@ def test_second_backward_on_one_cache_raises():
     model.backward(cache)
     with pytest.raises(ModelError, match="consumed"):
         model.backward(cache)
+
+
+def test_forward_caches_stay_independent():
+    # a later forward must not overwrite an earlier cache: the attention
+    # scratch belongs to each pass, not to the model
+    rng = np.random.default_rng(3)
+    model = _model(1)
+    b1, b2 = (make_training_batch(model.vocabulary, _pairs(rng, 8)) for _ in range(2))
+    _, cache = model.forward(b1)
+    want = model.backward(cache).flat.tobytes()
+
+    _, cache1 = model.forward(b1)
+    _, cache2 = model.forward(b2)
+    grads1 = model.backward(cache1)
+    assert grads1.flat.tobytes() == want
+    grads2 = model.backward(cache2)
+    # the returned grads alias no buffer that a later pass writes
+    assert grads1.flat.tobytes() == want
+    assert not np.shares_memory(grads1.flat, grads2.flat)
+    model.forward(b1)
+    assert grads1.flat.tobytes() == want

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +13,7 @@ from crossdial.model import (
     AdamW,
     AttentiveSeq2Seq,
     Batch,
+    CONTROL_TOKENS,
     ModelConfig,
     EOS_ID,
     ModelError,
@@ -157,6 +160,51 @@ def test_pad_positions_get_no_gradient():
     grads = model.backward(cache)
     # the pad embedding row can only accumulate from masked positions
     assert np.allclose(grads["E"][PAD_ID], 0.0)
+
+
+def _arrays_in(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays_in(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays_in(getattr(obj, f.name))
+
+
+def test_forward_backward_memory_at_train_long_shape():
+    # B=32, S=51, T=27, an 800-token vocabulary, h=64: the bound sits between
+    # the traced peak with attention's (B, S, a) activations cached per
+    # decoder step (41 MB) and with them recomputed in backward (19.5 MB)
+    tokens = tuple(f"v{i}" for i in range(796))
+    vocabulary = Vocabulary(CONTROL_TOKENS + tokens)
+    rng = np.random.default_rng(0)
+    pairs = [
+        tuple(" ".join(rng.choice(tokens, size=int(rng.integers(low, high)))) for low, high in ((40, 51), (15, 26)))
+        for _ in range(31)
+    ]
+    pairs.append((" ".join(tokens[:51]), " ".join(tokens[:26])))
+    model = AttentiveSeq2Seq(vocabulary, ModelConfig())
+    batch = make_training_batch(vocabulary, pairs)
+    assert batch.src.shape == (32, 51) and batch.tgt_in.shape == (32, 27)
+
+    tracemalloc.start()
+    try:
+        _, cache = model.forward(batch)
+        stacks = [
+            arr
+            for f in dataclasses.fields(cache)
+            if f.name not in ("enc_out", "enc_proj")  # the attention's values and keys
+            for arr in _arrays_in(getattr(cache, f.name))
+            if arr.size == 32 * 51 * model.config.hidden_size
+        ]
+        model.backward(cache)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 28e6
+    assert stacks == []  # no per-step (B, S, a) array is cached
 
 
 # -- optimizer -------------------------------------------------------------
