@@ -49,7 +49,7 @@ print("  target:", ex.target)
 # -- overfit one pair ----------------------------------------------------------------
 
 data = [("a1 a2 a3 a4", "a4 a3 a2")]
-result = train(model, data, data, OptimizerConfig(learning_rate=0.01, epochs=200, batch_size=1, max_length=16))
+result = train(model, data, data, OptimizerConfig(learning_rate=0.01, epochs=200, batch_size=1))
 final_nll = result.model.nll(make_training_batch(vocab, data, max_length=16))
 print("\nafter 200 steps on one pair:")
 print("  nll:", f"{final_nll:.4f}", "(must be < 0.1)")

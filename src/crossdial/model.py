@@ -26,7 +26,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -124,29 +124,26 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """The learning rate and weight decay of a stage's AdamW, plus its
-    epoch/batch/length budget (the moment constants are on ``AdamW``)."""
+    """A stage's budget: its AdamW learning rate, epochs and batch size.
+    ``weight_decay`` (0.0) and ``max_length`` (64: the tokens that ``train``
+    and ``evaluate_nll`` keep of each text, not ``generate``'s output cap)
+    are the same for every stage, so they are class constants, not keys."""
 
     learning_rate: float
     epochs: int
     batch_size: int
-    weight_decay: float = 0.0
-    max_length: int = 64  # sequences are truncated to this many tokens
+    weight_decay: ClassVar[float] = 0.0
+    max_length: ClassVar[int] = 64
 
     def __post_init__(self):
-        for name in ("learning_rate", "weight_decay"):
-            if not math.isfinite(getattr(self, name)):
-                raise ModelError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.learning_rate):
+            raise ModelError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0:
             raise ModelError("learning_rate must be positive")
         if self.epochs < 0:
             raise ModelError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ModelError("batch_size must be >= 1")
-        if self.weight_decay < 0:
-            raise ModelError("weight_decay must be non-negative")
-        if self.max_length < 1:
-            raise ModelError("max_length must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +199,7 @@ def batch_from_encoded(encoded: Sequence[tuple[list[int], list[int]]]) -> Batch:
 
 
 def make_training_batch(
-    vocabulary: Vocabulary, data: Sequence[tuple[str, str]], max_length: int = 64
+    vocabulary: Vocabulary, data: Sequence[tuple[str, str]], max_length: int = OptimizerConfig.max_length
 ) -> Batch:
     return batch_from_encoded(encode_pairs(vocabulary, data, max_length))
 
@@ -459,13 +456,14 @@ class AttentiveSeq2Seq:
         q, alpha = att_cache
         enc_proj, enc_out, denc, d_proj, u, work = memory
         dalpha = np.einsum("bh,bsh->bs", dc, enc_out)
-        denc += np.multiply(alpha[:, :, None], dc[:, None, :], out=work)
+        # einsum outer products: one product per element, as np.multiply, but +0.0 where it gives -0.0
+        denc += np.einsum("bs,bh->bsh", alpha, dc, out=work)
         de = alpha * (dalpha - (alpha * dalpha).sum(axis=1, keepdims=True))
         self._attention_activations(q, enc_proj, u)
         grads["a_v"] += np.einsum("bsa,bs->a", u, de)
         np.multiply(u, u, out=u)
         np.subtract(1.0, u, out=u)  # 1 - u*u
-        dpre = np.multiply(de[:, :, None], p["a_v"], out=work)
+        dpre = np.einsum("bs,a->bsa", de, p["a_v"], out=work)
         dpre *= u
         grads["a_bias"] += dpre.sum(axis=(0, 1))
         dpre.sum(axis=1, out=dq)
@@ -639,8 +637,9 @@ class AttentiveSeq2Seq:
 
 
 class AdamW:
-    """Adam with decoupled weight decay (decay applied to the parameter,
-    not folded into the gradient).
+    """Adam with decoupled weight decay (Loshchilov & Hutter 2017: decay
+    applied to the parameter, not folded into the gradient) at the config's
+    learning rate and ``weight_decay``, the constant 0.0 for every stage.
 
     Steps one flat parameter vector in place.  It works through the vector
     in chunks of ``CHUNK`` elements with ``out=`` into a fixed scratch, so a

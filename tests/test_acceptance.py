@@ -164,7 +164,7 @@ def test_criterion_5_single_pair_overfit():
     model = _toy_model(emb=16, hid=24, seed=0)
     data = [("a1 a2 a3 a4", "a4 a3 a2")]
     # 4 epochs of 50 copies at batch 1: 200 steps, validated every 50
-    config = OptimizerConfig(learning_rate=0.01, epochs=4, batch_size=1, max_length=16)
+    config = OptimizerConfig(learning_rate=0.01, epochs=4, batch_size=1)
     result = train(model, data * 50, data, config)
     assert len(result.train_losses) == 200
     assert [step for step, _ in result.valid_losses] == [0, 50, 100, 150, 200]
@@ -186,7 +186,7 @@ def _train_on_scripted_losses(monkeypatch, model, losses):
     snapshots = []
     take = type(model).snapshot
     monkeypatch.setattr(model, "snapshot", lambda: snapshots.append(None) or take(model))
-    config = OptimizerConfig(learning_rate=0.01, epochs=len(losses) - 1, batch_size=1, max_length=16)
+    config = OptimizerConfig(learning_rate=0.01, epochs=len(losses) - 1, batch_size=1)
     result = train(model, [("a1", "a1")], [("a1", "a1")], config)
     return result, len(snapshots)
 
@@ -220,7 +220,7 @@ def test_criterion_6_checkpoint_selection(monkeypatch):
         extra_texts=template_texts(DEFAULT_TEMPLATE),
     )
     model = AttentiveSeq2Seq(vocab, ModelConfig(embedding_size=12, hidden_size=16, seed=0))
-    tiny = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=8, max_length=32)
+    tiny = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=8)
 
     seen = []
 
@@ -393,8 +393,6 @@ hidden_size = 16
 learning_rate = 0.005
 epochs = 1
 batch_size = 8
-weight_decay = 0.0
-max_length = 64
 """,
     "src.model.cfg": """command = train
 model = pre.model
@@ -405,8 +403,6 @@ prompted = true
 learning_rate = 0.005
 epochs = 1
 batch_size = 8
-weight_decay = 0.0
-max_length = 64
 """,
     "adapted.model.cfg": """command = adapt
 model = src.model
@@ -417,8 +413,6 @@ prompted = true
 learning_rate = 0.005
 epochs = 1
 batch_size = 8
-weight_decay = 0.0
-max_length = 64
 """,
     "hyps.txt.cfg": """command = generate
 model = adapted.model
@@ -446,18 +440,12 @@ synthetic.templates = 2
 pretrain.learning_rate = 0.005
 pretrain.epochs = 1
 pretrain.batch_size = 8
-pretrain.weight_decay = 0.0
-pretrain.max_length = 64
 train.learning_rate = 0.003
 train.epochs = 1
 train.batch_size = 8
-train.weight_decay = 0.0
-train.max_length = 64
 adapt.learning_rate = 0.006
 adapt.epochs = 2
 adapt.batch_size = 4
-adapt.weight_decay = 0.0
-adapt.max_length = 64
 seeds = 0
 max_generate = 6
 """,

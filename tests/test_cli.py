@@ -5,6 +5,7 @@ byte-identity sweep lives in the acceptance suite.
 """
 
 import argparse
+import dataclasses
 import filecmp
 import json
 import os
@@ -23,6 +24,7 @@ from crossdial.cli import main
 from crossdial.corpus import Corpus, DialoguePair, save_pairs
 from crossdial.humaneval import CHOICES
 from crossdial.kvconfig import config_schema, load_kv, write_kv
+from crossdial.model import OptimizerConfig
 
 TINY_SYNTH = [
     "--set", "vocab_size=16",
@@ -558,7 +560,7 @@ _TRAIN_MISSING = ["train", "--model", "missing.model", "--train", "missing.jsonl
                  "error:config: humaneval-export: bad value for 'n': must be >= 1, got 0", id="n"),
     *(pytest.param(_TRAIN_MISSING + ["--set", f"{key}={value}"],
                    f"error:config: bad value for '{key}': {key} must be finite, got {value}", id=f"{key}-{value}")
-      for key, value in (("learning_rate", "nan"), ("learning_rate", "inf"), ("weight_decay", "inf"))),
+      for key, value in (("learning_rate", "nan"), ("learning_rate", "inf"))),
     pytest.param(["gen-synthetic", "--out", "g", "--seed", "-1"],
                  "error:config: bad value for 'seed': seed must be >= 0, got -1", id="gen-synthetic-seed"),
     pytest.param(["sample-fewshot", "--in", "missing.jsonl", "--out", "s.jsonl", "--k", "2", "--seed", "-2"],
@@ -713,20 +715,25 @@ def test_gen_synthetic_rejects_bad_size(capsys, tmp_path):
     assert not out.exists()
 
 
-# The AdamW moment constants, the per-epoch validation schedule, the 13a
-# BLEU tokenizer, the prompt template, the corruption rate, the layout
-# choice (now the --prompted boolean) and the BLEU floor are not settings,
-# so an echo that names one exits 2 before any file is read.
+# The AdamW moment constants and weight decay, the training truncation, the
+# per-epoch validation schedule, the 13a BLEU tokenizer, the prompt
+# template, the corruption rate, the layout choice (now the --prompted
+# boolean) and the BLEU floor are not settings, so an echo that names one
+# exits 2 before any file is read.
 @pytest.mark.parametrize("command, key", [
     ("pretrain", "eval_every"),
     ("pretrain", "beta1"),
+    ("pretrain", "weight_decay"),
     ("train", "eval_every"),
     ("train", "beta2"),
+    ("train", "max_length"),
     ("adapt", "eps"),
+    ("adapt", "weight_decay"),
     ("study", "eval_every"),
     ("study", "pretrain.beta1"),
     ("study", "train.beta2"),
     ("study", "adapt.eps"),
+    ("study", "train.max_length"),
     ("evaluate", "tokenizer"),
     ("evaluate", "smoothing_epsilon"),
     *((command, "template") for command in ("format", "pretrain", "train", "adapt", "generate")),
@@ -739,6 +746,14 @@ def test_removed_key_is_unknown(command, key, capsys, tmp_path, monkeypatch):
     assert main([command, "--config", "old.cfg"]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error:config: {command}: unknown config key {key!r}"]
     assert [path.name for path in tmp_path.iterdir()] == ["old.cfg"]
+
+
+def test_a_stage_config_is_its_budget():
+    # max_length names one thing, generate's cap on generated tokens; the
+    # training truncation and the weight decay are OptimizerConfig constants
+    assert [name for name, (_, _, schema) in cli._COMMANDS.items() if "max_length" in schema] == ["generate"]
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["learning_rate", "epochs", "batch_size"]
+    assert (OptimizerConfig.max_length, OptimizerConfig.weight_decay) == (64, 0.0)
 
 
 # The rate is the constant CORRUPTION_RATE, so a value the old flag rejected

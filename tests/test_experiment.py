@@ -43,7 +43,7 @@ _TINY_SPEC = SyntheticSpec(
     seed=0,
 )
 
-_TINY_OPT = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=8, max_length=32)
+_TINY_OPT = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=8)
 
 
 def _tiny_setup(seed=0):
@@ -175,7 +175,6 @@ def test_optimizer_config_from_kv_partial():
     assert cfg.learning_rate == 0.01
     assert cfg.epochs == 2
     assert cfg.batch_size == experiment.STUDY_TRAIN.batch_size
-    assert cfg.weight_decay == experiment.STUDY_TRAIN.weight_decay
 
 
 def test_optimizer_config_unknown_key():
@@ -184,7 +183,7 @@ def test_optimizer_config_unknown_key():
 
 
 def test_optimizer_entries_round_trip():
-    cfg = OptimizerConfig(learning_rate=0.007, epochs=3, batch_size=2, weight_decay=0.1)
+    cfg = OptimizerConfig(learning_rate=0.007, epochs=3, batch_size=2)
     entries = {key: value for key, (_, value) in config_schema(cfg).items()}
     raw = parse_kv_text(dump_kv(entries))
     assert _from_kv(experiment.STUDY_TRAIN, raw) == cfg

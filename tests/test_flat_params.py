@@ -152,6 +152,12 @@ def test_gru_step_matches_per_gate_reference(batch, prefix):
             np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
 
+def _decayed(weight_decay, **budget):
+    """No stage decays its weights (``OptimizerConfig.weight_decay`` is the
+    constant 0.0); a subclass that sets it exercises AdamW's decoupled decay."""
+    return type("Decayed", (OptimizerConfig,), {"weight_decay": weight_decay})(**budget)
+
+
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
 def test_adamw_matches_per_array_reference(weight_decay):
     model = _model()
@@ -159,7 +165,7 @@ def test_adamw_matches_per_array_reference(weight_decay):
     ref = {name: arr.copy() for name, arr in model.params.items()}
     m = {name: np.zeros_like(arr) for name, arr in ref.items()}
     v = {name: np.zeros_like(arr) for name, arr in ref.items()}
-    opt = AdamW(model.params.flat, OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=1, weight_decay=weight_decay))
+    opt = AdamW(model.params.flat, _decayed(weight_decay, learning_rate=5e-3, epochs=1, batch_size=1))
     rng = np.random.default_rng(1)
     for t in range(1, 5):
         grads = model.snapshot()
@@ -174,7 +180,7 @@ def test_adamw_matches_per_array_reference(weight_decay):
 
 # -- view aliasing ---------------------------------------------------------------
 
-_ONE_STEP = OptimizerConfig(learning_rate=1e-2, epochs=1, batch_size=len(DATA), max_length=16)
+_ONE_STEP = OptimizerConfig(learning_rate=1e-2, epochs=1, batch_size=len(DATA))
 
 
 def _assert_views_alias(model):

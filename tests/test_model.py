@@ -222,12 +222,18 @@ def _reference_adamw_step(param, grad, m, v, t, lr, b1, b2, eps, wd):
     return out, m, v
 
 
+def _decayed(weight_decay, **budget):
+    """No stage decays its weights (``OptimizerConfig.weight_decay`` is the
+    constant 0.0); a subclass that sets it exercises AdamW's decoupled decay."""
+    return type("Decayed", (OptimizerConfig,), {"weight_decay": weight_decay})(**budget)
+
+
 def test_adamw_matches_reference_steps():
     rng = np.random.default_rng(0)
     params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=(3,))}
     layout = [(k, p.shape) for k, p in params.items()]
     mine = ParamViews(np.concatenate([p.ravel() for p in params.values()]), layout)
-    opt = AdamW(mine.flat, OptimizerConfig(learning_rate=0.01, epochs=1, batch_size=1, weight_decay=0.1))
+    opt = AdamW(mine.flat, _decayed(0.1, learning_rate=0.01, epochs=1, batch_size=1))
     ref = {k: p.copy() for k, p in params.items()}
     state = {k: (np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
     for t in range(1, 6):
@@ -244,7 +250,7 @@ def test_adamw_matches_reference_steps():
 def test_weight_decay_is_decoupled():
     # with zero gradient, AdamW still shrinks the parameter by lr*wd exactly
     w = np.full((2,), 10.0)
-    opt = AdamW(w, OptimizerConfig(learning_rate=0.1, epochs=1, batch_size=1, weight_decay=0.5))
+    opt = AdamW(w, _decayed(0.5, learning_rate=0.1, epochs=1, batch_size=1))
     opt.step(np.zeros(2))
     np.testing.assert_allclose(w, 10.0 - 0.1 * 0.5 * 10.0, atol=1e-12)
 
@@ -262,10 +268,9 @@ def test_optimizer_config_validation():
         OptimizerConfig(learning_rate=0.1, epochs=-1, batch_size=1)
     with pytest.raises(ModelError):
         OptimizerConfig(learning_rate=0.1, epochs=1, batch_size=0)
-    for bad in ({"learning_rate": math.nan}, {"learning_rate": math.inf},
-                {"weight_decay": math.nan}, {"weight_decay": math.inf}):
+    for bad in (math.nan, math.inf):
         with pytest.raises(ModelError, match="must be finite"):
-            OptimizerConfig(**{"learning_rate": 0.1, "epochs": 1, "batch_size": 1, **bad})
+            OptimizerConfig(learning_rate=bad, epochs=1, batch_size=1)
 
 
 # -- training loop ---------------------------------------------------------
@@ -274,7 +279,7 @@ def test_optimizer_config_validation():
 def test_overfit_single_pair():
     model = _model(emb=16, hid=24, seed=0)
     data = [("a1 a2 a3 a4", "a4 a3 a2")]
-    cfg = OptimizerConfig(learning_rate=0.01, epochs=4, batch_size=1, max_length=16)
+    cfg = OptimizerConfig(learning_rate=0.01, epochs=4, batch_size=1)
     result = train(model, data * 50, data, cfg)  # 200 steps, validated every 50
     batch = make_training_batch(model.vocabulary, data, max_length=16)
     assert result.model.nll(batch) < 0.1
@@ -284,7 +289,7 @@ def test_overfit_single_pair():
 def test_train_is_deterministic():
     def run():
         model = _model(seed=1)
-        cfg = OptimizerConfig(learning_rate=0.01, epochs=3, batch_size=2, max_length=16)
+        cfg = OptimizerConfig(learning_rate=0.01, epochs=3, batch_size=2)
         result = train(model, [("a1 a2", "a2"), ("b1 b2", "b2 b1")], [("a1", "a1")], cfg)
         return result.model.parameters_flat()
 
@@ -293,7 +298,7 @@ def test_train_is_deterministic():
 
 def test_train_checkpoints_and_restore():
     model = _model()
-    cfg = OptimizerConfig(learning_rate=0.01, epochs=3, batch_size=1, max_length=16)
+    cfg = OptimizerConfig(learning_rate=0.01, epochs=3, batch_size=1)
     result = train(model, [("a1 a2", "a2")], [("a1 a2", "a2")], cfg)
     assert [step for step, _ in result.valid_losses] == [0, 1, 2, 3]  # 1 step per epoch
     best = result.best
@@ -333,7 +338,7 @@ def test_divergence_tripwire():
 def test_evaluate_nll_matches_forward():
     model = _model()
     data = [("a1 a2", "a2"), ("b1", "b1 b2")]
-    cfg = OptimizerConfig(learning_rate=0.01, epochs=1, batch_size=2, max_length=16)
+    cfg = OptimizerConfig(learning_rate=0.01, epochs=1, batch_size=2)
     loss = evaluate_nll(model, data, cfg)
     batch = make_training_batch(model.vocabulary, data, max_length=16)
     assert loss == pytest.approx(model.nll(batch))
@@ -353,7 +358,7 @@ def _scripted_train(monkeypatch, model, losses, steps_per_epoch=1):
     snapshots = []
     take = type(model).snapshot
     monkeypatch.setattr(model, "snapshot", lambda: snapshots.append(None) or take(model))
-    cfg = OptimizerConfig(learning_rate=0.01, epochs=len(losses) - 1, batch_size=1, max_length=16)
+    cfg = OptimizerConfig(learning_rate=0.01, epochs=len(losses) - 1, batch_size=1)
     result = train(model, [("a1", "a1")] * steps_per_epoch, [("a1", "a1")], cfg)
     assert [loss for _, loss in result.valid_losses] == list(losses)
     return result, len(snapshots)
@@ -392,7 +397,7 @@ def test_train_best_is_a_copy_of_its_step(monkeypatch):
     # a learning rate high enough that the valid loss rises after its best step
     model = _model()
     data = [("a1 a2 a3 a4", "a4 a3 a2"), ("b1 b2", "b3 b1 b2")]
-    cfg = OptimizerConfig(learning_rate=0.2, epochs=4, batch_size=1, max_length=16)
+    cfg = OptimizerConfig(learning_rate=0.2, epochs=4, batch_size=1)
     taken = []
     take = type(model).snapshot
     monkeypatch.setattr(model, "snapshot", lambda: taken.append(model.parameters_flat()) or take(model))
@@ -524,7 +529,7 @@ def test_pretrain_improves_denoising_loss():
     bundle = _tiny_bundle()
     vocab = Vocabulary.build([bundle.aux_train, bundle.tgt_valid], extra_texts=_SENTINELS)
     model = AttentiveSeq2Seq(vocab, ModelConfig(embedding_size=12, hidden_size=16, seed=0))
-    cfg = OptimizerConfig(learning_rate=5e-3, epochs=4, batch_size=8, max_length=32)
+    cfg = OptimizerConfig(learning_rate=5e-3, epochs=4, batch_size=8)
     result = pretrain_span_corruption(model, [bundle.aux_train, bundle.tgt_valid], cfg, seed=0)
     losses = [loss for _, loss in result.valid_losses]
     assert losses[-1] < losses[0]
@@ -535,7 +540,7 @@ def test_pretrain_single_language_stays_in_language():
     bundle = _tiny_bundle()
     vocab = Vocabulary.build([bundle.aux_train], extra_texts=_SENTINELS)
     model = AttentiveSeq2Seq(vocab, ModelConfig(embedding_size=12, hidden_size=16, seed=1))
-    cfg = OptimizerConfig(learning_rate=8e-3, epochs=10, batch_size=8, max_length=32)
+    cfg = OptimizerConfig(learning_rate=8e-3, epochs=10, batch_size=8)
     pretrain_span_corruption(model, [bundle.aux_train], cfg, seed=1)
     sources = [p.context for p in bundle.aux_test.pairs[:8]]
     outs = generate_corpus(model, sources, max_length=16)
@@ -547,7 +552,7 @@ def test_pretrain_single_language_stays_in_language():
 
 def test_pretrain_deterministic():
     bundle = _tiny_bundle()
-    cfg = OptimizerConfig(learning_rate=5e-3, epochs=2, batch_size=8, max_length=32)
+    cfg = OptimizerConfig(learning_rate=5e-3, epochs=2, batch_size=8)
 
     def run():
         vocab = Vocabulary.build([bundle.aux_train], extra_texts=_SENTINELS)
