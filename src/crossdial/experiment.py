@@ -28,11 +28,10 @@ import dataclasses
 import json
 import logging
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .artifact import write_lines
 from .corpus import Corpus, SyntheticSpec, generate_synthetic_bilingual
@@ -355,7 +354,9 @@ def run_forgetting_study(config: StudyConfig = StudyConfig()) -> StudyReport:
     medians = {}
     for name, reports in runs.items():
         scores = [report.scores() for report in reports]
-        medians[name] = {key: float(np.median([row[key] for row in scores])) for key in scores[0]}
+        # statistics.median: np.median's bits (the middle value, or (a + b) / 2)
+        # without the numpy.ma import that np.median's first call makes
+        medians[name] = {key: float(statistics.median([row[key] for row in scores])) for key in scores[0]}
     return StudyReport(
         config=config,
         runs={name: tuple(reports) for name, reports in runs.items()},

@@ -41,6 +41,9 @@ PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 
 MODEL_FORMAT = "attentive-seq2seq-v1"
 
+# the most softmax bytes one readout chunk of a teacher-forced pass holds
+READOUT_CHUNK_BYTES = 1 << 20
+
 
 class ModelError(ValueError):
     """Raised for invalid model configuration or inputs."""
@@ -246,27 +249,30 @@ class ParamViews(dict):
 class _ForwardCache:
     """What ``backward`` needs from one ``forward``; ``backward`` consumes it.
 
-    The time-major buffers hold every decoder step: ``states[t]`` is the
-    state entering step t (``states[0]`` is s_0), ``x[t]`` the GRU input
-    [E[y_{t-1}]; c_t], ``o[t]`` the readout input [s_t; c_t] and ``probs[t]``
-    the softmax, which ``backward`` turns into the logit grads in place.
-    Per decoder step ``dec_steps`` keeps the attention query
-    ``q = s_{t-1} A_dec`` (B, a) and weights ``alpha`` (B, S), and the GRU
-    cache; ``backward`` rebuilds the step's (B, S, a) activations
-    ``tanh(enc_proj + q + a_bias)`` from ``q`` and ``enc_proj``.
+    ``forward`` already turned the softmax into the readout's grads, chunk
+    by chunk, so the cache holds no (T, B, V) array: ``grads`` is the
+    gradient vector with W_out's and b_out's grads in place, and ``do`` the
+    (T, B, 2h) grad of the readout inputs [s_t; c_t].  The other time-major
+    buffers hold every decoder step: ``states[t]`` is the state entering
+    step t (``states[0]`` is s_0) and ``x[t]`` the GRU input
+    [E[y_{t-1}]; c_t].  Per decoder step ``dec_steps`` keeps the attention
+    weights ``alpha`` (B, S) and the GRU cache.  ``backward`` recomputes the
+    rest from these with the forward's own operations on the same operands:
+    the attention query ``q = states[t] A_dec`` and from it the step's
+    (B, S, a) activations ``tanh(enc_proj + q + a_bias)``, the GRU's
+    ``r * h_prev``, and the encoder's inputs ``E[src]``.
     """
 
     batch: Batch
-    src_emb: np.ndarray  # (S, B, d), the encoder's inputs
     enc_steps: list  # GRU cache per encoder step
     enc_out: np.ndarray
     enc_proj: np.ndarray  # (B, S, a), the attention keys enc_out A_enc
     h_last: np.ndarray
     states: np.ndarray
     x: np.ndarray
-    o: np.ndarray
-    probs: np.ndarray | None
-    dec_steps: list | None  # (attention cache, GRU cache) per step; None once consumed
+    do: np.ndarray | None
+    grads: ParamViews | None
+    dec_steps: list | None  # (alpha, GRU cache) per step; None once consumed
     token_count: float
 
 
@@ -295,11 +301,18 @@ class AttentiveSeq2Seq:
     Greedy decoding runs the same ``_run_encoder``, ``_decoder_step`` and
     ``_readout`` one token at a time.
 
-    Attention's (B, S, a) activations are not kept per decoder step: each
-    pass writes them into one scratch array it allocates, and ``backward``
-    recomputes them from the cached query (see ``_ForwardCache``).  The
-    recomputation repeats the forward's elementwise operations on the same
-    operands and no BLAS call, so it is exact.
+    The (T, B, V) softmax is never held whole: ``forward`` runs the readout
+    over time chunks of at most ``READOUT_CHUNK_BYTES``, last chunk first,
+    and turns each chunk's softmax into its logit grads straight away,
+    adding W_out's and b_out's grads step by step from the last step back,
+    the order a whole-batch backward adds them in.  A chunk slice makes the
+    same BLAS call as the stacked slice and each softmax row is normalised
+    on its own, so the chunking is exact.  Attention's (B, S, a) activations
+    are not kept per decoder step: each pass writes them into one scratch
+    array it allocates, and ``backward`` recomputes them (see
+    ``_ForwardCache``).  A recomputation repeats the forward's operations on
+    the same operands, so it is exact too.  ``nll`` runs the same
+    ``forward`` without the step caches and the readout grads.
     """
 
     def __init__(self, vocabulary: Vocabulary, config: ModelConfig = ModelConfig()):
@@ -385,7 +398,7 @@ class AttentiveSeq2Seq:
         n = np.tanh(xw[2] + rh @ U[2] + b[2])
         h_new = (1.0 - z) * n + z * h_prev
         h = mask_col * h_new + carry_col * h_prev  # carry state over pads
-        return h, (h_prev, zr, n, rh, mask_col, carry_col)
+        return h, (h_prev, zr, n, mask_col, carry_col)
 
     def _gru_backward(self, dh, x, cache, prefix, gate_grads, da):
         """Backprop one GRU step into ``gate_grads`` and return dh_prev.
@@ -396,7 +409,7 @@ class AttentiveSeq2Seq:
         """
         _, U, _ = self._gru_params[prefix]
         gW, gU, gb = gate_grads
-        h_prev, zr, n, rh, mask_col, carry_col = cache
+        h_prev, zr, n, mask_col, carry_col = cache
         z, r = zr
         dh_new = dh * mask_col
         dh_prev = dh * carry_col
@@ -412,7 +425,7 @@ class AttentiveSeq2Seq:
         dzr *= 1.0 - zr
         gW += x.T @ da
         gU[:2] += h_prev.T @ dzr
-        gU[2] += rh.T @ dan
+        gU[2] += (r * h_prev).T @ dan
         gb += da.sum(axis=1)
         dhs = dzr @ U[:2].transpose(0, 2, 1)
         dh_prev = dh_prev + dhs[0]
@@ -445,15 +458,14 @@ class AttentiveSeq2Seq:
         w = np.exp(e) * src_mask
         alpha = w / w.sum(axis=1, keepdims=True)
         c = np.einsum("bs,bsh->bh", alpha, enc_out)
-        return c, (q, alpha)
+        return c, alpha
 
-    def _attention_backward(self, dc, att_cache, memory, grads, dq):
-        """Adds the step's grads into ``denc`` and ``d_proj`` and writes the
-        query grad into ``dq`` (B, a); A_dec's grad is left to the caller,
-        which stacks dq over the steps.  ``memory`` is (enc_proj, enc_out,
-        denc, d_proj, u, work): ``u`` and ``work`` are (B, S, a) scratch."""
+    def _attention_backward(self, dc, s_prev, alpha, memory, grads, dq):
+        """Adds the step's grads into ``grads``, ``denc`` and ``d_proj`` and
+        returns ds_prev.  ``memory`` is (enc_proj, enc_out, denc, d_proj, u,
+        work): ``u`` and ``work`` are (B, S, a) scratch, ``dq`` (B, a)."""
         p = self.params
-        q, alpha = att_cache
+        q = s_prev @ p["A_dec"]
         enc_proj, enc_out, denc, d_proj, u, work = memory
         dalpha = np.einsum("bh,bsh->bs", dc, enc_out)
         # einsum outer products: one product per element, as np.multiply, but +0.0 where it gives -0.0
@@ -468,12 +480,13 @@ class AttentiveSeq2Seq:
         grads["a_bias"] += dpre.sum(axis=(0, 1))
         dpre.sum(axis=1, out=dq)
         d_proj += dpre
+        grads["A_dec"] += s_prev.T @ dq
         return dq @ p["A_dec"].T
 
-    def _run_encoder(self, src, src_mask):
+    def _run_encoder(self, src, src_mask, caches=None):
         """The encoder and the decoder's prologue: ``enc_out``, ``h_last``,
-        the encoder's inputs and step caches, ``s_0`` and the attention keys
-        ``enc_proj = enc_out A_enc``."""
+        ``s_0`` and the attention keys ``enc_proj = enc_out A_enc``.  Each
+        step's GRU cache is appended to ``caches`` when it is a list."""
         p = self.params
         n, s_len = src.shape
         h = np.zeros((n, self.config.hidden_size))
@@ -481,13 +494,13 @@ class AttentiveSeq2Seq:
         src_emb = p["E"][src.T]  # (S, B, d), time-major
         xw = src_emb[:, None] @ self._gru_params["enc_"][0]  # (S, 3, B, h): every step's input projections
         mask_cols, carry_cols = _step_masks(src_mask)
-        caches = []
         for t in range(s_len):
             h, cache = self._gru_forward(xw[t], h, "enc_", mask_cols[t], carry_cols[t])
-            caches.append(cache)
+            if caches is not None:
+                caches.append(cache)
             enc_out[:, t] = h
         s0 = np.tanh(h @ p["W_s0"] + p["b_s0"])
-        return enc_out, h, src_emb, caches, s0, enc_out @ p["A_enc"]
+        return enc_out, h, s0, enc_out @ p["A_enc"]
 
     def _decoder_step(self, s_prev, x, o, memory, mask_col, carry_col):
         """One decoder step at B rows.  ``x`` (B, d+h) holds E[y_{t-1}] in its
@@ -495,12 +508,12 @@ class AttentiveSeq2Seq:
         ``o`` (B, 2h).  ``memory`` is (enc_proj, enc_out, src_mask, live, u)
         with ``u`` the attention scratch."""
         d, h = self.config.embedding_size, self.config.hidden_size
-        c, att_cache = self._attention_forward(s_prev, *memory)
+        c, alpha = self._attention_forward(s_prev, *memory)
         x[:, d:] = c
         s, gru_cache = self._gru_forward(x @ self._gru_params["dec_"][0], s_prev, "dec_", mask_col, carry_col)
         o[:, :h] = s
         o[:, h:] = c
-        return s, (att_cache, gru_cache)
+        return s, (alpha, gru_cache)
 
     def _readout(self, o):
         """The softmax over the vocabulary for readout inputs ``o`` (..., 2h),
@@ -513,9 +526,18 @@ class AttentiveSeq2Seq:
         probs /= probs.sum(axis=-1, keepdims=True)
         return probs
 
+    def _readout_chunks(self, t_len: int, n: int) -> list[slice]:
+        """Time slices of at most ``READOUT_CHUNK_BYTES`` of softmax (at least
+        one step each), in the order ``forward`` runs them: last first."""
+        per = max(1, READOUT_CHUNK_BYTES // (n * len(self.vocabulary) * 8))
+        return [slice(start, min(start + per, t_len)) for start in reversed(range(0, t_len, per))]
+
     # -- loss ------------------------------------------------------------
 
-    def forward(self, batch: Batch) -> tuple[float, _ForwardCache]:
+    def forward(self, batch: Batch, *, backprop: bool = True) -> tuple[float, _ForwardCache | None]:
+        """The mean token NLL and, with ``backprop``, the cache ``backward``
+        takes; without it no step cache or grad is kept and the cache is None."""
+        p = self.params
         n = batch.src.shape[0]
         t_len = batch.tgt_in.shape[1]
         d, h = self.config.embedding_size, self.config.hidden_size
@@ -525,33 +547,54 @@ class AttentiveSeq2Seq:
         if (batch.src_mask.sum(axis=1) < 1).any():
             raise ModelError("batch has a row with an empty source")
 
-        enc_out, h_last, src_emb, enc_steps, s0, enc_proj = self._run_encoder(batch.src, batch.src_mask)
+        enc_steps = [] if backprop else None
+        enc_out, h_last, s0, enc_proj = self._run_encoder(batch.src, batch.src_mask, enc_steps)
         memory = (enc_proj, enc_out, batch.src_mask, batch.src_mask > 0, np.empty_like(enc_proj))
         mask_cols, carry_cols = _step_masks(batch.tgt_mask)
 
         states = np.empty((t_len + 1, n, h))
         states[0] = s0
         x = np.empty((t_len, n, d + h))
-        x[:, :, :d] = self.params["E"][batch.tgt_in.T]
+        x[:, :, :d] = p["E"][batch.tgt_in.T]
         o = np.empty((t_len, n, 2 * h))
-        dec_steps = []
+        dec_steps = [] if backprop else None
         for t in range(t_len):
             s, step_cache = self._decoder_step(states[t], x[t], o[t], memory, mask_cols[t], carry_cols[t])
             states[t + 1] = s
-            dec_steps.append(step_cache)
+            if backprop:
+                dec_steps.append(step_cache)
+        del memory  # frees the attention scratch before the readout's chunks
 
-        probs = self._readout(o)
-        picked = probs[np.arange(t_len)[:, None], np.arange(n), batch.tgt_out.T]
-        # a C-contiguous (T, B) mask keeps each step's sum as the per-step code
-        # summed it; the steps are added in order, without sum()'s compensation
-        step_nll = -(np.log(np.maximum(picked, 1e-300)) * np.ascontiguousarray(batch.tgt_mask.T)).sum(axis=1)
+        rows = np.arange(n)
+        tgt_out = batch.tgt_out.T
+        # a C-contiguous (T, B) mask keeps each step's sum as the per-step code summed it
+        tgt_mask = np.ascontiguousarray(batch.tgt_mask.T)
+        step_nll = np.empty(t_len)
+        if backprop:
+            grads = ParamViews(np.zeros_like(p.flat), self._layout)
+            do = np.empty_like(o)
+        for chunk in self._readout_chunks(t_len, n):
+            probs = self._readout(o[chunk])
+            picked = (np.arange(probs.shape[0])[:, None], rows, tgt_out[chunk])
+            step_nll[chunk] = -(np.log(np.maximum(probs[picked], 1e-300)) * tgt_mask[chunk]).sum(axis=1)
+            if not backprop:
+                continue
+            dlogits = probs  # the softmax becomes the logit grads in place
+            dlogits[picked] -= 1.0
+            dlogits *= (tgt_mask[chunk] / token_count)[:, :, None]
+            b_out_steps = dlogits.sum(axis=1)  # (steps, V); V > 1, so each step's rows add in order
+            for i in reversed(range(len(dlogits))):
+                grads["W_out"] += o[chunk.start + i].T @ dlogits[i]
+                grads["b_out"] += b_out_steps[i]
+            np.matmul(dlogits, p["W_out"].T, out=do[chunk])
+        # the steps are added in order, without sum()'s compensation
         total_nll = 0.0
         for nll in step_nll.tolist():
             total_nll += nll
         loss = total_nll / token_count
-        cache = _ForwardCache(
-            batch, src_emb, enc_steps, enc_out, enc_proj, h_last, states, x, o, probs, dec_steps, token_count
-        )
+        if not backprop:
+            return loss, None
+        cache = _ForwardCache(batch, enc_steps, enc_out, enc_proj, h_last, states, x, do, grads, dec_steps, token_count)
         return loss, cache
 
     def backward(self, cache: _ForwardCache) -> ParamViews:
@@ -563,45 +606,27 @@ class AttentiveSeq2Seq:
         t_len = batch.tgt_in.shape[1]
         h = self.config.hidden_size
         d = self.config.embedding_size
-        grads = ParamViews(np.zeros_like(p.flat), self._layout)
+        grads, cache.grads = cache.grads, None
         gate_grads = self._gate_views(grads.flat)
-        # embedding-row grads in backprop order (decoder steps, then encoder
-        # steps, each last to first), scattered by one np.add.at at the end
-        emb_ids = np.concatenate([batch.tgt_in[:, ::-1].T, batch.src[:, ::-1].T]).ravel()
-        emb_rows = np.empty((t_len + s_len, n, d))
-
-        # readout: the softmax becomes the logit grads in place
-        dlogits, cache.probs = cache.probs, None
-        dlogits[np.arange(t_len)[:, None], np.arange(n), batch.tgt_out.T] -= 1.0
-        dlogits *= (batch.tgt_mask.T / cache.token_count)[:, :, None]
-        o, cache.o = cache.o, None
-        for t in reversed(range(t_len)):
-            grads["W_out"] += o[t].T @ dlogits[t]
-        del o
-        b_out_steps = dlogits.sum(axis=1)  # (T, V); V > 1, so each step's rows add in order
-        for t in reversed(range(t_len)):
-            grads["b_out"] += b_out_steps[t]
-        do = dlogits @ p["W_out"].T
-        del dlogits
+        dec_rows = np.empty((t_len, n, d))  # decoder embedding-row grads, last step first
 
         steps, cache.dec_steps = cache.dec_steps, None
+        do, cache.do = cache.do, None
         ds_next = np.zeros((n, h))
         d_proj = np.zeros_like(cache.enc_proj)
         denc = np.zeros_like(cache.enc_out)
         memory = (cache.enc_proj, cache.enc_out, denc, d_proj, np.empty_like(d_proj), np.empty_like(d_proj))
         da = np.empty((3, n, h))
-        dq = np.empty((t_len, n, h))
+        dq = np.empty((n, h))
         for t in reversed(range(t_len)):
-            att_cache, gru_cache = steps.pop()  # drops the step's cache once used
+            alpha, gru_cache = steps.pop()  # drops the step's cache once used
             ds = ds_next + do[t, :, :h]
             ds_prev = self._gru_backward(ds, cache.x[t], gru_cache, "dec_", gate_grads["dec_"], da)
             dx = self._gru_input_grad(da, "dec_")
-            emb_rows[t_len - 1 - t] = dx[:, :d]
+            dec_rows[t_len - 1 - t] = dx[:, :d]
             dc = do[t, :, h:] + dx[:, d:]
-            ds_next = ds_prev + self._attention_backward(dc, att_cache, memory, grads, dq[t])
-        a_dec_steps = cache.states[:-1].transpose(0, 2, 1) @ dq
-        for t in reversed(range(t_len)):  # not one reduce: at h=1 that would sum pairwise
-            grads["A_dec"] += a_dec_steps[t]
+            ds_next = ds_prev + self._attention_backward(dc, cache.states[t], alpha, memory, grads, dq)
+        del do
 
         s0 = cache.states[0]
         da0 = ds_next * (1.0 - s0 * s0)
@@ -612,15 +637,17 @@ class AttentiveSeq2Seq:
         grads["A_enc"] += np.einsum("bsh,bsa->ha", cache.enc_out, d_proj)
         denc += d_proj @ p["A_enc"].T
 
+        src_emb = p["E"][batch.src.T]  # (S, B, d), the encoder's inputs again
         # rows padded to 64 bytes keep every das[t] aligned like das[0]: some BLAS
         # kernels (Prescott) round a misaligned block differently
         width = 3 * n * h
         das = np.empty((s_len, (width + 7) // 8 * 8))[:, :width].reshape(s_len, 3, n, h)
         for t in reversed(range(s_len)):
             enc_step = cache.enc_steps.pop()
-            dh = self._gru_backward(denc[:, t] + dh, cache.src_emb[t], enc_step, "enc_", gate_grads["enc_"], das[t])
-        emb_rows[t_len:] = self._gru_input_grad(das, "enc_")[::-1]
-        np.add.at(grads["E"], emb_ids, emb_rows.reshape(-1, d))
+            dh = self._gru_backward(denc[:, t] + dh, src_emb[t], enc_step, "enc_", gate_grads["enc_"], das[t])
+        # embedding rows in backprop order: decoder steps, then encoder steps, each last to first
+        np.add.at(grads["E"], batch.tgt_in[:, ::-1].T.ravel(), dec_rows.reshape(-1, d))
+        np.add.at(grads["E"], batch.src[:, ::-1].T.ravel(), self._gru_input_grad(das, "enc_")[::-1].reshape(-1, d))
         return grads
 
     def loss_and_grads(self, batch: Batch) -> tuple[float, ParamViews]:
@@ -628,7 +655,7 @@ class AttentiveSeq2Seq:
         return loss, self.backward(cache)
 
     def nll(self, batch: Batch) -> float:
-        loss, _ = self.forward(batch)
+        loss, _ = self.forward(batch, backprop=False)
         return loss
 
 
@@ -767,6 +794,7 @@ def train(
             if not math.isfinite(loss):
                 raise TrainingDivergedError(step, loss)
             optimizer.step(grads.flat)
+            del grads  # not held through the next pass
             step += 1
             train_losses.append((step, loss))
         validate(step)
@@ -859,7 +887,7 @@ def generate_greedy(model: AttentiveSeq2Seq, source_text: str, max_length: int) 
         raise ModelError(f"empty source text {source_text!r}")
     src = np.array([src_ids], dtype=np.int64)
     src_mask = np.ones((1, len(src_ids)))
-    enc_out, _, _, _, s, enc_proj = model._run_encoder(src, src_mask)
+    enc_out, _, s, enc_proj = model._run_encoder(src, src_mask)
     memory = (enc_proj, enc_out, src_mask, src_mask > 0, np.empty_like(enc_proj))
     mask_col, carry_col = np.ones((1, 1)), np.zeros((1, 1))
     d, h = model.config.embedding_size, model.config.hidden_size

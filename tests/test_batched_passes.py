@@ -11,6 +11,7 @@ so that every trained weight, model file and study result stays as it was.
 import numpy as np
 import pytest
 
+from crossdial import model as model_module
 from crossdial.model import (
     BOS_ID,
     CONTROL_TOKENS,
@@ -262,6 +263,7 @@ def _assert_same_pass(model, batch):
     loss, cache = model.forward(batch)
     grads = model.backward(cache)
     assert repr(loss) == repr(want_loss)
+    assert repr(model.nll(batch)) == repr(loss)  # the forward that keeps no cache
     assert list(grads) == list(want_grads)
     for name, want in want_grads.items():
         assert grads[name].tobytes() == want.tobytes(), name
@@ -315,6 +317,42 @@ def test_train_long_shape_matches_per_step_code():
     batch = make_training_batch(vocabulary, pairs)
     assert batch.src.shape[0] == 32 and batch.src.shape[1] >= 48 and batch.tgt_in.shape[1] >= 24
     _assert_same_pass(model, batch)
+
+
+def _chunk_sizes(model, batch):
+    return [c.stop - c.start for c in model._readout_chunks(batch.tgt_in.shape[1], batch.src.shape[0])]
+
+
+def test_readout_chunks_split_at_the_default_budget():
+    # a (T, B, V) softmax over READOUT_CHUNK_BYTES runs in several chunks,
+    # the last one short, and the pass stays the per-step code's to the bit
+    tokens = tuple(f"v{i}" for i in range(796))
+    vocabulary = Vocabulary(CONTROL_TOKENS + tokens)
+    rng = np.random.default_rng(21)
+    pairs = [(" ".join(rng.choice(tokens, size=20)), " ".join(rng.choice(tokens, size=22))) for _ in range(32)]
+    model = _model(6, vocabulary=vocabulary)
+    batch = make_training_batch(vocabulary, pairs)
+    t_len, n = batch.tgt_in.shape[1], batch.src.shape[0]
+    assert t_len * n * len(vocabulary) * 8 > model_module.READOUT_CHUNK_BYTES
+    sizes = _chunk_sizes(model, batch)
+    assert len(sizes) > 1 and sum(sizes) == t_len
+    assert sizes[0] < sizes[-1]  # T is not a multiple of the steps per chunk; the short chunk runs first
+    _assert_same_pass(model, batch)
+
+
+@pytest.mark.parametrize("steps_per_chunk", [1, 2, 3, 4])
+def test_small_readout_chunks_match_per_step_code(monkeypatch, steps_per_chunk):
+    # a smaller budget splits study-sized batches; B=3 and V=45 make B*V odd,
+    # so consecutive steps of one chunk sit 8 bytes off each other's alignment
+    vocabulary = Vocabulary(CONTROL_TOKENS + TOKENS + ("w40",))
+    rng = np.random.default_rng(30 + steps_per_chunk)
+    model = _model(steps_per_chunk, vocabulary=vocabulary)
+    for batch_size in (1, 3, 8):
+        batch = make_training_batch(vocabulary, _pairs(rng, batch_size))
+        monkeypatch.setattr(model_module, "READOUT_CHUNK_BYTES", steps_per_chunk * batch_size * len(vocabulary) * 8)
+        sizes = _chunk_sizes(model, batch)
+        assert sizes[-1] == min(steps_per_chunk, batch.tgt_in.shape[1])
+        _assert_same_pass(model, batch)
 
 
 def test_greedy_matches_per_step_code():

@@ -1,6 +1,12 @@
 import dataclasses
 import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crossdial.experiment as experiment
@@ -286,6 +292,37 @@ def test_study_artifacts_deterministic(tmp_path, tiny_study):
     write_study_artifacts(tiny_study, b)
     for name in ("report.jsonl", "study.json", "samples.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_study_median_is_numpy_median_bit_for_bit():
+    # the study's medians come from statistics.median; np.median gave the same
+    # bits: the middle value of an odd count, (a + b) / 2 of an even one
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        size = int(rng.integers(1, 13))
+        values = rng.choice([rng.uniform(0, 100, size), rng.normal(0, 1e3, size), rng.integers(0, 4, size) * 0.5])
+        values = [float(v) for v in values]
+        assert float(statistics.median(values)).hex() == float(np.median(values)).hex(), values
+
+
+def test_study_does_not_import_numpy_ma(tmp_path):
+    # np.median's first call imports numpy.ma (about 2 MB of RSS); a fresh
+    # interpreter running a one-seed study and its artifacts must not
+    code = f"""
+import sys
+import crossdial.experiment as experiment
+from crossdial.corpus import SyntheticSpec
+from crossdial.model import OptimizerConfig
+opt = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=8)
+config = experiment.StudyConfig(synthetic=SyntheticSpec(**{dataclasses.asdict(_TINY_SPEC)!r}), pretrain=opt, train=opt,
+                                adapt=opt, seeds=(0,), max_generate=4)
+experiment.write_study_artifacts(experiment.run_forgetting_study(config), {str(tmp_path / "study")!r})
+print("numpy.ma" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(experiment.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_direction_holds_logic():

@@ -168,15 +168,16 @@ def _arrays_in(obj):
     elif isinstance(obj, (list, tuple)):
         for item in obj:
             yield from _arrays_in(item)
+    elif isinstance(obj, dict):
+        yield from _arrays_in(list(obj.values()))
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             yield from _arrays_in(getattr(obj, f.name))
 
 
-def test_forward_backward_memory_at_train_long_shape():
-    # B=32, S=51, T=27, an 800-token vocabulary, h=64: the bound sits between
-    # the traced peak with attention's (B, S, a) activations cached per
-    # decoder step (41 MB) and with them recomputed in backward (19.5 MB)
+def _train_long_shape():
+    """The train_long benchmark's shape: B=32, S=51, T=27, an 800-token
+    vocabulary, h=64."""
     tokens = tuple(f"v{i}" for i in range(796))
     vocabulary = Vocabulary(CONTROL_TOKENS + tokens)
     rng = np.random.default_rng(0)
@@ -188,23 +189,53 @@ def test_forward_backward_memory_at_train_long_shape():
     model = AttentiveSeq2Seq(vocabulary, ModelConfig())
     batch = make_training_batch(vocabulary, pairs)
     assert batch.src.shape == (32, 51) and batch.tgt_in.shape == (32, 27)
+    return model, pairs, batch
 
+
+def _traced_peak(run):
     tracemalloc.start()
     try:
-        _, cache = model.forward(batch)
-        stacks = [
-            arr
-            for f in dataclasses.fields(cache)
-            if f.name not in ("enc_out", "enc_proj")  # the attention's values and keys
-            for arr in _arrays_in(getattr(cache, f.name))
-            if arr.size == 32 * 51 * model.config.hidden_size
-        ]
-        model.backward(cache)
-        _, peak = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28e6
-    assert stacks == []  # no per-step (B, S, a) array is cached
+
+
+# The bounds below sit between the traced peaks with the whole (T, B, V)
+# softmax cached for backward and with the readout's grads taken chunk by
+# chunk in forward: one forward+backward 19.5 MB -> 14.6 MB, a train() step
+# with its optimizer state and best snapshot 26.0 MB -> 19.6 MB, and nll,
+# which keeps no step cache, 17.4 MB -> 6.8 MB.
+
+
+def test_forward_backward_memory_at_train_long_shape():
+    # with attention's (B, S, a) activations cached per decoder step the
+    # peak was 41 MB; they are recomputed in backward
+    model, _, batch = _train_long_shape()
+    t_len, n = batch.tgt_in.shape[1], batch.src.shape[0]
+    cached = []  # (field, size) of every cached array; holding the arrays would raise the peak
+
+    def forward_backward():
+        _, cache = model.forward(batch)
+        for f in dataclasses.fields(cache):
+            cached.extend((f.name, arr.size) for arr in _arrays_in(getattr(cache, f.name)))
+        model.backward(cache)
+
+    assert _traced_peak(forward_backward) < 17e6
+    # no per-step (B, S, a) array besides the attention's values and keys
+    assert [name for name, size in cached if size == n * 51 * model.config.hidden_size] == ["enc_out", "enc_proj"]
+    assert [name for name, size in cached if size == t_len * n * len(model.vocabulary)] == []  # no softmax
+
+
+def test_train_memory_at_train_long_shape():
+    model, pairs, _ = _train_long_shape()
+    config = OptimizerConfig(learning_rate=1e-3, epochs=1, batch_size=32)
+    assert _traced_peak(lambda: train(model, pairs * 3, pairs, config)) < 23e6
+
+
+def test_nll_memory_at_train_long_shape():
+    model, _, batch = _train_long_shape()
+    assert _traced_peak(lambda: model.nll(batch)) < 12e6
 
 
 # -- optimizer -------------------------------------------------------------
@@ -457,7 +488,9 @@ def test_teacher_forcing_on_greedy_ids_reproduces_its_distributions(seed, hidden
             out = generate_greedy(model, source, max_length=max_length)
             assert len(out.distributions) - len(out.token_ids) in (0, 1)  # 1: stopped at <eos>
             _, cache = model.forward(batch_from_encoded([(vocab.encode(source), list(out.token_ids))]))
-            forced = cache.probs[: len(out.distributions), 0]
+            # the readout inputs [s_t; c_t], rebuilt from the cache, which keeps no softmax
+            o = np.concatenate([cache.states[1:], cache.x[..., model.config.embedding_size :]], axis=-1)
+            forced = model._readout(o)[: len(out.distributions), 0]
             assert [d.tobytes() for d in forced] == [d.tobytes() for d in out.distributions]
 
 
