@@ -55,12 +55,11 @@ def load_kv(path: str) -> dict[str, str]:
 def dump_kv(entries: Mapping[str, object]) -> str:
     """Render entries as flat key=value text, one per line, in given order.
 
-    Unset values (None or "") are left out; sequences are comma-joined.
+    Every entry is written, an empty value as ``key = `` (it reads back as
+    ""); sequences are comma-joined.
     """
     lines = []
     for key, value in entries.items():
-        if value is None or value == "":
-            continue
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, (list, tuple)):

@@ -231,18 +231,35 @@ def _normal(std: float):
 class ParamViews(dict):
     """Named, shaped views into one flat float64 vector, kept as ``flat``.
 
-    Writing through an entry writes the vector; rebinding an entry detaches
-    it, so fill entries in place (``views[name][...] = arr``).
+    ``layout`` lists each entry's name and shape in vector order, and
+    ``spans`` each entry's half-open [start, stop) in ``flat``.  Writing
+    through an entry writes the vector; rebinding an entry detaches it, so
+    fill entries in place (``views[name][...] = arr``).
+
+    Each GRU's z, r, n entries of one kind sit next to each other, so
+    ``gates(prefix)`` views the same memory gate-major as ``(3, in, h)`` /
+    ``(3, h, h)`` / ``(3, h)``, for one stacked matmul per step.
     """
 
     def __init__(self, flat: np.ndarray, layout: Sequence[tuple[str, tuple[int, ...]]]):
         super().__init__()
         self.flat = flat
+        self.layout = layout
+        self.spans = {}
         offset = 0
         for name, shape in layout:
-            size = math.prod(shape)
-            self[name] = flat[offset : offset + size].reshape(shape)
-            offset += size
+            stop = offset + math.prod(shape)
+            self.spans[name] = (offset, stop)
+            self[name] = flat[offset:stop].reshape(shape)
+            offset = stop
+
+    def gates(self, prefix: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The GRU ``prefix``'s gate-major (W, U, b) views over its z, r, n entries."""
+        views = []
+        for kind in "WUb":
+            first, last = f"{prefix}{kind}z", f"{prefix}{kind}n"
+            views.append(self.flat[self.spans[first][0] : self.spans[last][1]].reshape((3,) + self[first].shape))
+        return tuple(views)
 
 
 @dataclass
@@ -273,7 +290,6 @@ class _ForwardCache:
     do: np.ndarray | None
     grads: ParamViews | None
     dec_steps: list | None  # (alpha, GRU cache) per step; None once consumed
-    token_count: float
 
 
 def _step_masks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,9 +304,8 @@ class AttentiveSeq2Seq:
 
     All parameters live in one float64 vector; ``params`` holds named views
     into it (``params.flat`` is the vector), so they can be snapshotted,
-    stepped and probed component-wise.  Each GRU's z, r, n weights sit next
-    to each other, which gives gate-major ``(3, in, h)`` / ``(3, h, h)`` /
-    ``(3, h)`` views of the same memory for one stacked matmul per step.
+    stepped and probed component-wise.  ``params`` owns the layout and the
+    GRUs' gate-major views (see ``ParamViews``).
 
     Under teacher forcing only attention and the GRU recur, so ``forward``
     and ``backward`` run everything else (embedding lookups, the encoder's
@@ -338,25 +353,12 @@ class AttentiveSeq2Seq:
             ("W_out", (2 * h, v), _glorot),
             ("b_out", (v,), None),
         ]
-        self._layout = tuple((name, shape) for name, shape, _ in specs)
-        self._slices = {}
-        offset = 0
-        for name, shape in self._layout:
-            self._slices[name] = (offset, offset + math.prod(shape))
-            offset += math.prod(shape)
-        # per GRU prefix: the (start, stop, gate-major shape) of its W, U, b
-        self._gate_spans = {
-            prefix: tuple(
-                (self._slices[f"{prefix}{kind}z"][0], self._slices[f"{prefix}{kind}n"][1], (3,) + shape)
-                for kind, shape in zip("WUb", ((in_dim, h), (h, h), (h,)))
-            )
-            for prefix, in_dim in (("enc_", d), ("dec_", d + h))
-        }
-        self.params = ParamViews(np.zeros(offset), self._layout)
+        layout = tuple((name, shape) for name, shape, _ in specs)
+        self.params = ParamViews(np.zeros(sum(math.prod(shape) for _, shape in layout)), layout)
         for name, shape, init in specs:  # draws in this order; None stays zero
             if init is not None:
                 self.params[name][...] = init(rng, shape)
-        self._gru_params = self._gate_views(self.params.flat)
+        self._gru_params = {prefix: self.params.gates(prefix) for prefix in ("enc_", "dec_")}
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -366,26 +368,19 @@ class AttentiveSeq2Seq:
 
     def flat_slices(self) -> dict[str, tuple[int, int]]:
         """Half-open [start, stop) of each parameter in the flat vector."""
-        return dict(self._slices)
+        return dict(self.params.spans)
 
     def parameters_flat(self) -> np.ndarray:
         return self.params.flat.copy()
 
     def snapshot(self) -> ParamViews:
-        return ParamViews(self.params.flat.copy(), self._layout)
+        return ParamViews(self.params.flat.copy(), self.params.layout)
 
     def load_snapshot(self, snapshot: dict[str, np.ndarray]) -> None:
         if set(snapshot) != set(self.params):
             raise ModelError("snapshot parameter names do not match the model")
         for name, arr in snapshot.items():
             self.params[name][...] = arr
-
-    def _gate_views(self, flat: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per GRU prefix, gate-major (W, U, b) views into ``flat``."""
-        return {
-            prefix: tuple(flat[start:stop].reshape(shape) for start, stop, shape in spans)
-            for prefix, spans in self._gate_spans.items()
-        }
 
     # -- building blocks -----------------------------------------------
 
@@ -571,7 +566,7 @@ class AttentiveSeq2Seq:
         tgt_mask = np.ascontiguousarray(batch.tgt_mask.T)
         step_nll = np.empty(t_len)
         if backprop:
-            grads = ParamViews(np.zeros_like(p.flat), self._layout)
+            grads = ParamViews(np.zeros_like(p.flat), p.layout)
             do = np.empty_like(o)
         for chunk in self._readout_chunks(t_len, n):
             probs = self._readout(o[chunk])
@@ -594,8 +589,7 @@ class AttentiveSeq2Seq:
         loss = total_nll / token_count
         if not backprop:
             return loss, None
-        cache = _ForwardCache(batch, enc_steps, enc_out, enc_proj, h_last, states, x, do, grads, dec_steps, token_count)
-        return loss, cache
+        return loss, _ForwardCache(batch, enc_steps, enc_out, enc_proj, h_last, states, x, do, grads, dec_steps)
 
     def backward(self, cache: _ForwardCache) -> ParamViews:
         if cache.dec_steps is None:
@@ -607,7 +601,7 @@ class AttentiveSeq2Seq:
         h = self.config.hidden_size
         d = self.config.embedding_size
         grads, cache.grads = cache.grads, None
-        gate_grads = self._gate_views(grads.flat)
+        dec_grads, enc_grads = grads.gates("dec_"), grads.gates("enc_")
         dec_rows = np.empty((t_len, n, d))  # decoder embedding-row grads, last step first
 
         steps, cache.dec_steps = cache.dec_steps, None
@@ -621,7 +615,7 @@ class AttentiveSeq2Seq:
         for t in reversed(range(t_len)):
             alpha, gru_cache = steps.pop()  # drops the step's cache once used
             ds = ds_next + do[t, :, :h]
-            ds_prev = self._gru_backward(ds, cache.x[t], gru_cache, "dec_", gate_grads["dec_"], da)
+            ds_prev = self._gru_backward(ds, cache.x[t], gru_cache, "dec_", dec_grads, da)
             dx = self._gru_input_grad(da, "dec_")
             dec_rows[t_len - 1 - t] = dx[:, :d]
             dc = do[t, :, h:] + dx[:, d:]
@@ -644,7 +638,7 @@ class AttentiveSeq2Seq:
         das = np.empty((s_len, (width + 7) // 8 * 8))[:, :width].reshape(s_len, 3, n, h)
         for t in reversed(range(s_len)):
             enc_step = cache.enc_steps.pop()
-            dh = self._gru_backward(denc[:, t] + dh, src_emb[t], enc_step, "enc_", gate_grads["enc_"], das[t])
+            dh = self._gru_backward(denc[:, t] + dh, src_emb[t], enc_step, "enc_", enc_grads, das[t])
         # embedding rows in backprop order: decoder steps, then encoder steps, each last to first
         np.add.at(grads["E"], batch.tgt_in[:, ::-1].T.ravel(), dec_rows.reshape(-1, d))
         np.add.at(grads["E"], batch.src[:, ::-1].T.ravel(), self._gru_input_grad(das, "enc_")[::-1].reshape(-1, d))

@@ -7,6 +7,7 @@ across two runs) and must not be loosened without a recorded decision.
 """
 
 import argparse
+import hashlib
 import math
 import time
 from collections import Counter
@@ -27,6 +28,7 @@ from crossdial.experiment import (
     run_forgetting_study,
     run_scenario,
     template_texts,
+    write_study_artifacts,
 )
 from crossdial.humaneval import WinRateReport, aggregate_votes, export_pairs, read_key, read_sheet
 from crossdial.interleave import interleave_even
@@ -251,11 +253,27 @@ PINNED_LEGALITY_MEDIANS = {
     "MTL_pmpt": 100.0,
 }
 
+# sha256 of the reference study's artifacts at one BLAS thread, measured at
+# 6707411; study.json's "selected_valid_loss" lines are dropped first, since
+# they vary with the OpenBLAS kernel (ROADMAP item 8).  A change that means to
+# move these bytes updates the constant in the same diff.
+PINNED_ARTIFACT_SHA256 = {
+    "report.jsonl": "720d5da3d37b9a3be57f8bd41b571ce1e2f1481f15ccb575371048d2a79a85fe",
+    "samples.txt": "46fed27d5a47e11873ecef59afb27219ce24817cfcce1e6c76c5268205499f1f",
+    "study.json": "5884455e2c0c5fd0d366c06339a22dd5c988fb08eca2a0efedbe40216ec2dbf9",
+}
 
-def test_criterion_7_forgetting_direction_reference_study():
+
+def test_criterion_7_forgetting_direction_reference_study(tmp_path):
     start = time.monotonic()
     report = run_forgetting_study(StudyConfig())
     elapsed = time.monotonic() - start
+
+    write_study_artifacts(report, str(tmp_path))
+    for name, pinned in PINNED_ARTIFACT_SHA256.items():
+        lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
+        kept = b"".join(line for line in lines if b'"selected_valid_loss"' not in line)
+        assert hashlib.sha256(kept).hexdigest() == pinned, name
 
     medians = {name: report.medians[name]["legality"] for name in PINNED_LEGALITY_MEDIANS}
     for name, pinned in PINNED_LEGALITY_MEDIANS.items():

@@ -80,7 +80,7 @@ WRITERS = {
     ),
     "write_kv": (
         lambda d: write_kv(d / "echo.cfg", {"command": "train", "prompted": True, "seeds": (0, 1), "skip": ""}),
-        {"echo.cfg": "command = train\nprompted = true\nseeds = 0,1\n"},
+        {"echo.cfg": "command = train\nprompted = true\nseeds = 0,1\nskip = \n"},
     ),
     "write_sheet": (
         lambda d: write_sheet(_SAMPLES, d / "sheet.tsv"),

@@ -609,6 +609,20 @@ def test_evaluate_perfect_hypotheses_score_100(data_dir, tmp_path):
     assert record["legality"] == 100.0
 
 
+def test_evaluate_echo_keeps_an_empty_system(data_dir, tmp_path):
+    hyp = tmp_path / "h.txt"
+    hyp.write_text("".join(json.loads(line)["response"] + "\n"
+                           for line in (data_dir / "tgt_test.jsonl").read_text().splitlines()))
+    report = tmp_path / "report.jsonl"
+    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(data_dir / "tgt_test.jsonl"),
+                 "--report", str(report), "--system", ""]) == 0
+    written = report.read_bytes()
+    assert json.loads(written)["system"] == ""
+    assert load_kv(str(report) + ".cfg")["system"] == ""
+    assert main(["evaluate", "--config", str(report) + ".cfg"]) == 0  # the echo alone re-runs it
+    assert report.read_bytes() == written
+
+
 # -- study -----------------------------------------------------------------------
 
 

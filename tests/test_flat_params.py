@@ -17,6 +17,7 @@ from crossdial.model import (
     Vocabulary,
     _sigmoid,
     load_model,
+    make_training_batch,
     save_model,
     train,
 )
@@ -142,7 +143,7 @@ def test_gru_step_matches_per_gate_reference(batch, prefix):
         grads.flat[...] = rng.normal(size=grads.flat.size)
         ref_grads = {name: arr.copy() for name, arr in grads.items()}
         da = np.empty((3, batch, h))
-        gate_grads = model._gate_views(grads.flat)[prefix]
+        gate_grads = grads.gates(prefix)
         got_dh = model._gru_backward(dh, x, cache, prefix, gate_grads, da)
         got_dx = model._gru_input_grad(da, prefix)
         want_dx, want_dh = _ref_gru_backward(ref_params, dh, ref_cache, prefix, ref_grads)
@@ -236,3 +237,43 @@ def test_snapshot_does_not_follow_training():
     assert not np.array_equal(model.params.flat, snap.flat)
     for name, arr in snap.items():
         np.testing.assert_array_equal(arr, frozen[name], err_msg=name)
+
+
+# -- the layout's one owner ------------------------------------------------------
+
+# the 27 parameters in vector order: save_model, load_snapshot and the tracer iterate them
+NAMES = (["E"] + [f"{prefix}{kind}{gate}" for prefix in ("enc_", "dec_") for kind in "WUb" for gate in "zrn"]
+         + ["W_s0", "b_s0", "A_enc", "A_dec", "a_bias", "a_v", "W_out", "b_out"])
+
+
+@pytest.mark.parametrize("prefix", ["enc_", "dec_"])
+def test_gate_views_are_the_stacked_entries(prefix):
+    params = _model().params
+    for kind, view in zip("WUb", params.gates(prefix)):
+        assert np.shares_memory(view, params.flat), kind
+        np.testing.assert_array_equal(view, np.stack([params[f"{prefix}{kind}{gate}"] for gate in "zrn"]))
+        for i, gate in enumerate("zrn"):
+            view[i] += 1.0  # writes through to the named entry
+            np.testing.assert_array_equal(params[f"{prefix}{kind}{gate}"], view[i], err_msg=kind + gate)
+
+
+def test_flat_slices_follow_the_layout_shapes():
+    model = _model()
+    assert [name for name, _ in model.params.layout] == NAMES
+    spans, offset = {}, 0
+    for name, shape in model.params.layout:
+        spans[name] = (offset, offset + int(np.prod(shape)))
+        offset = spans[name][1]
+    assert model.flat_slices() == spans
+    assert offset == model.params.flat.size
+
+
+def test_snapshot_and_grads_hold_the_27_entries():
+    model = _model()
+    _, grads = model.loss_and_grads(make_training_batch(model.vocabulary, DATA))
+    for views in (model.snapshot(), grads):
+        assert list(views) == NAMES
+        assert views.flat.size == model.params.flat.size
+        for name in NAMES:
+            assert views[name].shape == model.params[name].shape, name
+            assert np.shares_memory(views[name], views.flat), name
