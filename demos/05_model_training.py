@@ -30,7 +30,7 @@ ca = Corpus(pairs=(DialoguePair("a1 a2 a3 a4", "a4 a3 a2", "aa"),), language="aa
 cb = Corpus(pairs=(DialoguePair("b1 b2 b3", "b3 b1", "ba"),), language="ba")
 vocab = Vocabulary.build([ca, cb])
 model = AttentiveSeq2Seq(vocab, ModelConfig(embedding_size=16, hidden_size=24, seed=0))
-print("vocabulary:", len(vocab), "tokens;", "parameters:", model.parameter_count)
+print("vocabulary:", len(vocab), "tokens;", "parameters:", model.params.flat.size)
 
 # -- gradients vs finite differences ---------------------------------------------------
 

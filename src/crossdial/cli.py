@@ -53,7 +53,9 @@ from .experiment import (
 )
 from .humaneval import HumanEvalError, aggregate_votes, export_pairs
 from .interleave import InterleaveError, interleave_even
-from .kvconfig import ConfigError, coerce, config_from, config_schema, load_kv, parse_bool, parse_kv_text, write_kv
+from .kvconfig import (
+    ConfigError, coerce, config_from, config_schema, dump_kv, load_kv, parse_bool, parse_kv_text, write_kv,
+)
 from .metrics import MetricError, report_record, write_metric_report
 from .model import ModelConfig, ModelError, OptimizerConfig, TrainingDivergedError, load_model, save_model, train
 from .prompting import PromptError
@@ -120,7 +122,12 @@ def _merged_entries(args, command: str) -> dict[str, object]:
 
 
 def _resolve(args, command: str, schema: dict[str, tuple]) -> dict:
-    """Coerce merged entries against ``schema``; fill defaults, demand required keys."""
+    """Coerce merged entries against ``schema``; fill defaults, demand required keys.
+
+    A value that the config echo would not read back as itself is refused,
+    so the echo re-runs what it echoes: one with surrounding spaces, a " #"
+    or a line break, or a comma inside one of a list of paths.
+    """
     parsers = {key: entry[0] for key, entry in schema.items()}
     resolved = coerce(_merged_entries(args, command), parsers, source=command)
     for key, (_, default, *_) in schema.items():
@@ -129,6 +136,13 @@ def _resolve(args, command: str, schema: dict[str, tuple]) -> dict:
         if default is _REQUIRED:
             raise ConfigError(f"{command}: missing required key {key!r} (flag or config)")
         resolved[key] = default
+    for key, value in resolved.items():
+        try:
+            echoed = coerce(parse_kv_text(dump_kv({key: value})), parsers)
+        except ConfigError:
+            echoed = None
+        if repr(echoed) != repr({key: value}):  # repr: a nan reads back as itself
+            raise ConfigError(f"{command}: {key!r} would not re-run from the config echo: {value!r}")
     return {key: resolved[key] for key in schema}  # canonical order
 
 

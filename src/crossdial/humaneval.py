@@ -121,6 +121,9 @@ def export_pairs(
     """
     if system_a == system_b:
         raise HumanEvalError("the two systems must have distinct names")
+    for system in (system_a, system_b):
+        if any(ch in system for ch in "\t\n\r"):
+            raise HumanEvalError(f"system name {system!r} holds a tab or line break, which the key file cannot hold")
     if setting_family(system_a) != setting_family(system_b):
         message = (
             f"systems {system_a!r} and {system_b!r} belong to different setting families; "

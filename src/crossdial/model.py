@@ -362,25 +362,17 @@ class AttentiveSeq2Seq:
 
     # -- bookkeeping ---------------------------------------------------
 
-    @property
-    def parameter_count(self) -> int:
-        return self.params.flat.size
-
-    def flat_slices(self) -> dict[str, tuple[int, int]]:
-        """Half-open [start, stop) of each parameter in the flat vector."""
-        return dict(self.params.spans)
-
     def parameters_flat(self) -> np.ndarray:
         return self.params.flat.copy()
 
     def snapshot(self) -> ParamViews:
         return ParamViews(self.params.flat.copy(), self.params.layout)
 
-    def load_snapshot(self, snapshot: dict[str, np.ndarray]) -> None:
-        if set(snapshot) != set(self.params):
-            raise ModelError("snapshot parameter names do not match the model")
-        for name, arr in snapshot.items():
-            self.params[name][...] = arr
+    def load_snapshot(self, snapshot: ParamViews) -> None:
+        """Restore a ``snapshot()``; one of another layout is refused before anything is written."""
+        if snapshot.layout != self.params.layout:
+            raise ModelError("snapshot parameter layout does not match the model")
+        self.params.flat[...] = snapshot.flat
 
     # -- building blocks -----------------------------------------------
 
@@ -718,7 +710,7 @@ class AdamW:
 class Checkpoint:
     step: int
     valid_loss: float
-    params: dict[str, np.ndarray] = field(repr=False)
+    params: ParamViews = field(repr=False)
 
 
 @dataclass
@@ -944,8 +936,8 @@ def gradient_check(
     """
     _, cache = model.forward(batch)
     grads = model.backward(cache) if analytic is None else analytic
-    slices = model.flat_slices()
-    total = model.parameter_count
+    spans = model.params.spans
+    total = model.params.flat.size
     if flat_indices is None:
         rng = np.random.default_rng(seed)
         flat_indices = sorted(int(i) for i in rng.choice(total, size=min(probe_count, total), replace=False))
@@ -953,8 +945,8 @@ def gradient_check(
     for flat in flat_indices:
         if not (0 <= flat < total):
             raise ModelError(f"flat index {flat} out of range")
-        name = next(nm for nm, (start, stop) in slices.items() if start <= flat < stop)
-        local = flat - slices[name][0]
+        name = next(nm for nm, (start, stop) in spans.items() if start <= flat < stop)
+        local = flat - spans[name][0]
         param = model.params[name]
         original = float(param.flat[local])
         ana = float(grads[name].flat[local])

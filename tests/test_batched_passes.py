@@ -42,13 +42,12 @@ class _PerStep:
         self._gru_params = self._gate_views(model.params)
 
     def _gate_views(self, views):
-        slices = self.model.flat_slices()
         out = {}
         for prefix in ("enc_", "dec_"):
             stacked = []
             for kind in "WUb":
-                start, _ = slices[f"{prefix}{kind}z"]
-                _, stop = slices[f"{prefix}{kind}n"]
+                start, _ = views.spans[f"{prefix}{kind}z"]
+                _, stop = views.spans[f"{prefix}{kind}n"]
                 stacked.append(views.flat[start:stop].reshape((3,) + views[f"{prefix}{kind}z"].shape))
             out[prefix] = tuple(stacked)
         return out

@@ -623,6 +623,27 @@ def test_evaluate_echo_keeps_an_empty_system(data_dir, tmp_path):
     assert report.read_bytes() == written
 
 
+@pytest.mark.parametrize("case", ["comment", "padded", "comma"])
+def test_a_value_its_echo_would_change_exits_2_before_writing(case, data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    if case == "comma":  # the echo joins the paths with commas, and its re-run splits this one
+        (tmp_path / "t,1.jsonl").write_bytes((data_dir / "tgt_valid.jsonl").read_bytes())
+        key = "data"
+        argv = ["pretrain", "--data", str(data_dir / "aux_train.jsonl"), str(tmp_path / "t,1.jsonl"),
+                "--out", str(out)] + TINY_OPT
+    else:  # the echo's re-run drops a " #..." comment and surrounding spaces
+        key = "system"
+        hyp = tmp_path / "h.txt"
+        hyp.write_text("".join(json.loads(line)["response"] + "\n"
+                               for line in (data_dir / "tgt_test.jsonl").read_text().splitlines()))
+        argv = ["evaluate", "--hyp", str(hyp), "--ref", str(data_dir / "tgt_test.jsonl"),
+                "--report", str(out), "--system", {"comment": "pmpt #2", "padded": " padded "}[case]]
+    assert main(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:config:") and f"{key!r}" in line
+    assert not out.exists() and not (tmp_path / "out.cfg").exists()
+
+
 # -- study -----------------------------------------------------------------------
 
 

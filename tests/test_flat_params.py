@@ -13,6 +13,7 @@ from crossdial.model import (
     AdamW,
     AttentiveSeq2Seq,
     ModelConfig,
+    ModelError,
     OptimizerConfig,
     Vocabulary,
     _sigmoid,
@@ -219,6 +220,15 @@ def test_params_are_views_of_the_flat_vector(tmp_path):
     np.testing.assert_array_equal(other.params.flat, result.best.params.flat)
 
 
+def test_load_snapshot_refuses_another_layout_before_writing():
+    model = _model()
+    before = model.parameters_flat().tobytes()
+    other = AttentiveSeq2Seq(_vocab(), ModelConfig(hidden_size=48))
+    with pytest.raises(ModelError, match="layout"):
+        model.load_snapshot(other.snapshot())
+    assert model.parameters_flat().tobytes() == before
+
+
 def test_loaded_model_trains_like_the_original(tmp_path):
     model = _trained()
     path = tmp_path / "m.model"
@@ -264,7 +274,7 @@ def test_flat_slices_follow_the_layout_shapes():
     for name, shape in model.params.layout:
         spans[name] = (offset, offset + int(np.prod(shape)))
         offset = spans[name][1]
-    assert model.flat_slices() == spans
+    assert model.params.spans == spans
     assert offset == model.params.flat.size
 
 

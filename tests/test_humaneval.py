@@ -141,6 +141,14 @@ def test_export_cross_family_refused_unless_allowed(tmp_path):
     export_pairs(_hyps("A"), _hyps("B"), "FS-XLT", "MTL", _test_corpus(), allow_cross_family=True, **kwargs)
 
 
+@pytest.mark.parametrize("system_b", ["FS-XLT\t_pmpt", "FS-XLT_pmpt\n", "FS-XLT\r_pmpt"])
+def test_export_refuses_a_system_name_the_key_file_cannot_hold(system_b, tmp_path):
+    with pytest.raises(HumanEvalError, match="tab or line break"):
+        export_pairs(_hyps("A"), _hyps("B"), "FS-XLT", system_b, _test_corpus(), allow_cross_family=True,
+                     sheet_path=tmp_path / "s.tsv", key_path=tmp_path / "k.tsv", n=4)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_setting_family():
     assert setting_family("FS-XLT") == setting_family("FS-XLT_pmpt") == "FS-XLT"
     assert setting_family("MTL_pmpt") == "MTL"

@@ -134,8 +134,7 @@ def test_gradient_check_catches_sign_flip():
     _, cache = model.forward(batch)
     grads = model.backward(cache)
     grads["W_out"] = -grads["W_out"]  # sabotage one parameter's gradient
-    slices = model.flat_slices()
-    start, stop = slices["W_out"]
+    start, _ = model.params.spans["W_out"]
     # probe inside the flipped parameter where the gradient is nonzero
     flat = np.abs(grads["W_out"]).ravel()
     idx = start + int(np.argmax(flat))
