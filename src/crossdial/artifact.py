@@ -22,7 +22,8 @@ def write_lines(path: str, lines: Iterable[str]) -> None:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
-            fh.write(line + "\n")
+            fh.write(line)  # not line + "\n", which would copy a model file's one long line
+            fh.write("\n")
 
 
 def read_text(path: str) -> str:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -39,7 +40,7 @@ log = logging.getLogger(__name__)
 CONTROL_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 
-MODEL_FORMAT = "attentive-seq2seq-v1"
+MODEL_FORMAT = "attentive-seq2seq-v2"
 
 # the most softmax bytes one readout chunk of a teacher-forced pass holds
 READOUT_CHUNK_BYTES = 1 << 20
@@ -231,7 +232,8 @@ def _normal(std: float):
 class ParamViews(dict):
     """Named, shaped views into one flat float64 vector, kept as ``flat``.
 
-    ``layout`` lists each entry's name and shape in vector order, and
+    ``layout`` lists each entry's name and shape in vector order (a vector
+    of another size raises ``ModelError`` before any view is made), and
     ``spans`` each entry's half-open [start, stop) in ``flat``.  Writing
     through an entry writes the vector; rebinding an entry detaches it, so
     fill entries in place (``views[name][...] = arr``).
@@ -242,16 +244,18 @@ class ParamViews(dict):
     """
 
     def __init__(self, flat: np.ndarray, layout: Sequence[tuple[str, tuple[int, ...]]]):
+        sizes = [math.prod(shape) for _, shape in layout]
+        if flat.shape != (sum(sizes),):
+            raise ModelError(f"a vector of shape {flat.shape} does not fit a layout of {sum(sizes)} values")
         super().__init__()
         self.flat = flat
-        self.layout = layout
+        self.layout = tuple(layout)
         self.spans = {}
         offset = 0
-        for name, shape in layout:
-            stop = offset + math.prod(shape)
-            self.spans[name] = (offset, stop)
-            self[name] = flat[offset:stop].reshape(shape)
-            offset = stop
+        for (name, shape), size in zip(layout, sizes):
+            self.spans[name] = (offset, offset + size)
+            self[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
 
     def gates(self, prefix: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The GRU ``prefix``'s gate-major (W, U, b) views over its z, r, n entries."""
@@ -369,9 +373,12 @@ class AttentiveSeq2Seq:
         return ParamViews(self.params.flat.copy(), self.params.layout)
 
     def load_snapshot(self, snapshot: ParamViews) -> None:
-        """Restore a ``snapshot()``; one of another layout is refused before anything is written."""
+        """Restore a ``snapshot()``, a checkpoint or a model file's vector; one of
+        another layout is refused, naming its first differing entry, before anything is written."""
         if snapshot.layout != self.params.layout:
-            raise ModelError("snapshot parameter layout does not match the model")
+            theirs, ours = next(pair for pair in itertools.zip_longest(snapshot.layout, self.params.layout)
+                                if pair[0] != pair[1])
+            raise ModelError(f"parameter layout has {theirs} where the model has {ours}")
         self.params.flat[...] = snapshot.flat
 
     # -- building blocks -----------------------------------------------
@@ -966,24 +973,21 @@ def gradient_check(
 
 
 def save_model(model: AttentiveSeq2Seq, path: str) -> None:
-    payload = {
+    # the payload is a temporary, so its vector text is freed before the file is written
+    text = json.dumps({
         "format": MODEL_FORMAT,
         "config": dataclasses.asdict(model.config),
         "vocabulary": list(model.vocabulary.tokens),
-        "params": {
-            name: {
-                "shape": list(arr.shape),
-                "data": base64.b64encode(np.ascontiguousarray(arr).astype("<f8").tobytes()).decode("ascii"),
-            }
-            for name, arr in model.params.items()
-        },
-    }
-    write_lines(path, [json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)])
+        "layout": model.params.layout,
+        "params": base64.b64encode(model.params.flat.astype("<f8", copy=False)).decode("ascii"),
+    }, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    write_lines(path, [text])
 
 
 def load_model(path: str) -> AttentiveSeq2Seq:
-    """Read a model file; a malformed one raises ``ModelError`` naming the
-    file and, where one is at fault, the parameter."""
+    """Read a model file, restoring its vector through ``load_snapshot``; a
+    malformed one raises ``ModelError`` naming the file and, where one is at
+    fault, the parameter."""
     try:
         payload = json.loads(read_text(path))
     except ValueError as exc:
@@ -991,24 +995,13 @@ def load_model(path: str) -> AttentiveSeq2Seq:
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ModelError(f"{path}: not a {MODEL_FORMAT} file")
     try:
-        vocabulary = Vocabulary(tuple(payload["vocabulary"]))
-        config = ModelConfig(**payload["config"])
-        stored = dict(payload["params"])
+        # popped and decoded first: its text is freed before the model's vector is made
+        vector = np.frombuffer(base64.b64decode(payload.pop("params"), validate=True), dtype="<f8")
+        layout = tuple((name, tuple(shape)) for name, shape in payload["layout"])
+        model = AttentiveSeq2Seq(Vocabulary(tuple(payload["vocabulary"])), ModelConfig(**payload["config"]))
+        model.load_snapshot(ParamViews(vector, layout))
     except KeyError as exc:
         raise ModelError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # ModelError and bad base64 are ValueErrors
         raise ModelError(f"{path}: {exc}") from None
-    model = AttentiveSeq2Seq(vocabulary, config)
-    if set(stored) != set(model.params):
-        raise ModelError(f"{path}: parameter names do not match the architecture")
-    for name, entry in stored.items():
-        try:
-            arr = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8").reshape(entry["shape"])
-        except KeyError as exc:
-            raise ModelError(f"{path}: parameter {name!r} has no key {exc}") from None
-        except (TypeError, ValueError) as exc:  # bad base64 is a ValueError
-            raise ModelError(f"{path}: parameter {name!r} is malformed ({exc})") from None
-        if arr.shape != model.params[name].shape:
-            raise ModelError(f"{path}: parameter {name!r} has shape {arr.shape}, expected {model.params[name].shape}")
-        model.params[name][...] = arr  # in place: the views must stay on the model's vector
     return model

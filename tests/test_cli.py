@@ -5,6 +5,7 @@ byte-identity sweep lives in the acceptance suite.
 """
 
 import argparse
+import base64
 import dataclasses
 import filecmp
 import json
@@ -187,12 +188,44 @@ def test_leading_bom_reads_as_text(data_dir, tmp_path, monkeypatch):
     assert (tmp_path / "bom.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
 
 
+def _layout_entry(payload, name):
+    return next(entry for entry in payload["layout"] if entry[0] == name)
+
+
 def _shape_edited(payload):
-    payload["params"]["b_out"]["shape"] = [7]
+    entry = _layout_entry(payload, "b_out")
+    entry[1] = [1] + entry[1]  # the same number of values in another shape
+
+
+def _renamed(payload):
+    _layout_entry(payload, "b_out")[0] = "b_final"
+
+
+def _resized(payload, values):
+    vector = np.frombuffer(base64.b64decode(payload["params"]), dtype="<f8")
+    payload["params"] = base64.b64encode(values(vector).tobytes()).decode("ascii")
+
+
+def _one_short(payload):
+    _resized(payload, lambda vector: vector[:-1])
+
+
+def _one_long(payload):
+    _resized(payload, lambda vector: np.append(vector, 0.0))
 
 
 def _bad_base64(payload):
-    payload["params"]["b_out"]["data"] = "not base64!"
+    payload["params"] = "not base64!"
+
+
+def _v1_format(payload):
+    # the format before this one: a {shape, data} entry per parameter and no layout
+    vector = np.frombuffer(base64.b64decode(payload["params"]), dtype="<f8")
+    payload["format"], payload["params"], offset = "attentive-seq2seq-v1", {}, 0
+    for name, shape in payload.pop("layout"):
+        size = int(np.prod(shape))
+        data = base64.b64encode(vector[offset : offset + size].tobytes()).decode("ascii")
+        payload["params"][name], offset = {"shape": shape, "data": data}, offset + size
 
 
 def _no_vocabulary(payload):
@@ -201,7 +234,11 @@ def _no_vocabulary(payload):
 
 @pytest.mark.parametrize("corrupt, named", [
     (_shape_edited, "'b_out'"),
-    (_bad_base64, "'b_out'"),
+    (_renamed, "'b_final'"),
+    (_one_short, "does not fit"),
+    (_one_long, "does not fit"),
+    (_bad_base64, "base64"),
+    (_v1_format, "not a attentive-seq2seq-v2 file"),
     (_no_vocabulary, "'vocabulary'"),
     (None, "not valid JSON"),  # truncated file
 ])

@@ -15,6 +15,7 @@ from crossdial.model import (
     ModelConfig,
     ModelError,
     OptimizerConfig,
+    ParamViews,
     Vocabulary,
     _sigmoid,
     load_model,
@@ -229,6 +230,25 @@ def test_load_snapshot_refuses_another_layout_before_writing():
     assert model.parameters_flat().tobytes() == before
 
 
+def test_load_snapshot_names_the_first_differing_entry():
+    model = _model()
+    other = AttentiveSeq2Seq(_vocab(), ModelConfig(hidden_size=48))
+    with pytest.raises(ModelError, match=r"has \('enc_Wz', \(32, 48\)\) where the model has \('enc_Wz', \(32, 64\)\)"):
+        model.load_snapshot(other.snapshot())
+    short = ParamViews(np.zeros(model.params["E"].size), model.params.layout[:1])
+    with pytest.raises(ModelError, match=r"has None where the model has \('enc_Wz', \(32, 64\)\)"):
+        model.load_snapshot(short)
+
+
+@pytest.mark.parametrize("extra", [-5, -1, 1, 5])
+def test_param_views_refuse_a_vector_that_does_not_fit(extra):
+    model = _model()
+    before = model.parameters_flat().tobytes()
+    with pytest.raises(ModelError, match="does not fit"):
+        model.load_snapshot(ParamViews(np.zeros(model.params.flat.size + extra), model.params.layout))
+    assert model.parameters_flat().tobytes() == before
+
+
 def test_loaded_model_trains_like_the_original(tmp_path):
     model = _trained()
     path = tmp_path / "m.model"
@@ -251,7 +271,7 @@ def test_snapshot_does_not_follow_training():
 
 # -- the layout's one owner ------------------------------------------------------
 
-# the 27 parameters in vector order: save_model, load_snapshot and the tracer iterate them
+# the 27 parameters in vector order: the layout that model files and snapshots carry
 NAMES = (["E"] + [f"{prefix}{kind}{gate}" for prefix in ("enc_", "dec_") for kind in "WUb" for gate in "zrn"]
          + ["W_s0", "b_s0", "A_enc", "A_dec", "a_bias", "a_v", "W_out", "b_out"])
 

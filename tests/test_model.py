@@ -532,6 +532,16 @@ def test_save_is_byte_stable(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_save_writes_the_layout_and_one_vector(tmp_path):
+    model = _model(seed=9)
+    path = tmp_path / "m.model"
+    save_model(model, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert sorted(payload) == ["config", "format", "layout", "params", "vocabulary"]
+    assert isinstance(payload["params"], str)
+    assert [(name, tuple(shape)) for name, shape in payload["layout"]] == list(model.params.layout)
+
+
 def test_load_rejects_other_formats(tmp_path):
     path = tmp_path / "bad.model"
     path.write_text(json.dumps({"format": "something-else"}))
