@@ -277,20 +277,25 @@ class _ForwardCache:
     buffers hold every decoder step: ``states[t]`` is the state entering
     step t (``states[0]`` is s_0) and ``x[t]`` the GRU input
     [E[y_{t-1}]; c_t].  Per decoder step ``dec_steps`` keeps the attention
-    weights ``alpha`` (B, S) and the GRU cache.  ``backward`` recomputes the
-    rest from these with the forward's own operations on the same operands:
-    the attention query ``q = states[t] A_dec`` and from it the step's
-    (B, S, a) activations ``tanh(enc_proj + q + a_bias)``, the GRU's
-    ``r * h_prev``, and the encoder's inputs ``E[src]``.
+    weights ``alpha`` (B, S) and the GRU cache; an encoder step's GRU cache
+    is ``(zr, n, mask_col, carry_col)``, and ``backward`` re-reads its
+    ``h_prev`` from ``enc_out``.  ``backward`` recomputes the rest from these
+    with the forward's own operations on the same operands: the attention
+    query ``q = states[t] A_dec`` and from it the step's (B, S, a)
+    activations ``tanh(enc_proj + q + a_bias)``, the GRU's ``r * h_prev``,
+    and the encoder's inputs ``E[src]``.  It drops each buffer at its last
+    use: a step's cache with the step; ``do``, ``states``, ``x``,
+    ``enc_proj`` and the attention scratch after the decoder loop; the keys'
+    grad once added into ``enc_out``'s; ``enc_out`` with the encoder loop.
     """
 
     batch: Batch
-    enc_steps: list  # GRU cache per encoder step
-    enc_out: np.ndarray
-    enc_proj: np.ndarray  # (B, S, a), the attention keys enc_out A_enc
+    enc_steps: list  # (zr, n, mask_col, carry_col) per encoder step
+    enc_out: np.ndarray | None
+    enc_proj: np.ndarray | None  # (B, S, a), the attention keys enc_out A_enc
     h_last: np.ndarray
-    states: np.ndarray
-    x: np.ndarray
+    states: np.ndarray | None
+    x: np.ndarray | None
     do: np.ndarray | None
     grads: ParamViews | None
     dec_steps: list | None  # (alpha, GRU cache) per step; None once consumed
@@ -330,8 +335,10 @@ class AttentiveSeq2Seq:
     are not kept per decoder step: each pass writes them into one scratch
     array it allocates, and ``backward`` recomputes them (see
     ``_ForwardCache``).  A recomputation repeats the forward's operations on
-    the same operands, so it is exact too.  ``nll`` runs the same
-    ``forward`` without the step caches and the readout grads.
+    the same operands, so it is exact too.  The encoder's step caches hold
+    ``(zr, n, masks)``: ``backward`` re-reads ``h_prev`` from ``enc_out``,
+    and drops each buffer at its last use (see ``_ForwardCache``).  ``nll``
+    runs the same ``forward`` without the step caches and the readout grads.
     """
 
     def __init__(self, vocabulary: Vocabulary, config: ModelConfig = ModelConfig()):
@@ -491,7 +498,7 @@ class AttentiveSeq2Seq:
         for t in range(s_len):
             h, cache = self._gru_forward(xw[t], h, "enc_", mask_cols[t], carry_cols[t])
             if caches is not None:
-                caches.append(cache)
+                caches.append(cache[1:])  # h_prev is enc_out[:, t - 1] (zeros at t = 0)
             enc_out[:, t] = h
         s0 = np.tanh(h @ p["W_s0"] + p["b_s0"])
         return enc_out, h, s0, enc_out @ p["A_enc"]
@@ -619,28 +626,27 @@ class AttentiveSeq2Seq:
             dec_rows[t_len - 1 - t] = dx[:, :d]
             dc = do[t, :, h:] + dx[:, d:]
             ds_next = ds_prev + self._attention_backward(dc, cache.states[t], alpha, memory, grads, dq)
-        del do
-
         s0 = cache.states[0]
         da0 = ds_next * (1.0 - s0 * s0)
+        # embedding rows in backprop order: decoder steps, then encoder steps, each last to first
+        np.add.at(grads["E"], batch.tgt_in[:, ::-1].T.ravel(), dec_rows.reshape(-1, d))
+        del do, memory, s0, dec_rows  # the decoder's buffers and the attention scratch go
+        cache.states = cache.x = cache.enc_proj = None
         grads["W_s0"] += cache.h_last.T @ da0
         grads["b_s0"] += da0.sum(axis=0)
         dh = da0 @ p["W_s0"].T
 
-        grads["A_enc"] += np.einsum("bsh,bsa->ha", cache.enc_out, d_proj)
+        enc_out, cache.enc_out = cache.enc_out, None
+        grads["A_enc"] += np.einsum("bsh,bsa->ha", enc_out, d_proj)
         denc += d_proj @ p["A_enc"].T
+        del d_proj
 
         src_emb = p["E"][batch.src.T]  # (S, B, d), the encoder's inputs again
-        # rows padded to 64 bytes keep every das[t] aligned like das[0]: some BLAS
-        # kernels (Prescott) round a misaligned block differently
-        width = 3 * n * h
-        das = np.empty((s_len, (width + 7) // 8 * 8))[:, :width].reshape(s_len, 3, n, h)
         for t in reversed(range(s_len)):
-            enc_step = cache.enc_steps.pop()
-            dh = self._gru_backward(denc[:, t] + dh, src_emb[t], enc_step, "enc_", enc_grads, das[t])
-        # embedding rows in backprop order: decoder steps, then encoder steps, each last to first
-        np.add.at(grads["E"], batch.tgt_in[:, ::-1].T.ravel(), dec_rows.reshape(-1, d))
-        np.add.at(grads["E"], batch.src[:, ::-1].T.ravel(), self._gru_input_grad(das, "enc_")[::-1].reshape(-1, d))
+            # h_prev as a fresh contiguous copy, like forward's: some BLAS kernels round a strided view differently
+            enc_step = (enc_out[:, t - 1].copy() if t else np.zeros((n, h)), *cache.enc_steps.pop())
+            dh = self._gru_backward(denc[:, t] + dh, src_emb[t], enc_step, "enc_", enc_grads, da)
+            np.add.at(grads["E"], batch.src[:, t], self._gru_input_grad(da, "enc_"))
         return grads
 
     def loss_and_grads(self, batch: Batch) -> tuple[float, ParamViews]:
