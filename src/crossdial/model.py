@@ -9,7 +9,7 @@ fixed seed.
 Layout of one forward pass:
 
     encoder   h_t   = GRU(E[src_t], h_{t-1})              (masked carry)
-    init      s_0   = tanh(h_last W_s0 + b_s0)
+    init      s_0   = tanh(h_S W_s0 + b_s0)               (the last encoder state)
     attention e_t,i = v . tanh(enc_i A_enc + s_{t-1} A_dec + a_bias)
               c_t   = sum_i softmax(e_t)_i enc_i          (masked softmax)
     decoder   s_t   = GRU([E[y_{t-1}]; c_t], s_{t-1})     (masked carry)
@@ -31,6 +31,7 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
+from . import prompting
 from .artifact import read_text, write_lines
 from .corpus import Corpus, derive_token_vocabulary
 from .prompting import DEFAULT_TEMPLATE, corrupt_spans
@@ -276,29 +277,29 @@ class _ForwardCache:
     (T, B, 2h) grad of the readout inputs [s_t; c_t].  The other time-major
     buffers hold every decoder step: ``states[t]`` is the state entering
     step t (``states[0]`` is s_0) and ``x[t]`` the GRU input
-    [E[y_{t-1}]; c_t].  Per decoder step ``dec_steps`` keeps the attention
-    weights ``alpha`` (B, S) and the GRU cache; an encoder step's GRU cache
-    is ``(zr, n, mask_col, carry_col)``, and ``backward`` re-reads its
-    ``h_prev`` from ``enc_out``.  ``backward`` recomputes the rest from these
-    with the forward's own operations on the same operands: the attention
-    query ``q = states[t] A_dec`` and from it the step's (B, S, a)
-    activations ``tanh(enc_proj + q + a_bias)``, the GRU's ``r * h_prev``,
-    and the encoder's inputs ``E[src]``.  It drops each buffer at its last
-    use: a step's cache with the step; ``do``, ``states``, ``x``,
+    [E[y_{t-1}]; c_t].  Every GRU step keeps one record, its gates ``zr``
+    and candidate ``n``: ``enc_steps`` holds the encoder's and ``dec_steps``
+    ``(alpha, zr, n)``, with the attention weights ``alpha`` (B, S).
+    ``backward`` re-reads a step's ``h_prev`` (``states[t]``, or a fresh copy
+    of an ``enc_out`` column), input (``x[t]`` or ``E[src]``) and mask
+    columns (the batch's), and recomputes the attention query ``q =
+    states[t] A_dec``, from it the step's (B, S, a) activations
+    ``tanh(enc_proj + q + a_bias)``, and the GRU's ``r * h_prev`` with the
+    forward's own operations on the same operands.  It drops each buffer at
+    its last use: a step's record with the step; ``do``, ``states``, ``x``,
     ``enc_proj`` and the attention scratch after the decoder loop; the keys'
     grad once added into ``enc_out``'s; ``enc_out`` with the encoder loop.
     """
 
     batch: Batch
-    enc_steps: list  # (zr, n, mask_col, carry_col) per encoder step
+    enc_steps: list  # (zr, n) per encoder step
     enc_out: np.ndarray | None
     enc_proj: np.ndarray | None  # (B, S, a), the attention keys enc_out A_enc
-    h_last: np.ndarray
     states: np.ndarray | None
     x: np.ndarray | None
     do: np.ndarray | None
     grads: ParamViews | None
-    dec_steps: list | None  # (alpha, GRU cache) per step; None once consumed
+    dec_steps: list | None  # (alpha, zr, n) per step; None once consumed
 
 
 def _step_masks(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,10 +336,10 @@ class AttentiveSeq2Seq:
     are not kept per decoder step: each pass writes them into one scratch
     array it allocates, and ``backward`` recomputes them (see
     ``_ForwardCache``).  A recomputation repeats the forward's operations on
-    the same operands, so it is exact too.  The encoder's step caches hold
-    ``(zr, n, masks)``: ``backward`` re-reads ``h_prev`` from ``enc_out``,
-    and drops each buffer at its last use (see ``_ForwardCache``).  ``nll``
-    runs the same ``forward`` without the step caches and the readout grads.
+    the same operands, so it is exact too.  A GRU step keeps only its ``(zr,
+    n)``: ``backward`` re-reads the rest from the pass's buffers and drops
+    each buffer at its last use (see ``_ForwardCache``).  ``nll`` runs the
+    same ``forward`` without the step records and the readout grads.
     """
 
     def __init__(self, vocabulary: Vocabulary, config: ModelConfig = ModelConfig()):
@@ -399,18 +400,17 @@ class AttentiveSeq2Seq:
         n = np.tanh(xw[2] + rh @ U[2] + b[2])
         h_new = (1.0 - z) * n + z * h_prev
         h = mask_col * h_new + carry_col * h_prev  # carry state over pads
-        return h, (h_prev, zr, n, mask_col, carry_col)
+        return h, (zr, n)
 
-    def _gru_backward(self, dh, x, cache, prefix, gate_grads, da):
-        """Backprop one GRU step into ``gate_grads`` and return dh_prev.
+    def _gru_backward(self, dh, x, h_prev, step, prefix, mask_col, carry_col, gate_grads, da):
+        """Backprop one GRU step into ``gate_grads``; returns (dh_prev, dx).
 
-        Writes the gate-major pre-activation grads into ``da`` (3, B, h);
-        the input grad follows from them by ``_gru_input_grad``, off the
-        recurrence.
+        ``step`` is ``_gru_forward``'s ``(zr, n)``; the caller re-reads ``x``,
+        ``h_prev`` and the masks.  ``da`` (3, B, h) is gate-grad scratch.
         """
-        _, U, _ = self._gru_params[prefix]
+        W, U, _ = self._gru_params[prefix]
         gW, gU, gb = gate_grads
-        h_prev, zr, n, mask_col, carry_col = cache
+        zr, n = step
         z, r = zr
         dh_new = dh * mask_col
         dh_prev = dh * carry_col
@@ -431,16 +431,11 @@ class AttentiveSeq2Seq:
         dhs = dzr @ U[:2].transpose(0, 2, 1)
         dh_prev = dh_prev + dhs[0]
         dh_prev = dh_prev + dhs[1]
-        return dh_prev
-
-    def _gru_input_grad(self, da, prefix):
-        """dx from gate-major grads ``da`` of shape (..., 3, B, h)."""
-        W = self._gru_params[prefix][0]
         dxs = da @ W.transpose(0, 2, 1)
         # summed in the per-gate order n, z, r, so every bit stays as it was
-        dx = dxs[..., 2, :, :] + dxs[..., 0, :, :]
-        dx += dxs[..., 1, :, :]
-        return dx
+        dx = dxs[2] + dxs[0]
+        dx += dxs[1]
+        return dh_prev, dx
 
     def _attention_activations(self, q, enc_proj, u):
         """u = tanh(enc_proj + q + a_bias), written into ``u`` (B, S, a)."""
@@ -448,15 +443,15 @@ class AttentiveSeq2Seq:
         u += self.params["a_bias"]
         return np.tanh(u, out=u)
 
-    def _attention_forward(self, s_prev, enc_proj, enc_out, src_mask, live, u):
+    def _attention_forward(self, s_prev, enc_proj, enc_out, live, u):
         """``live`` is ``src_mask > 0``, computed once per batch; ``u`` is the
         (B, S, a) scratch for the step's activations."""
         p = self.params
         q = s_prev @ p["A_dec"]
         e = self._attention_activations(q, enc_proj, u) @ p["a_v"]
-        e = np.where(live, e, -1e30)  # pads never win the softmax
+        e = np.where(live, e, -1e30)  # pads never win the softmax, and exp(-1e30 - max) is 0.0
         e = e - e.max(axis=1, keepdims=True)
-        w = np.exp(e) * src_mask
+        w = np.exp(e)
         alpha = w / w.sum(axis=1, keepdims=True)
         c = np.einsum("bs,bsh->bh", alpha, enc_out)
         return c, alpha
@@ -485,9 +480,9 @@ class AttentiveSeq2Seq:
         return dq @ p["A_dec"].T
 
     def _run_encoder(self, src, src_mask, caches=None):
-        """The encoder and the decoder's prologue: ``enc_out``, ``h_last``,
-        ``s_0`` and the attention keys ``enc_proj = enc_out A_enc``.  Each
-        step's GRU cache is appended to ``caches`` when it is a list."""
+        """The encoder and the decoder's prologue: ``enc_out``, ``s_0`` and
+        the attention keys ``enc_proj = enc_out A_enc``.  Each step's
+        ``(zr, n)`` is appended to ``caches`` when it is a list."""
         p = self.params
         n, s_len = src.shape
         h = np.zeros((n, self.config.hidden_size))
@@ -496,25 +491,25 @@ class AttentiveSeq2Seq:
         xw = src_emb[:, None] @ self._gru_params["enc_"][0]  # (S, 3, B, h): every step's input projections
         mask_cols, carry_cols = _step_masks(src_mask)
         for t in range(s_len):
-            h, cache = self._gru_forward(xw[t], h, "enc_", mask_cols[t], carry_cols[t])
+            h, step = self._gru_forward(xw[t], h, "enc_", mask_cols[t], carry_cols[t])
             if caches is not None:
-                caches.append(cache[1:])  # h_prev is enc_out[:, t - 1] (zeros at t = 0)
+                caches.append(step)
             enc_out[:, t] = h
         s0 = np.tanh(h @ p["W_s0"] + p["b_s0"])
-        return enc_out, h, s0, enc_out @ p["A_enc"]
+        return enc_out, s0, enc_out @ p["A_enc"]
 
     def _decoder_step(self, s_prev, x, o, memory, mask_col, carry_col):
         """One decoder step at B rows.  ``x`` (B, d+h) holds E[y_{t-1}] in its
         first d columns; the step writes c_t after them and [s_t; c_t] into
-        ``o`` (B, 2h).  ``memory`` is (enc_proj, enc_out, src_mask, live, u)
-        with ``u`` the attention scratch."""
+        ``o`` (B, 2h).  ``memory`` is (enc_proj, enc_out, live, u) with ``u``
+        the attention scratch.  Returns s_t and the step's (alpha, zr, n)."""
         d, h = self.config.embedding_size, self.config.hidden_size
         c, alpha = self._attention_forward(s_prev, *memory)
         x[:, d:] = c
-        s, gru_cache = self._gru_forward(x @ self._gru_params["dec_"][0], s_prev, "dec_", mask_col, carry_col)
+        s, (zr, n) = self._gru_forward(x @ self._gru_params["dec_"][0], s_prev, "dec_", mask_col, carry_col)
         o[:, :h] = s
         o[:, h:] = c
-        return s, (alpha, gru_cache)
+        return s, (alpha, zr, n)
 
     def _readout(self, o):
         """The softmax over the vocabulary for readout inputs ``o`` (..., 2h),
@@ -549,8 +544,8 @@ class AttentiveSeq2Seq:
             raise ModelError("batch has a row with an empty source")
 
         enc_steps = [] if backprop else None
-        enc_out, h_last, s0, enc_proj = self._run_encoder(batch.src, batch.src_mask, enc_steps)
-        memory = (enc_proj, enc_out, batch.src_mask, batch.src_mask > 0, np.empty_like(enc_proj))
+        enc_out, s0, enc_proj = self._run_encoder(batch.src, batch.src_mask, enc_steps)
+        memory = (enc_proj, enc_out, batch.src_mask > 0, np.empty_like(enc_proj))
         mask_cols, carry_cols = _step_masks(batch.tgt_mask)
 
         states = np.empty((t_len + 1, n, h))
@@ -560,10 +555,10 @@ class AttentiveSeq2Seq:
         o = np.empty((t_len, n, 2 * h))
         dec_steps = [] if backprop else None
         for t in range(t_len):
-            s, step_cache = self._decoder_step(states[t], x[t], o[t], memory, mask_cols[t], carry_cols[t])
+            s, step = self._decoder_step(states[t], x[t], o[t], memory, mask_cols[t], carry_cols[t])
             states[t + 1] = s
             if backprop:
-                dec_steps.append(step_cache)
+                dec_steps.append(step)
         del memory  # frees the attention scratch before the readout's chunks
 
         rows = np.arange(n)
@@ -595,7 +590,7 @@ class AttentiveSeq2Seq:
         loss = total_nll / token_count
         if not backprop:
             return loss, None
-        return loss, _ForwardCache(batch, enc_steps, enc_out, enc_proj, h_last, states, x, do, grads, dec_steps)
+        return loss, _ForwardCache(batch, enc_steps, enc_out, enc_proj, states, x, do, grads, dec_steps)
 
     def backward(self, cache: _ForwardCache) -> ParamViews:
         if cache.dec_steps is None:
@@ -618,11 +613,12 @@ class AttentiveSeq2Seq:
         memory = (cache.enc_proj, cache.enc_out, denc, d_proj, np.empty_like(d_proj), np.empty_like(d_proj))
         da = np.empty((3, n, h))
         dq = np.empty((n, h))
+        mask_cols, carry_cols = _step_masks(batch.tgt_mask)
         for t in reversed(range(t_len)):
-            alpha, gru_cache = steps.pop()  # drops the step's cache once used
+            alpha, *step = steps.pop()  # drops the step's record once used
             ds = ds_next + do[t, :, :h]
-            ds_prev = self._gru_backward(ds, cache.x[t], gru_cache, "dec_", dec_grads, da)
-            dx = self._gru_input_grad(da, "dec_")
+            ds_prev, dx = self._gru_backward(ds, cache.x[t], cache.states[t], step, "dec_", mask_cols[t],
+                                             carry_cols[t], dec_grads, da)
             dec_rows[t_len - 1 - t] = dx[:, :d]
             dc = do[t, :, h:] + dx[:, d:]
             ds_next = ds_prev + self._attention_backward(dc, cache.states[t], alpha, memory, grads, dq)
@@ -632,21 +628,23 @@ class AttentiveSeq2Seq:
         np.add.at(grads["E"], batch.tgt_in[:, ::-1].T.ravel(), dec_rows.reshape(-1, d))
         del do, memory, s0, dec_rows  # the decoder's buffers and the attention scratch go
         cache.states = cache.x = cache.enc_proj = None
-        grads["W_s0"] += cache.h_last.T @ da0
+        enc_out, cache.enc_out = cache.enc_out, None
+        grads["W_s0"] += enc_out[:, -1].copy().T @ da0  # the last state, a fresh contiguous copy like forward's
         grads["b_s0"] += da0.sum(axis=0)
         dh = da0 @ p["W_s0"].T
 
-        enc_out, cache.enc_out = cache.enc_out, None
         grads["A_enc"] += np.einsum("bsh,bsa->ha", enc_out, d_proj)
         denc += d_proj @ p["A_enc"].T
         del d_proj
 
         src_emb = p["E"][batch.src.T]  # (S, B, d), the encoder's inputs again
+        mask_cols, carry_cols = _step_masks(batch.src_mask)
         for t in reversed(range(s_len)):
             # h_prev as a fresh contiguous copy, like forward's: some BLAS kernels round a strided view differently
-            enc_step = (enc_out[:, t - 1].copy() if t else np.zeros((n, h)), *cache.enc_steps.pop())
-            dh = self._gru_backward(denc[:, t] + dh, src_emb[t], enc_step, "enc_", enc_grads, da)
-            np.add.at(grads["E"], batch.src[:, t], self._gru_input_grad(da, "enc_"))
+            h_prev = enc_out[:, t - 1].copy() if t else np.zeros((n, h))
+            dh, dx = self._gru_backward(denc[:, t] + dh, src_emb[t], h_prev, cache.enc_steps.pop(), "enc_",
+                                        mask_cols[t], carry_cols[t], enc_grads, da)
+            np.add.at(grads["E"], batch.src[:, t], dx)
         return grads
 
     def loss_and_grads(self, batch: Batch) -> tuple[float, ParamViews]:
@@ -842,9 +840,10 @@ def pretrain_span_corruption(
     valid_idx = rng.choice(len(usable), size=min(64, len(usable)), replace=False)
     valid = [ex for ex in (corrupted(usable[int(i)]) for i in sorted(valid_idx)) if ex is not None]
     if not valid and config.epochs > 0:
-        raise ModelError(
-            "span corruption masked no validation text: at the fixed 15% rate a text needs at least 4 tokens"
-        )
+        rate = prompting.CORRUPTION_RATE
+        shortest = next(n for n in itertools.count(2) if int(rate * n + 0.5) >= 1)  # corrupt_spans's rounding
+        raise ModelError(f"span corruption masked no validation text: at the fixed {rate:.0%} rate a text "
+                         f"needs at least {shortest} tokens")
 
     train_pairs: list[tuple[str, str]] = []
     dropped = 0
@@ -886,8 +885,8 @@ def generate_greedy(model: AttentiveSeq2Seq, source_text: str, max_length: int) 
         raise ModelError(f"empty source text {source_text!r}")
     src = np.array([src_ids], dtype=np.int64)
     src_mask = np.ones((1, len(src_ids)))
-    enc_out, _, s, enc_proj = model._run_encoder(src, src_mask)
-    memory = (enc_proj, enc_out, src_mask, src_mask > 0, np.empty_like(enc_proj))
+    enc_out, s, enc_proj = model._run_encoder(src, src_mask)
+    memory = (enc_proj, enc_out, src_mask > 0, np.empty_like(enc_proj))
     mask_col, carry_col = np.ones((1, 1)), np.zeros((1, 1))
     d, h = model.config.embedding_size, model.config.hidden_size
     x, o = np.empty((1, d + h)), np.empty((1, 2 * h))  # the step's input and readout rows

@@ -136,7 +136,7 @@ def test_gru_step_matches_per_gate_reference(batch, prefix):
         dh = rng.normal(size=(batch, h))
 
         xw = x @ model._gru_params[prefix][0]
-        got_h, cache = model._gru_forward(xw, h_prev, prefix, mask_col, 1.0 - mask_col)
+        got_h, step = model._gru_forward(xw, h_prev, prefix, mask_col, 1.0 - mask_col)
         want_h, ref_cache = _ref_gru_forward(ref_params, x, h_prev, prefix, mask_col)
         np.testing.assert_array_equal(got_h, want_h)
 
@@ -146,8 +146,7 @@ def test_gru_step_matches_per_gate_reference(batch, prefix):
         ref_grads = {name: arr.copy() for name, arr in grads.items()}
         da = np.empty((3, batch, h))
         gate_grads = grads.gates(prefix)
-        got_dh = model._gru_backward(dh, x, cache, prefix, gate_grads, da)
-        got_dx = model._gru_input_grad(da, prefix)
+        got_dh, got_dx = model._gru_backward(dh, x, h_prev, step, prefix, mask_col, 1.0 - mask_col, gate_grads, da)
         want_dx, want_dh = _ref_gru_backward(ref_params, dh, ref_cache, prefix, ref_grads)
         np.testing.assert_array_equal(got_dx, want_dx)
         np.testing.assert_array_equal(got_dh, want_dh)
@@ -179,6 +178,14 @@ def test_adamw_matches_per_array_reference(weight_decay):
         np.testing.assert_array_equal(model.params[name], want, err_msg=name)
     np.testing.assert_array_equal(opt.m, np.concatenate([a.ravel() for a in m.values()]))
     np.testing.assert_array_equal(opt.v, np.concatenate([a.ravel() for a in v.values()]))
+
+
+def test_weight_decay_is_decoupled():
+    # with zero gradient, AdamW still shrinks the parameter by lr*wd exactly
+    w = np.full((2,), 10.0)
+    opt = AdamW(w, _decayed(0.5, learning_rate=0.1, epochs=1, batch_size=1))
+    opt.step(np.zeros(2))
+    np.testing.assert_allclose(w, 10.0 - 0.1 * 0.5 * 10.0, atol=1e-12)
 
 
 # -- view aliasing ---------------------------------------------------------------

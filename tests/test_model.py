@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from crossdial import prompting
 from crossdial.corpus import Corpus, DialoguePair, SyntheticSpec, generate_synthetic_bilingual
 from crossdial.metrics import language_legality
 from crossdial.model import (
@@ -19,9 +20,9 @@ from crossdial.model import (
     ModelError,
     OptimizerConfig,
     PAD_ID,
-    ParamViews,
     TrainingDivergedError,
     Vocabulary,
+    _ForwardCache,
     batch_from_encoded,
     evaluate_nll,
     generate_corpus,
@@ -214,21 +215,26 @@ def test_forward_backward_memory_at_train_long_shape():
     # peak was 41 MB; they are recomputed in backward
     model, _, batch = _train_long_shape()
     t_len, n = batch.tgt_in.shape[1], batch.src.shape[0]
-    cached = []  # (field, size) of every cached array; holding the arrays would raise the peak
+    cached = []  # (field, shape) of every cached array; holding the arrays would raise the peak
 
     def forward_backward():
         _, cache = model.forward(batch)
         for f in dataclasses.fields(cache):
-            cached.extend((f.name, arr.size) for arr in _arrays_in(getattr(cache, f.name)))
+            cached.extend((f.name, arr.shape) for arr in _arrays_in(getattr(cache, f.name)))
         model.backward(cache)
 
     assert _traced_peak(forward_backward) < 14e6
     h = model.config.hidden_size
+    sizes = [(name, math.prod(shape)) for name, shape in cached]
     # no per-step (B, S, a) array besides the attention's values and keys
-    assert [name for name, size in cached if size == n * 51 * h] == ["enc_out", "enc_proj"]
-    # an encoder step caches its candidate n but no (B, h) copy of the state entering it: enc_out holds that
-    assert [name for name, size in cached if size == n * h].count("enc_steps") == 51
-    assert [name for name, size in cached if size == t_len * n * len(model.vocabulary)] == []  # no softmax
+    assert [name for name, size in sizes if size == n * 51 * h] == ["enc_out", "enc_proj"]
+    assert [name for name, size in sizes if size == t_len * n * len(model.vocabulary)] == []  # no softmax
+    # every GRU step keeps its gates zr and candidate n, a decoder step also its alpha; backward
+    # re-reads the state entering the step, its input and its mask columns from buffers it holds
+    assert [shape for name, shape in cached if name == "enc_steps"] == [(2, n, h), (n, h)] * 51
+    assert [shape for name, shape in cached if name == "dec_steps"] == [(n, 51), (2, n, h), (n, h)] * t_len
+    assert [name for name, shape in cached if shape == (n, 1)] == []  # no mask column
+    assert "h_last" not in {f.name for f in dataclasses.fields(_ForwardCache)}  # enc_out[:, -1] is it
 
 
 def test_train_memory_at_train_long_shape():
@@ -243,51 +249,6 @@ def test_nll_memory_at_train_long_shape():
 
 
 # -- optimizer -------------------------------------------------------------
-
-
-def _reference_adamw_step(param, grad, m, v, t, lr, b1, b2, eps, wd):
-    # textbook update, scalar loop
-    out = param.copy()
-    m = b1 * m + (1 - b1) * grad
-    v = b2 * v + (1 - b2) * grad * grad
-    mhat = m / (1 - b1**t)
-    vhat = v / (1 - b2**t)
-    out -= lr * wd * param  # decoupled decay on the incoming parameter
-    out -= lr * mhat / (np.sqrt(vhat) + eps)
-    return out, m, v
-
-
-def _decayed(weight_decay, **budget):
-    """No stage decays its weights (``OptimizerConfig.weight_decay`` is the
-    constant 0.0); a subclass that sets it exercises AdamW's decoupled decay."""
-    return type("Decayed", (OptimizerConfig,), {"weight_decay": weight_decay})(**budget)
-
-
-def test_adamw_matches_reference_steps():
-    rng = np.random.default_rng(0)
-    params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=(3,))}
-    layout = [(k, p.shape) for k, p in params.items()]
-    mine = ParamViews(np.concatenate([p.ravel() for p in params.values()]), layout)
-    opt = AdamW(mine.flat, _decayed(0.1, learning_rate=0.01, epochs=1, batch_size=1))
-    ref = {k: p.copy() for k, p in params.items()}
-    state = {k: (np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
-    for t in range(1, 6):
-        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
-        opt.step(np.concatenate([g.ravel() for g in grads.values()]))
-        for k in ref:
-            m, v = state[k]
-            ref[k], m, v = _reference_adamw_step(ref[k], grads[k], m, v, t, 0.01, 0.9, 0.999, 1e-8, 0.1)
-            state[k] = (m, v)
-    for k in ref:
-        np.testing.assert_allclose(mine[k], ref[k], rtol=0, atol=1e-12)
-
-
-def test_weight_decay_is_decoupled():
-    # with zero gradient, AdamW still shrinks the parameter by lr*wd exactly
-    w = np.full((2,), 10.0)
-    opt = AdamW(w, _decayed(0.5, learning_rate=0.1, epochs=1, batch_size=1))
-    opt.step(np.zeros(2))
-    np.testing.assert_allclose(w, 10.0 - 0.1 * 0.5 * 10.0, atol=1e-12)
 
 
 def test_optimizer_config_defaults():
@@ -630,3 +591,12 @@ def test_pretrain_on_texts_under_four_tokens_names_the_length():
         pretrain_span_corruption(_model(extra=_SENTINELS), [_texts_of(3)], cfg, seed=0)
     result = pretrain_span_corruption(_model(extra=_SENTINELS), [_texts_of(4)], cfg, seed=0)
     assert result.train_losses
+
+
+def test_pretrain_message_follows_the_corruption_rate(monkeypatch):
+    # at 5% corrupt_spans masks int(0.05 * n + 0.5) tokens: none for n <= 9
+    monkeypatch.setattr(prompting, "CORRUPTION_RATE", 0.05)
+    cfg = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=2)
+    with pytest.raises(ModelError, match="at the fixed 5% rate a text needs at least 10 tokens$"):
+        pretrain_span_corruption(_model(extra=_SENTINELS), [_texts_of(9)], cfg, seed=0)
+    assert pretrain_span_corruption(_model(extra=_SENTINELS), [_texts_of(10)], cfg, seed=0).train_losses
