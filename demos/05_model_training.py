@@ -3,7 +3,7 @@ The numpy seq2seq model: gradients, pretraining format, overfitting
 ===================================================================
 
 The model is a GRU encoder-decoder with additive attention, written in
-plain float64 numpy with hand-derived backprop and a hand-rolled AdamW.
+plain float64 numpy with hand-derived backprop and a hand-rolled Adam.
 Everything a framework would hide is checkable here: the analytic
 gradients are verified against central finite differences, and a
 200-step run must drive the loss on a single pair to ~0 with exact

@@ -7,8 +7,10 @@ across two runs) and must not be loosened without a recorded decision.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import math
+import platform
 import time
 from collections import Counter
 from pathlib import Path
@@ -32,7 +34,7 @@ from crossdial.experiment import (
 )
 from crossdial.humaneval import WinRateReport, aggregate_votes, export_pairs, read_key, read_sheet
 from crossdial.interleave import interleave_even
-from crossdial.metrics import corpus_bleu, distinct_n, tokenize_13a
+from crossdial.metrics import MetricError, corpus_bleu, distinct_n, tokenize_13a
 from crossdial.model import (
     AttentiveSeq2Seq,
     ModelConfig,
@@ -263,6 +265,22 @@ PINNED_ARTIFACT_SHA256 = {
     "study.json": "5884455e2c0c5fd0d366c06339a22dd5c988fb08eca2a0efedbe40216ec2dbf9",
 }
 
+# The environment every pinned digest (here and PINNED_OUTPUT_SHA256) was
+# measured in.  CI installs numpy unpinned, so a digest failure names both
+# this one and the running one (ROADMAP item 8).
+PINNED_ENVIRONMENT = "Python 3.11, numpy 2.4.6, OpenBLAS 0.3.31"
+
+
+def _environments() -> str:
+    """The pinned and the running environment, for a digest failure message."""
+    running = f"Python {platform.python_version()}, numpy {np.__version__}"
+    try:  # an older numpy's show_config takes no mode: its version alone
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        running += f", {blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        pass
+    return f"pinned in {PINNED_ENVIRONMENT}; running {running}"
+
 
 def _pinned_sha256(path) -> str:
     """sha256 of a file, for study.json without its "selected_valid_loss" lines."""
@@ -279,7 +297,7 @@ def test_criterion_7_forgetting_direction_reference_study(tmp_path):
 
     write_study_artifacts(report, str(tmp_path))
     for name, pinned in PINNED_ARTIFACT_SHA256.items():
-        assert _pinned_sha256(tmp_path / name) == pinned, name
+        assert _pinned_sha256(tmp_path / name) == pinned, f"{name} ({_environments()})"
 
     medians = {name: report.medians[name]["legality"] for name in PINNED_LEGALITY_MEDIANS}
     for name, pinned in PINNED_LEGALITY_MEDIANS.items():
@@ -530,8 +548,39 @@ def test_criterion_8_echo_bytes_pinned(tmp_path, monkeypatch, capsys):
     echoes = {str(path): path.read_text(encoding="utf-8") for path in outputs if path.suffix == ".cfg"}
     assert echoes == PINNED_ECHOES
     digests = {str(path): _pinned_sha256(path) for path in outputs if str(path) in PINNED_OUTPUT_SHA256}
-    assert digests == PINNED_OUTPUT_SHA256
+    assert digests == PINNED_OUTPUT_SHA256, _environments()
     capsys.readouterr()
+
+
+# Criterion 8's tiny study at seed 0 loses the whole study when one setting
+# decodes only empty responses: scoring raises instead of recording the run.
+_TINY_STUDY = StudyConfig(
+    synthetic=SyntheticSpec(vocab_size_per_language=12, n_train_aux=20, n_fewshot_tgt=4,
+                            n_valid=6, n_test=6, template_count=2),
+    pretrain=dataclasses.replace(experiment.STUDY_PRETRAIN, epochs=1),
+    train=dataclasses.replace(experiment.STUDY_TRAIN, epochs=1),
+    adapt=dataclasses.replace(experiment.STUDY_ADAPT, epochs=2),
+    seeds=(0,),
+    max_generate=6,
+)
+_LOST_STUDY = pytest.mark.xfail(
+    strict=True, raises=MetricError,
+    reason="known defect, ROADMAP item 1: one setting's empty output raises MetricError and loses the study",
+)
+
+
+@_LOST_STUDY
+def test_study_survives_one_token_generation():
+    run_forgetting_study(dataclasses.replace(_TINY_STUDY, max_generate=1))
+
+
+@_LOST_STUDY
+def test_study_survives_a_diverging_learning_rate():
+    run_forgetting_study(dataclasses.replace(
+        _TINY_STUDY,
+        train=dataclasses.replace(_TINY_STUDY.train, learning_rate=5.0),
+        adapt=dataclasses.replace(_TINY_STUDY.adapt, learning_rate=5.0),
+    ))
 
 
 # -- criterion 9: human evaluation round trip ----------------------------------------

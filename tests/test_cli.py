@@ -787,11 +787,11 @@ def test_gen_synthetic_rejects_bad_size(capsys, tmp_path):
     assert not out.exists()
 
 
-# The AdamW moment constants and weight decay, the training truncation, the
-# per-epoch validation schedule, the 13a BLEU tokenizer, the prompt
-# template, the corruption rate, the layout choice (now the --prompted
-# boolean) and the BLEU floor are not settings, so an echo that names one
-# exits 2 before any file is read.
+# The Adam moment constants, weight decay (plain Adam has none), the
+# training truncation, the per-epoch validation schedule, the 13a BLEU
+# tokenizer, the prompt template, the corruption rate, the layout choice (now
+# the --prompted boolean) and the BLEU floor are not settings, so an echo
+# that names one exits 2 before any file is read.
 @pytest.mark.parametrize("command, key", [
     ("pretrain", "eval_every"),
     ("pretrain", "beta1"),
@@ -822,10 +822,10 @@ def test_removed_key_is_unknown(command, key, capsys, tmp_path, monkeypatch):
 
 def test_a_stage_config_is_its_budget():
     # max_length names one thing, generate's cap on generated tokens; the
-    # training truncation and the weight decay are OptimizerConfig constants
+    # training truncation is an OptimizerConfig constant
     assert [name for name, (_, _, schema) in cli._COMMANDS.items() if "max_length" in schema] == ["generate"]
     assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["learning_rate", "epochs", "batch_size"]
-    assert (OptimizerConfig.max_length, OptimizerConfig.weight_decay) == (64, 0.0)
+    assert OptimizerConfig.max_length == 64 and not hasattr(OptimizerConfig, "weight_decay")
 
 
 # The rate is the constant CORRUPTION_RATE, so a value the old flag rejected

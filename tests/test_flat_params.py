@@ -1,7 +1,7 @@
 """The flat parameter vector: bit-exactness against the per-array code, and view aliasing.
 
 The reference functions below are the per-gate GRU step, the two-branch
-sigmoid and the per-array AdamW step that the gate-major, flat-vector code
+sigmoid and the per-array Adam step that the gate-major, flat-vector code
 replaced.  The new code must reproduce them bit for bit, not to a tolerance,
 so that every trained weight, model file and study result stays as it was.
 """
@@ -91,7 +91,7 @@ def _ref_gru_backward(p, dh, cache, prefix, grads):
     return dx, dh_prev
 
 
-def _ref_adamw_step(params, grads, m, v, t, lr, beta1, beta2, eps, weight_decay):
+def _ref_adamw_step(params, grads, m, v, t, lr, beta1, beta2, eps):
     bias1 = 1.0 - beta1**t
     bias2 = 1.0 - beta2**t
     for name, param in params.items():
@@ -100,8 +100,6 @@ def _ref_adamw_step(params, grads, m, v, t, lr, beta1, beta2, eps, weight_decay)
         m[name] += (1.0 - beta1) * g
         v[name] *= beta2
         v[name] += (1.0 - beta2) * g * g
-        if weight_decay:
-            param -= lr * weight_decay * param
         param -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
 
 
@@ -154,38 +152,23 @@ def test_gru_step_matches_per_gate_reference(batch, prefix):
             np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
 
-def _decayed(weight_decay, **budget):
-    """No stage decays its weights (``OptimizerConfig.weight_decay`` is the
-    constant 0.0); a subclass that sets it exercises AdamW's decoupled decay."""
-    return type("Decayed", (OptimizerConfig,), {"weight_decay": weight_decay})(**budget)
-
-
-@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-def test_adamw_matches_per_array_reference(weight_decay):
+def test_adamw_matches_per_array_reference():
     model = _model()
     assert model.params.flat.size > AdamW.CHUNK  # the step crosses chunk boundaries
     ref = {name: arr.copy() for name, arr in model.params.items()}
     m = {name: np.zeros_like(arr) for name, arr in ref.items()}
     v = {name: np.zeros_like(arr) for name, arr in ref.items()}
-    opt = AdamW(model.params.flat, _decayed(weight_decay, learning_rate=5e-3, epochs=1, batch_size=1))
+    opt = AdamW(model.params.flat, OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=1))
     rng = np.random.default_rng(1)
     for t in range(1, 5):
         grads = model.snapshot()
         grads.flat[...] = rng.normal(scale=10.0 ** -t, size=grads.flat.size)
         opt.step(grads.flat)
-        _ref_adamw_step(ref, grads, m, v, t, 5e-3, 0.9, 0.999, 1e-8, weight_decay)
+        _ref_adamw_step(ref, grads, m, v, t, 5e-3, 0.9, 0.999, 1e-8)
     for name, want in ref.items():
         np.testing.assert_array_equal(model.params[name], want, err_msg=name)
     np.testing.assert_array_equal(opt.m, np.concatenate([a.ravel() for a in m.values()]))
     np.testing.assert_array_equal(opt.v, np.concatenate([a.ravel() for a in v.values()]))
-
-
-def test_weight_decay_is_decoupled():
-    # with zero gradient, AdamW still shrinks the parameter by lr*wd exactly
-    w = np.full((2,), 10.0)
-    opt = AdamW(w, _decayed(0.5, learning_rate=0.1, epochs=1, batch_size=1))
-    opt.step(np.zeros(2))
-    np.testing.assert_allclose(w, 10.0 - 0.1 * 0.5 * 10.0, atol=1e-12)
 
 
 # -- view aliasing ---------------------------------------------------------------

@@ -8,6 +8,23 @@ export OPENBLAS_NUM_THREADS=1
 
 step="${1:-}"
 case "$step" in
+  env)
+    # the environment the run below happens in, to hold against the one the
+    # pinned digests were measured in (PINNED_ENVIRONMENT in
+    # tests/test_acceptance.py); an older numpy whose show_config takes no
+    # mode prints its plain report instead
+    python3 - <<'PY'
+import platform
+import numpy as np
+print("python", platform.python_version())
+print("numpy", np.__version__)
+try:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print("blas", blas["name"], blas["version"], blas.get("openblas configuration", ""))
+except (TypeError, KeyError):
+    np.show_config()
+PY
+    ;;
   tier1)
     # includes tests/test_source_rules.py: unused imports, one reader and one
     # writer, dead definitions
@@ -55,7 +72,7 @@ case "$step" in
     PYTHONPATH=src python3 tests/test_source_rules.py
     ;;
   *)
-    echo "usage: tools/ci.sh {tier1|sweep|smoke|demos|memory|clean|size}" >&2
+    echo "usage: tools/ci.sh {env|tier1|sweep|smoke|demos|memory|clean|size}" >&2
     exit 2
     ;;
 esac
