@@ -86,7 +86,7 @@ class WinRateReport:
 
 
 def _format_percent(count: int, total: int) -> str:
-    pct = 100.0 * count / total
+    pct = 100.0 * count / total if total else 0.0
     if pct == int(pct):
         return f"{int(pct)}%"
     return f"{pct:.1f}%"

@@ -154,16 +154,13 @@ def distinct_n(hypotheses: Sequence[str], n: int) -> float:
     """100 * (distinct n-grams) / (total n-grams) of 13a tokens across all hypotheses."""
     if n < 1:
         raise MetricError("n must be >= 1")
-    seen: set[tuple[str, ...]] = set()
-    total = 0
+    counts: Counter = Counter()
     for hyp in hypotheses:
-        tokens = tokenize_13a(hyp)
-        for i in range(len(tokens) - n + 1):
-            seen.add(tuple(tokens[i : i + n]))
-            total += 1
+        counts.update(count_ngrams(tokenize_13a(hyp), n))
+    total = sum(counts.values())
     if total == 0:
         raise MetricError(f"no n-grams of order {n} in the hypotheses; distinct-{n} is undefined")
-    return 100.0 * len(seen) / total
+    return 100.0 * len(counts) / total
 
 
 def distinct_report(hypotheses: Sequence[str]) -> DistinctReport:

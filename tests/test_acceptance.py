@@ -14,27 +14,24 @@ import platform
 import time
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import crossdial.experiment as experiment
 from crossdial.cli import build_parser, main
-from crossdial.corpus import Corpus, DialoguePair, SyntheticSpec, generate_synthetic_bilingual
+from crossdial.corpus import Corpus, DialoguePair, SyntheticSpec
 from crossdial.experiment import (
     ExperimentSpec,
-    ScenarioData,
     StudyConfig,
     format_pairs,
     run_forgetting_study,
     run_scenario,
-    template_texts,
     write_study_artifacts,
 )
 from crossdial.humaneval import WinRateReport, aggregate_votes, export_pairs, read_key, read_sheet
 from crossdial.interleave import interleave_even
-from crossdial.metrics import MetricError, corpus_bleu, distinct_n, tokenize_13a
+from crossdial.metrics import MetricError, corpus_bleu, distinct_n
 from crossdial.model import (
     AttentiveSeq2Seq,
     ModelConfig,
@@ -46,32 +43,26 @@ from crossdial.model import (
     train,
 )
 from crossdial.prompting import DEFAULT_TEMPLATE, extract_response, format_prompted
+from helpers import TINY_OPT, distinct_oracle, tiny_setup, toy_model, train_on_scripted_losses, write_votes
 
 
 # -- criterion 1: metric oracles ---------------------------------------------------
-
-
-def _distinct_oracle(hypotheses, n):
-    grams = []
-    for hyp in hypotheses:
-        tokens = tokenize_13a(hyp)
-        grams.extend(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-    return 100.0 * len(set(grams)) / len(grams)
 
 
 def test_criterion_1_metric_oracles():
     # identical corpora: unit precisions, unit brevity penalty, exact 100
     texts = ["det er et svar", "en hund løber hjem nu", "jeg kan godt lide te"]
     report = corpus_bleu(texts, texts)
-    assert report.precisions[0] == 100.0
-    assert report.precisions[1] == 100.0
+    assert report.precisions == (100.0,) * 4
     assert report.score == 100.0
     assert report.bp == 1.0
 
-    # short hypothesis: perfect unigram precision, penalized length 2 vs 3
+    # short hypothesis: perfect unigram and bigram precision, penalized length
+    # 2 vs 3; no trigrams or 4-grams exist, so they drop out of the mean
     short = corpus_bleu(["the cat"], ["the cat sat"])
-    assert short.precisions[0] == 100.0
+    assert short.precisions[:2] == (100.0, 100.0)
     assert short.bp == pytest.approx(math.exp(-1 / 2), abs=1e-9)
+    assert short.score == pytest.approx(100.0 * math.exp(-1 / 2), abs=1e-9)
 
     # distinct-n equals a brute-force n-gram oracle on randomized corpora
     rng = np.random.default_rng(7)
@@ -83,8 +74,8 @@ def test_criterion_1_metric_oracles():
         lengths[0] = max(lengths[0], 2)  # keep at least one bigram
         assert sum(lengths) <= 100
         hyps = [" ".join(rng.choice(alphabet, size=k).tolist()) for k in lengths]
-        assert distinct_n(hyps, 1) == _distinct_oracle(hyps, 1)
-        assert distinct_n(hyps, 2) == _distinct_oracle(hyps, 2)
+        assert distinct_n(hyps, 1) == distinct_oracle(hyps, 1)
+        assert distinct_n(hyps, 2) == distinct_oracle(hyps, 2)
 
 
 # -- criterion 2: even interleaving ------------------------------------------------
@@ -135,15 +126,8 @@ def test_criterion_3_prompt_round_trip():
 # -- criterion 4: analytic gradients vs finite differences --------------------------
 
 
-def _toy_model(emb=8, hid=10, seed=3):
-    ca = Corpus(pairs=(DialoguePair("a1 a2 a3 a4", "a4 a3 a2", "aa"),), language="aa")
-    cb = Corpus(pairs=(DialoguePair("b1 b2 b3", "b3 b1", "ba"),), language="ba")
-    vocab = Vocabulary.build([ca, cb])
-    return AttentiveSeq2Seq(vocab, ModelConfig(embedding_size=emb, hidden_size=hid, seed=seed))
-
-
 def test_criterion_4_gradient_check_against_finite_differences():
-    model = _toy_model()
+    model = toy_model()
     batch = make_training_batch(
         model.vocabulary, [("a1 a2 a3 a4", "a4 a3 a2"), ("b1 b2", "b3 b1 b2")], max_length=16
     )
@@ -165,7 +149,7 @@ def test_criterion_4_gradient_check_against_finite_differences():
 
 
 def test_criterion_5_single_pair_overfit():
-    model = _toy_model(emb=16, hid=24, seed=0)
+    model = toy_model(emb=16, hid=24, seed=0)
     data = [("a1 a2 a3 a4", "a4 a3 a2")]
     # 4 epochs of 50 copies at batch 1: 200 steps, validated every 50
     config = OptimizerConfig(learning_rate=0.01, epochs=4, batch_size=1)
@@ -180,21 +164,6 @@ def test_criterion_5_single_pair_overfit():
 # -- criterion 6: checkpoint selection ----------------------------------------------
 
 
-def _train_on_scripted_losses(monkeypatch, model, losses):
-    """``train`` at one zero-gradient step per epoch, with ``evaluate_nll``
-    returning ``losses`` in turn; returns the result and its snapshot count."""
-    scripted = iter(losses)
-    monkeypatch.setattr("crossdial.model.evaluate_nll", lambda *_: next(scripted))
-    zero = SimpleNamespace(flat=np.zeros_like(model.params.flat))
-    monkeypatch.setattr(model, "loss_and_grads", lambda batch: (1.0, zero))
-    snapshots = []
-    take = type(model).snapshot
-    monkeypatch.setattr(model, "snapshot", lambda: snapshots.append(None) or take(model))
-    config = OptimizerConfig(learning_rate=0.01, epochs=len(losses) - 1, batch_size=1)
-    result = train(model, [("a1", "a1")], [("a1", "a1")], config)
-    return result, len(snapshots)
-
-
 def test_criterion_6_checkpoint_selection(monkeypatch):
     # train keeps the argmin with earliest-step ties, against an exhaustive scan
     rng = np.random.default_rng(42)
@@ -203,7 +172,7 @@ def test_criterion_6_checkpoint_selection(monkeypatch):
     for _ in range(300):
         n = int(rng.integers(1, 40))
         losses = [float(x) for x in rng.choice([0.25, 0.5, 1.0, 2.0], size=n)]  # coarse grid forces ties
-        result, snapshots = _train_on_scripted_losses(monkeypatch, scripted_model, losses)
+        result, snapshots = train_on_scripted_losses(monkeypatch, scripted_model, losses)
         assert result.valid_losses == list(enumerate(losses))
         expected = result.valid_losses[0]
         for step, loss in result.valid_losses[1:]:
@@ -215,16 +184,7 @@ def test_criterion_6_checkpoint_selection(monkeypatch):
     monkeypatch.undo()  # the scenario below trains for real
 
     # the joint-training scenario selects its checkpoint on AUXILIARY validation
-    spec = SyntheticSpec(vocab_size_per_language=12, n_train_aux=20, n_fewshot_tgt=4,
-                         n_valid=6, n_test=6, template_count=2, seed=0)
-    bundle = generate_synthetic_bilingual(spec)
-    data = ScenarioData.from_synthetic(bundle)
-    vocab = Vocabulary.build(
-        [bundle.aux_train, bundle.aux_valid, bundle.aux_test, bundle.tgt_fewshot, bundle.tgt_valid, bundle.tgt_test],
-        extra_texts=template_texts(DEFAULT_TEMPLATE),
-    )
-    model = AttentiveSeq2Seq(vocab, ModelConfig(embedding_size=12, hidden_size=16, seed=0))
-    tiny = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=8)
+    model, data = tiny_setup()
 
     seen = []
 
@@ -235,13 +195,14 @@ def test_criterion_6_checkpoint_selection(monkeypatch):
 
     monkeypatch.setattr(experiment, "train", recording_train)
     report = run_scenario(model, data, ExperimentSpec(scenario="mtl", prompted=False,
-                                                      train_config=tiny, adapt_config=tiny))
+                                                      train_config=TINY_OPT, adapt_config=TINY_OPT))
     assert len(seen) == 1
     assert seen[0]["valid_data"] == format_pairs(data.aux_valid, prompted=False)
     assert seen[0]["valid_data"] != format_pairs(data.tgt_valid, prompted=False)
     assert report.selection_language == data.aux_valid.language
     best_loss = min(loss for _, loss in seen[0]["history"])
     assert report.selected_step == min(s for s, l in seen[0]["history"] if l == best_loss)
+    assert report.selected_valid_loss == best_loss
 
 
 # -- criterion 7: forgetting direction at desk scale ---------------------------------
@@ -601,26 +562,23 @@ def test_criterion_9_humaneval_round_trip(tmp_path):
     winners = ["FS-XLT", "FS-XLT_pmpt", "FS-XLT", "FS-XLT_pmpt",
                "neutral", "FS-XLT_pmpt", "FS-XLT", "FS-XLT_pmpt"]
     key = read_key(key_path)
-    rows = read_sheet(sheet)
+    choices = ["neutral" if winner == "neutral" else ("left" if key[row["id"]][0] == winner else "right")
+               for row, winner in zip(read_sheet(sheet), winners)]
     done = tmp_path / "done.tsv"
-    with open(done, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(["id", "context", "response_left", "response_right", "choice"]) + "\n")
-        for row, winner in zip(rows, winners):
-            left_system, _ = key[row["id"]]
-            choice = "neutral" if winner == "neutral" else ("left" if left_system == winner else "right")
-            fh.write("\t".join([row["id"], row["context"], row["response_left"],
-                                row["response_right"], choice]) + "\n")
+    write_votes(sheet, done, choices)
 
     tally = aggregate_votes(done, key_path)
+    assert (tally.system_a, tally.system_b) == ("FS-XLT", "FS-XLT_pmpt")
     assert (tally.wins_a, tally.neutral, tally.wins_b) == (3, 1, 4)
     assert tally.total == n
 
     # historical tally renders with exact counts and integral percentages
     table = WinRateReport(system_a="FS-XLT", system_b="FS-XLT_pmpt",
                           wins_a=29, wins_b=62, neutral=9, language="da").format_table()
-    lines = table.splitlines()
-    assert lines[0] == "language: da"
-    assert lines[1].split() == ["system", "wins", "(100", "judged)"]
-    assert lines[2].split() == ["FS-XLT", "29", "(29%)"]
-    assert lines[3].split() == ["Neutral", "9", "(9%)"]
-    assert lines[4].split() == ["FS-XLT_pmpt", "62", "(62%)"]
+    assert table.splitlines() == [
+        "language: da",
+        "system       wins (100 judged)",
+        "FS-XLT       29 (29%)",
+        "Neutral      9 (9%)",
+        "FS-XLT_pmpt  62 (62%)",
+    ]

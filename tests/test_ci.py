@@ -22,3 +22,10 @@ def test_usage_line_names_the_ci_script_steps():
     usage = re.search(r'echo "usage: tools/ci\.sh \{([\w|]+)\}"', SCRIPT)
     assert usage, "tools/ci.sh has no usage line"
     assert usage.group(1).split("|") == STEPS
+
+
+def test_readme_names_every_ci_script_step():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"# any CI step: ([\w ]+)$", readme, flags=re.M)
+    assert listed, "README lists no CI steps"
+    assert listed.group(1).split() == STEPS

@@ -16,14 +16,8 @@ from crossdial.corpus import (
     sample_few_shot,
     save_pairs,
 )
-from crossdial.kvconfig import ConfigError, coerce, config_from, config_schema, load_kv
-
-
-def _from_kv(config, raw, source="<config>"):
-    # the path the command line resolves raw entries by: coerce against the
-    # config's schema, then config_from
-    parsers = {key: parse for key, (parse, _) in config_schema(config).items()}
-    return config_from(config, coerce(raw, parsers, source=source))
+from crossdial.kvconfig import ConfigError, load_kv
+from helpers import from_kv
 
 
 def _corpus(n=8, lang="aa"):
@@ -193,7 +187,7 @@ def test_synthetic_content_avoids_markers(seed):
 
 
 def test_synthetic_spec_from_kv_partial():
-    spec = _from_kv(SyntheticSpec(), {"vocab_size": "12", "seed": "9"})
+    spec = from_kv(SyntheticSpec(), {"vocab_size": "12", "seed": "9"})
     assert spec.vocab_size_per_language == 12
     assert spec.seed == 9
     assert spec.n_train_aux == SyntheticSpec().n_train_aux
@@ -201,13 +195,13 @@ def test_synthetic_spec_from_kv_partial():
 
 def test_synthetic_spec_unknown_key():
     with pytest.raises(ConfigError, match="n_tran"):
-        _from_kv(SyntheticSpec(), {"n_tran": "5"})
+        from_kv(SyntheticSpec(), {"n_tran": "5"})
 
 
 def test_load_synthetic_spec(tmp_path):
     path = tmp_path / "synth.cfg"
     path.write_text("vocab_size = 16\ntemplates = 2\n")
-    spec = _from_kv(SyntheticSpec(), load_kv(path), source=str(path))
+    spec = from_kv(SyntheticSpec(), load_kv(path), source=str(path))
     assert (spec.vocab_size_per_language, spec.template_count) == (16, 2)
 
 

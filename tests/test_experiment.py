@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 import crossdial.experiment as experiment
-from crossdial.corpus import DialoguePair, SyntheticSpec, generate_synthetic_bilingual
+from crossdial.corpus import DialoguePair
 from crossdial.experiment import (
     ExperimentSpec,
-    ScenarioData,
     StudyConfig,
     StudyReport,
     format_pairs,
@@ -23,44 +22,14 @@ from crossdial.experiment import (
 )
 from crossdial.kvconfig import (
     ConfigError,
-    coerce,
-    config_from,
     config_schema,
     dump_kv,
     load_kv,
     parse_kv_text,
 )
-from crossdial.model import (
-    AttentiveSeq2Seq,
-    ModelConfig,
-    OptimizerConfig,
-    Vocabulary,
-    train,
-)
+from crossdial.model import OptimizerConfig, train
 from crossdial.prompting import DEFAULT_TEMPLATE
-
-_TINY_SPEC = SyntheticSpec(
-    vocab_size_per_language=12,
-    n_train_aux=20,
-    n_fewshot_tgt=4,
-    n_valid=6,
-    n_test=6,
-    template_count=2,
-    seed=0,
-)
-
-_TINY_OPT = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=8)
-
-
-def _tiny_setup(seed=0):
-    bundle = generate_synthetic_bilingual(dataclasses.replace(_TINY_SPEC, seed=seed))
-    data = ScenarioData.from_synthetic(bundle)
-    vocab = Vocabulary.build(
-        [bundle.aux_train, bundle.aux_valid, bundle.aux_test, bundle.tgt_fewshot, bundle.tgt_valid, bundle.tgt_test],
-        extra_texts=template_texts(DEFAULT_TEMPLATE),
-    )
-    model = AttentiveSeq2Seq(vocab, ModelConfig(embedding_size=12, hidden_size=16, seed=seed))
-    return model, data
+from helpers import TINY_OPT, TINY_SPEC, from_kv, tiny_setup
 
 
 # -- plumbing ---------------------------------------------------------------
@@ -83,7 +52,7 @@ def test_template_texts_cover_all_template_tokens():
 
 
 def test_experiment_spec_setting_names():
-    configs = {"train_config": _TINY_OPT, "adapt_config": _TINY_OPT}
+    configs = {"train_config": TINY_OPT, "adapt_config": TINY_OPT}
     assert ExperimentSpec(scenario="fs-xlt", prompted=False, **configs).setting_name == "FS-XLT"
     assert ExperimentSpec(scenario="fs-xlt", prompted=True, **configs).setting_name == "FS-XLT_pmpt"
     assert ExperimentSpec(scenario="mtl", prompted=False, **configs).setting_name == "MTL"
@@ -96,8 +65,8 @@ def test_experiment_spec_setting_names():
 
 
 def test_fs_xlt_selects_on_target_validation():
-    model, data = _tiny_setup()
-    spec = ExperimentSpec(scenario="fs-xlt", prompted=True, train_config=_TINY_OPT, adapt_config=_TINY_OPT)
+    model, data = tiny_setup()
+    spec = ExperimentSpec(scenario="fs-xlt", prompted=True, train_config=TINY_OPT, adapt_config=TINY_OPT)
     report = run_scenario(model, data, spec)
     assert report.selection_language == data.tgt_valid.language
     assert report.setting == "FS-XLT_pmpt"
@@ -105,38 +74,9 @@ def test_fs_xlt_selects_on_target_validation():
     assert report.total_steps > 0
 
 
-def test_mtl_selection_reads_auxiliary_validation(monkeypatch):
-    model, data = _tiny_setup()
-    spec = ExperimentSpec(scenario="mtl", prompted=False, train_config=_TINY_OPT, adapt_config=_TINY_OPT)
-
-    aux_valid_formatted = format_pairs(data.aux_valid, prompted=False)
-    tgt_valid_formatted = format_pairs(data.tgt_valid, prompted=False)
-    seen = []
-
-    def recording_train(model_, train_data, valid_data, config, **kwargs):
-        result = train(model_, train_data, valid_data, config, **kwargs)
-        seen.append({"valid_data": list(valid_data), "history": list(result.valid_losses)})
-        return result
-
-    monkeypatch.setattr(experiment, "train", recording_train)
-    report = run_scenario(model, data, spec)
-
-    # single training run whose checkpoint selection consumed the AUX set
-    assert len(seen) == 1
-    assert seen[0]["valid_data"] == aux_valid_formatted
-    assert seen[0]["valid_data"] != tgt_valid_formatted
-    assert report.selection_language == data.aux_valid.language
-    # the reported checkpoint is the argmin (earliest tie) of that history
-    history = seen[0]["history"]
-    best_loss = min(loss for _, loss in history)
-    expected_step = min(step for step, loss in history if loss == best_loss)
-    assert report.selected_step == expected_step
-    assert report.selected_valid_loss == best_loss
-
-
 def test_mtl_trains_on_interleaved_stream(monkeypatch):
-    model, data = _tiny_setup()
-    spec = ExperimentSpec(scenario="mtl", prompted=False, train_config=_TINY_OPT, adapt_config=_TINY_OPT)
+    model, data = tiny_setup()
+    spec = ExperimentSpec(scenario="mtl", prompted=False, train_config=TINY_OPT, adapt_config=TINY_OPT)
     captured = {}
 
     def recording_train(model_, train_data, valid_data, config, **kwargs):
@@ -156,8 +96,8 @@ def test_mtl_trains_on_interleaved_stream(monkeypatch):
 
 def test_scenario_seeds_are_reproducible():
     def run():
-        model, data = _tiny_setup(seed=1)
-        spec = ExperimentSpec(scenario="fs-xlt", prompted=True, train_config=_TINY_OPT, adapt_config=_TINY_OPT, seed=1)
+        model, data = tiny_setup(seed=1)
+        spec = ExperimentSpec(scenario="fs-xlt", prompted=True, train_config=TINY_OPT, adapt_config=TINY_OPT, seed=1)
         return run_scenario(model, data, spec)
 
     a, b = run(), run()
@@ -169,15 +109,8 @@ def test_scenario_seeds_are_reproducible():
 # -- config files ------------------------------------------------------------
 
 
-def _from_kv(config, raw, source="<config>"):
-    # the path the command line resolves raw entries by: coerce against the
-    # config's schema, then config_from
-    parsers = {key: parse for key, (parse, _) in config_schema(config).items()}
-    return config_from(config, coerce(raw, parsers, source=source))
-
-
 def test_optimizer_config_from_kv_partial():
-    cfg = _from_kv(experiment.STUDY_TRAIN, {"learning_rate": "0.01", "epochs": "2"})
+    cfg = from_kv(experiment.STUDY_TRAIN, {"learning_rate": "0.01", "epochs": "2"})
     assert cfg.learning_rate == 0.01
     assert cfg.epochs == 2
     assert cfg.batch_size == experiment.STUDY_TRAIN.batch_size
@@ -185,19 +118,19 @@ def test_optimizer_config_from_kv_partial():
 
 def test_optimizer_config_unknown_key():
     with pytest.raises(ConfigError, match="lr"):
-        _from_kv(experiment.STUDY_TRAIN, {"lr": "0.01"})
+        from_kv(experiment.STUDY_TRAIN, {"lr": "0.01"})
 
 
 def test_optimizer_entries_round_trip():
     cfg = OptimizerConfig(learning_rate=0.007, epochs=3, batch_size=2)
     entries = {key: value for key, (_, value) in config_schema(cfg).items()}
     raw = parse_kv_text(dump_kv(entries))
-    assert _from_kv(experiment.STUDY_TRAIN, raw) == cfg
+    assert from_kv(experiment.STUDY_TRAIN, raw) == cfg
 
 
 def test_study_config_round_trip():
     config = StudyConfig(
-        synthetic=dataclasses.replace(_TINY_SPEC, seed=5),
+        synthetic=dataclasses.replace(TINY_SPEC, seed=5),
         pretrain=OptimizerConfig(learning_rate=1e-3, epochs=2, batch_size=4),
         train=OptimizerConfig(learning_rate=2e-3, epochs=3, batch_size=4),
         adapt=OptimizerConfig(learning_rate=3e-3, epochs=4, batch_size=2),
@@ -206,11 +139,11 @@ def test_study_config_round_trip():
     )
     entries = {key: value for key, (_, value) in config_schema(config).items()}
     raw = parse_kv_text(dump_kv(entries))
-    assert _from_kv(StudyConfig(), raw) == config
+    assert from_kv(StudyConfig(), raw) == config
 
 
 def test_study_config_stage_prefixes():
-    config = _from_kv(StudyConfig(), {"pretrain.epochs": "9", "adapt.learning_rate": "0.5", "seeds": "3"})
+    config = from_kv(StudyConfig(), {"pretrain.epochs": "9", "adapt.learning_rate": "0.5", "seeds": "3"})
     assert config.pretrain.epochs == 9
     assert config.adapt.learning_rate == 0.5
     assert config.train == experiment.STUDY_TRAIN  # untouched stage keeps defaults
@@ -219,15 +152,15 @@ def test_study_config_stage_prefixes():
 
 def test_study_config_unknown_key_named():
     with pytest.raises(ConfigError, match="pretrain.lr"):
-        _from_kv(StudyConfig(), {"pretrain.lr": "0.1"})
+        from_kv(StudyConfig(), {"pretrain.lr": "0.1"})
     with pytest.raises(ConfigError, match="surprise"):
-        _from_kv(StudyConfig(), {"surprise": "1"})
+        from_kv(StudyConfig(), {"surprise": "1"})
 
 
 def test_load_study_config(tmp_path):
     path = tmp_path / "study.cfg"
     path.write_text("synthetic.vocab_size = 15\ntrain.epochs = 7\nseeds = 1,2\n")
-    config = _from_kv(StudyConfig(), load_kv(path), source=str(path))
+    config = from_kv(StudyConfig(), load_kv(path), source=str(path))
     assert config.synthetic.vocab_size_per_language == 15
     assert config.train.epochs == 7
     assert config.seeds == (1, 2)
@@ -246,10 +179,10 @@ def test_study_config_requires_seeds():
 @pytest.fixture(scope="module")
 def tiny_study():
     config = StudyConfig(
-        synthetic=_TINY_SPEC,
-        pretrain=_TINY_OPT,
-        train=_TINY_OPT,
-        adapt=_TINY_OPT,
+        synthetic=TINY_SPEC,
+        pretrain=TINY_OPT,
+        train=TINY_OPT,
+        adapt=TINY_OPT,
         seeds=(0,),
         max_generate=16,
     )
@@ -314,7 +247,7 @@ import crossdial.experiment as experiment
 from crossdial.corpus import SyntheticSpec
 from crossdial.model import OptimizerConfig
 opt = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=8)
-config = experiment.StudyConfig(synthetic=SyntheticSpec(**{dataclasses.asdict(_TINY_SPEC)!r}), pretrain=opt, train=opt,
+config = experiment.StudyConfig(synthetic=SyntheticSpec(**{dataclasses.asdict(TINY_SPEC)!r}), pretrain=opt, train=opt,
                                 adapt=opt, seeds=(0,), max_generate=4)
 experiment.write_study_artifacts(experiment.run_forgetting_study(config), {str(tmp_path / "study")!r})
 print("numpy.ma" in sys.modules)

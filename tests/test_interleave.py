@@ -21,20 +21,6 @@ def test_block_structure_small():
     assert mixed.block_size == 2
 
 
-def test_reference_spacing():
-    mixed = interleave_even(_corpus(10000, "aa"), _corpus(10, "ba"))
-    assert len(mixed.pairs) == 10010
-    positions = [i + 1 for i, p in enumerate(mixed.pairs) if p.language == "ba"]
-    assert positions == [1001 * i for i in range(1, 11)]
-
-
-def test_order_preserved_within_streams():
-    aux, tgt = _corpus(11, "aa"), _corpus(4, "ba")
-    mixed = interleave_even(aux, tgt)
-    assert [p for p in mixed.pairs if p.language == "aa"] == list(aux.pairs)
-    assert [p for p in mixed.pairs if p.language == "ba"] == list(tgt.pairs)
-
-
 def test_errors():
     with pytest.raises(InterleaveError, match="N_tgt=5 exceeds N_aux=3"):
         interleave_even(_corpus(3, "aa"), _corpus(5, "ba"))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossdial.metrics import (
-    BleuReport,
     MetricError,
     corpus_bleu,
     count_ngrams,
@@ -18,6 +17,7 @@ from crossdial.metrics import (
     tokenize_13a,
     write_metric_report,
 )
+from helpers import distinct_oracle
 
 # -- 13a tokenization ------------------------------------------------------
 
@@ -48,25 +48,6 @@ def test_13a_newline_and_skipped():
 
 
 # -- corpus BLEU -----------------------------------------------------------
-
-
-def test_identical_corpora_give_perfect_score():
-    refs = ["the cat sat on the mat", "dogs bark loudly", "a b c d e f"]
-    report = corpus_bleu(refs, refs)
-    assert report.score == 100.0
-    assert report.bp == 1.0
-    assert report.b1 == 100.0
-    assert report.b2 == 100.0
-    assert all(p == 100.0 for p in report.precisions)
-
-
-def test_two_word_hypothesis_against_three_word_reference():
-    report = corpus_bleu(["the cat"], ["the cat sat"])
-    assert report.precisions[0] == 100.0
-    assert report.precisions[1] == 100.0
-    assert abs(report.bp - math.exp(-1.0 / 2.0)) < 1e-9
-    # no trigrams/4-grams exist: they drop out of the geometric mean
-    assert abs(report.score - 100.0 * math.exp(-0.5)) < 1e-9
 
 
 def test_clipping():
@@ -173,14 +154,6 @@ def test_bleu_matches_independent_oracle(data):
 # -- distinct-n ------------------------------------------------------------
 
 
-def _oracle_distinct(hyps, n):
-    grams = []
-    for h in hyps:
-        toks = tokenize_13a(h)
-        grams.extend(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
-    return 100.0 * len(set(grams)) / len(grams)
-
-
 def test_distinct_basic():
     assert distinct_n(["a a a a"], 1) == pytest.approx(25.0)
     assert distinct_n(["a b a b"], 2) == pytest.approx(200.0 / 3.0)
@@ -193,8 +166,8 @@ def test_distinct_zero_total_errors():
 
 def test_distinct_report_fields():
     rep = distinct_report(["a b c", "a b d"])
-    assert rep.d1 == pytest.approx(_oracle_distinct(["a b c", "a b d"], 1))
-    assert rep.d2 == pytest.approx(_oracle_distinct(["a b c", "a b d"], 2))
+    assert rep.d1 == pytest.approx(distinct_oracle(["a b c", "a b d"], 1))
+    assert rep.d2 == pytest.approx(distinct_oracle(["a b c", "a b d"], 2))
 
 
 @settings(max_examples=50, deadline=None)
@@ -207,7 +180,7 @@ def test_distinct_report_fields():
     n=st.integers(1, 2),
 )
 def test_distinct_matches_brute_force(hyps, n):
-    assert distinct_n(hyps, n) == pytest.approx(_oracle_distinct(hyps, n), abs=1e-12)
+    assert distinct_n(hyps, n) == pytest.approx(distinct_oracle(hyps, n), abs=1e-12)
 
 
 # -- language legality -----------------------------------------------------

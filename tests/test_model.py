@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from crossdial.metrics import language_legality
 from crossdial.model import (
     AdamW,
     AttentiveSeq2Seq,
-    Batch,
     CONTROL_TOKENS,
     ModelConfig,
     EOS_ID,
@@ -27,23 +25,13 @@ from crossdial.model import (
     evaluate_nll,
     generate_corpus,
     generate_greedy,
-    gradient_check,
     load_model,
     make_training_batch,
     pretrain_span_corruption,
     save_model,
     train,
 )
-
-
-def _vocab(extra=()):
-    ca = Corpus(pairs=(DialoguePair("a1 a2 a3 a4", "a4 a3 a2", "aa"),), language="aa")
-    cb = Corpus(pairs=(DialoguePair("b1 b2 b3", "b3 b1", "ba"),), language="ba")
-    return Vocabulary.build([ca, cb], extra_texts=extra)
-
-
-def _model(emb=8, hid=10, seed=3, extra=()):
-    return AttentiveSeq2Seq(_vocab(extra), ModelConfig(embedding_size=emb, hidden_size=hid, seed=seed))
+from helpers import toy_model, toy_vocabulary, train_on_scripted_losses
 
 
 def _batch(model, data=None, max_length=16):
@@ -55,7 +43,7 @@ def _batch(model, data=None, max_length=16):
 
 
 def test_vocabulary_layout():
-    vocab = _vocab()
+    vocab = toy_vocabulary()
     assert vocab.tokens[:4] == ("<pad>", "<bos>", "<eos>", "<unk>")
     content = vocab.tokens[4:]
     assert list(content) == sorted(content)
@@ -63,21 +51,21 @@ def test_vocabulary_layout():
 
 
 def test_vocabulary_encode_decode():
-    vocab = _vocab()
+    vocab = toy_vocabulary()
     ids = vocab.encode("a1 zz a2")
     assert ids[1] == 3  # unknown token
     assert vocab.decode(ids) == "a1 <unk> a2"
 
 
 def test_vocabulary_build_deterministic():
-    assert _vocab().tokens == _vocab().tokens
+    assert toy_vocabulary().tokens == toy_vocabulary().tokens
 
 
 # -- batching --------------------------------------------------------------
 
 
 def test_batch_padding_and_masks():
-    model = _model()
+    model = toy_model()
     batch = _batch(model)
     assert batch.src.shape == batch.src_mask.shape
     assert (batch.src[batch.src_mask == 0.0] == PAD_ID).all()
@@ -90,13 +78,13 @@ def test_batch_padding_and_masks():
 
 
 def test_empty_source_rejected():
-    model = _model()
+    model = toy_model()
     with pytest.raises(ModelError):
         make_training_batch(model.vocabulary, [("", "a1")], max_length=8)
 
 
 def test_max_length_truncates():
-    model = _model()
+    model = toy_model()
     batch = make_training_batch(model.vocabulary, [("a1 a2 a3 a4", "a4 a3 a2")], max_length=2)
     assert batch.src.shape[1] == 2
     assert batch.tgt_in.shape[1] == 3  # BOS + 2 tokens
@@ -106,7 +94,7 @@ def test_max_length_truncates():
 
 
 def test_uniform_logits_give_log_vocab_loss():
-    model = _model()
+    model = toy_model()
     model.params["W_out"][:] = 0.0
     model.params["b_out"][:] = 0.0
     loss, _ = model.forward(_batch(model))
@@ -115,36 +103,15 @@ def test_uniform_logits_give_log_vocab_loss():
 
 def test_loss_is_token_mean():
     # duplicating the batch rows must not change the mean loss
-    model = _model()
+    model = toy_model()
     data = [("a1 a2 a3", "a3 a1")]
     single, _ = model.forward(make_training_batch(model.vocabulary, data, max_length=8))
     double, _ = model.forward(make_training_batch(model.vocabulary, data * 2, max_length=8))
     assert single == pytest.approx(double, abs=1e-12)
 
 
-def test_gradient_check_passes():
-    model = _model()
-    report = gradient_check(model, _batch(model), probe_count=50, seed=0)
-    assert len(report.probes) == 50
-    assert report.max_relative_error <= 1e-4
-
-
-def test_gradient_check_catches_sign_flip():
-    model = _model()
-    batch = _batch(model)
-    _, cache = model.forward(batch)
-    grads = model.backward(cache)
-    grads["W_out"] = -grads["W_out"]  # sabotage one parameter's gradient
-    start, _ = model.params.spans["W_out"]
-    # probe inside the flipped parameter where the gradient is nonzero
-    flat = np.abs(grads["W_out"]).ravel()
-    idx = start + int(np.argmax(flat))
-    report = gradient_check(model, batch, flat_indices=[idx], analytic=grads)
-    assert report.max_relative_error > 1.5  # sign flip reads ~2.0
-
-
 def test_gradients_cover_all_parameters():
-    model = _model()
+    model = toy_model()
     _, cache = model.forward(_batch(model))
     grads = model.backward(cache)
     assert set(grads) == set(model.params)
@@ -154,7 +121,7 @@ def test_gradients_cover_all_parameters():
 
 
 def test_pad_positions_get_no_gradient():
-    model = _model()
+    model = toy_model()
     batch = _batch(model, data=[("a1 a2 a3 a4", "a4"), ("a1", "a2 a3")])
     _, cache = model.forward(batch)
     grads = model.backward(cache)
@@ -272,19 +239,9 @@ def test_optimizer_config_validation():
 # -- training loop ---------------------------------------------------------
 
 
-def test_overfit_single_pair():
-    model = _model(emb=16, hid=24, seed=0)
-    data = [("a1 a2 a3 a4", "a4 a3 a2")]
-    cfg = OptimizerConfig(learning_rate=0.01, epochs=4, batch_size=1)
-    result = train(model, data * 50, data, cfg)  # 200 steps, validated every 50
-    batch = make_training_batch(model.vocabulary, data, max_length=16)
-    assert result.model.nll(batch) < 0.1
-    assert generate_greedy(result.model, "a1 a2 a3 a4", max_length=16).text == "a4 a3 a2"
-
-
 def test_train_is_deterministic():
     def run():
-        model = _model(seed=1)
+        model = toy_model(seed=1)
         cfg = OptimizerConfig(learning_rate=0.01, epochs=3, batch_size=2)
         result = train(model, [("a1 a2", "a2"), ("b1 b2", "b2 b1")], [("a1", "a1")], cfg)
         return result.model.parameters_flat()
@@ -293,7 +250,7 @@ def test_train_is_deterministic():
 
 
 def test_train_checkpoints_and_restore():
-    model = _model()
+    model = toy_model()
     cfg = OptimizerConfig(learning_rate=0.01, epochs=3, batch_size=1)
     result = train(model, [("a1 a2", "a2")], [("a1 a2", "a2")], cfg)
     assert [step for step, _ in result.valid_losses] == [0, 1, 2, 3]  # 1 step per epoch
@@ -305,7 +262,7 @@ def test_train_checkpoints_and_restore():
 
 
 def test_train_epochs_zero_is_noop_with_baseline_checkpoint():
-    model = _model()
+    model = toy_model()
     before = model.parameters_flat()
     cfg = OptimizerConfig(learning_rate=0.01, epochs=0, batch_size=1)
     result = train(model, [("a1", "a1")], [("a1", "a1")], cfg)
@@ -316,14 +273,14 @@ def test_train_epochs_zero_is_noop_with_baseline_checkpoint():
 
 
 def test_train_requires_validation_data():
-    model = _model()
+    model = toy_model()
     cfg = OptimizerConfig(learning_rate=0.01, epochs=1, batch_size=1)
     with pytest.raises(ModelError):
         train(model, [("a1", "a1")], [], cfg)
 
 
 def test_divergence_tripwire():
-    model = _model()
+    model = toy_model()
     model.params["W_out"][:] = np.nan
     cfg = OptimizerConfig(learning_rate=0.01, epochs=1, batch_size=1)
     with pytest.raises(TrainingDivergedError) as err:
@@ -332,7 +289,7 @@ def test_divergence_tripwire():
 
 
 def test_evaluate_nll_matches_forward():
-    model = _model()
+    model = toy_model()
     data = [("a1 a2", "a2"), ("b1", "b1 b2")]
     cfg = OptimizerConfig(learning_rate=0.01, epochs=1, batch_size=2)
     loss = evaluate_nll(model, data, cfg)
@@ -343,55 +300,21 @@ def test_evaluate_nll_matches_forward():
 # -- checkpoint selection --------------------------------------------------
 
 
-def _scripted_train(monkeypatch, model, losses, steps_per_epoch=1):
-    """``train`` with ``evaluate_nll`` returning ``losses`` in turn, one
-    evaluation per epoch of ``steps_per_epoch`` zero-gradient steps; returns
-    the result and the number of snapshots taken."""
-    scripted = iter(losses)
-    monkeypatch.setattr("crossdial.model.evaluate_nll", lambda *_: next(scripted))
-    zero = SimpleNamespace(flat=np.zeros_like(model.params.flat))
-    monkeypatch.setattr(model, "loss_and_grads", lambda batch: (1.0, zero))
-    snapshots = []
-    take = type(model).snapshot
-    monkeypatch.setattr(model, "snapshot", lambda: snapshots.append(None) or take(model))
-    cfg = OptimizerConfig(learning_rate=0.01, epochs=len(losses) - 1, batch_size=1)
-    result = train(model, [("a1", "a1")] * steps_per_epoch, [("a1", "a1")], cfg)
-    assert [loss for _, loss in result.valid_losses] == list(losses)
-    return result, len(snapshots)
-
-
 def test_train_best_earliest_tie(monkeypatch):
-    result, snapshots = _scripted_train(monkeypatch, _model(), [2.0, 1.5, 1.5, 1.7], steps_per_epoch=5)
+    result, snapshots = train_on_scripted_losses(monkeypatch, toy_model(), [2.0, 1.5, 1.5, 1.7], steps_per_epoch=5)
     assert [step for step, _ in result.valid_losses] == [0, 5, 10, 15]
     assert (result.best.step, result.best.valid_loss) == (5, 1.5)
     assert snapshots == 2
 
 
-def test_train_best_matches_exhaustive_scan(monkeypatch):
-    rng = np.random.default_rng(42)
-    model = _model()
-    for _ in range(200):
-        n = int(rng.integers(1, 30))
-        losses = [float(x) for x in rng.choice([0.5, 1.0, 1.5, 2.0], size=n)]  # coarse grid forces ties
-        result, snapshots = _scripted_train(monkeypatch, model, losses)
-        # exhaustive scan: strictly better loss, or equal loss at earlier step
-        expected = result.valid_losses[0]
-        for step, loss in result.valid_losses[1:]:
-            if loss < expected[1] or (loss == expected[1] and step < expected[0]):
-                expected = (step, loss)
-        assert (result.best.step, result.best.valid_loss) == expected
-        # one snapshot per new strict best
-        assert snapshots == sum(loss < min(losses[:i], default=math.inf) for i, loss in enumerate(losses))
-
-
 def test_train_snapshots_once_without_improvement(monkeypatch):
-    result, snapshots = _scripted_train(monkeypatch, _model(), [1.0, 1.0, 2.0, 3.0])
+    result, snapshots = train_on_scripted_losses(monkeypatch, toy_model(), [1.0, 1.0, 2.0, 3.0])
     assert (result.best.step, snapshots) == (0, 1)
 
 
 def test_train_best_is_a_copy_of_its_step(monkeypatch):
     # a learning rate high enough that the valid loss rises after its best step
-    model = _model()
+    model = toy_model()
     data = [("a1 a2 a3 a4", "a4 a3 a2"), ("b1 b2", "b3 b1 b2")]
     cfg = OptimizerConfig(learning_rate=0.2, epochs=4, batch_size=1)
     taken = []
@@ -412,7 +335,7 @@ def test_train_best_is_a_copy_of_its_step(monkeypatch):
 
 
 def test_greedy_deterministic_and_distributions_normalized():
-    model = _model()
+    model = toy_model()
     out1 = generate_greedy(model, "a1 a2 a3", max_length=8)
     out2 = generate_greedy(model, "a1 a2 a3", max_length=8)
     assert out1.text == out2.text
@@ -423,14 +346,14 @@ def test_greedy_deterministic_and_distributions_normalized():
 
 
 def test_greedy_respects_max_length():
-    model = _model()
+    model = toy_model()
     out = generate_greedy(model, "a1 a2", max_length=3)
     assert len(out.token_ids) <= 3
 
 
 def test_greedy_max_length_bounds_the_output_not_the_source():
     # a prompted source ends with its sentinel frame, which a short budget must not cut off
-    model = _model()
+    model = toy_model()
     model.params["b_out"][EOS_ID] = -50.0  # no early stop: each run takes max_length steps
     source = "a1 a2 a3 a4 b1 b2"
     full = generate_greedy(model, source, max_length=16)
@@ -444,7 +367,7 @@ def test_greedy_max_length_bounds_the_output_not_the_source():
 def test_teacher_forcing_on_greedy_ids_reproduces_its_distributions(seed, hidden):
     # both paths run one decoder: fed greedy's own ids (not its text, which drops
     # any <pad>/<bos> an untrained model emits), forward yields greedy's softmax
-    model = _model(hid=hidden, seed=seed)
+    model = toy_model(hid=hidden, seed=seed)
     vocab = model.vocabulary
     rng = np.random.default_rng(seed)
     for _ in range(20):
@@ -462,11 +385,11 @@ def test_teacher_forcing_on_greedy_ids_reproduces_its_distributions(seed, hidden
 @pytest.mark.parametrize("max_length", [0, -3])
 def test_greedy_rejects_non_positive_max_length(max_length):
     with pytest.raises(ModelError, match="max_length"):
-        generate_greedy(_model(), "a1 a2", max_length=max_length)
+        generate_greedy(toy_model(), "a1 a2", max_length=max_length)
 
 
 def test_generate_corpus_order():
-    model = _model()
+    model = toy_model()
     sources = ["a1 a2", "b1 b2", "a1 a2"]
     outs = generate_corpus(model, sources, max_length=5)
     assert len(outs) == 3
@@ -477,7 +400,7 @@ def test_generate_corpus_order():
 
 
 def test_save_load_bit_exact(tmp_path):
-    model = _model(seed=9)
+    model = toy_model(seed=9)
     path = tmp_path / "m.model"
     save_model(model, path)
     back = load_model(path)
@@ -491,7 +414,7 @@ def test_save_load_bit_exact(tmp_path):
 
 
 def test_save_is_byte_stable(tmp_path):
-    model = _model(seed=9)
+    model = toy_model(seed=9)
     p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
     save_model(model, p1)
     save_model(model, p2)
@@ -499,7 +422,7 @@ def test_save_is_byte_stable(tmp_path):
 
 
 def test_save_writes_the_layout_and_one_vector(tmp_path):
-    model = _model(seed=9)
+    model = toy_model(seed=9)
     path = tmp_path / "m.model"
     save_model(model, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -574,7 +497,7 @@ def test_pretrain_deterministic():
 def test_pretrain_rejects_negative_seed():
     cfg = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=8)
     with pytest.raises(ModelError, match="seed must be >= 0, got -1"):
-        pretrain_span_corruption(_model(extra=_SENTINELS), [_tiny_bundle().aux_train], cfg, seed=-1)
+        pretrain_span_corruption(toy_model(extra=_SENTINELS), [_tiny_bundle().aux_train], cfg, seed=-1)
 
 
 def _texts_of(n_tokens: int) -> Corpus:
@@ -588,8 +511,8 @@ def test_pretrain_on_texts_under_four_tokens_names_the_length():
     cfg = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=2)
     with pytest.raises(ModelError, match="^span corruption masked no validation text: at the fixed 15% rate "
                                          "a text needs at least 4 tokens$"):
-        pretrain_span_corruption(_model(extra=_SENTINELS), [_texts_of(3)], cfg, seed=0)
-    result = pretrain_span_corruption(_model(extra=_SENTINELS), [_texts_of(4)], cfg, seed=0)
+        pretrain_span_corruption(toy_model(extra=_SENTINELS), [_texts_of(3)], cfg, seed=0)
+    result = pretrain_span_corruption(toy_model(extra=_SENTINELS), [_texts_of(4)], cfg, seed=0)
     assert result.train_losses
 
 
@@ -598,5 +521,5 @@ def test_pretrain_message_follows_the_corruption_rate(monkeypatch):
     monkeypatch.setattr(prompting, "CORRUPTION_RATE", 0.05)
     cfg = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=2)
     with pytest.raises(ModelError, match="at the fixed 5% rate a text needs at least 10 tokens$"):
-        pretrain_span_corruption(_model(extra=_SENTINELS), [_texts_of(9)], cfg, seed=0)
-    assert pretrain_span_corruption(_model(extra=_SENTINELS), [_texts_of(10)], cfg, seed=0).train_losses
+        pretrain_span_corruption(toy_model(extra=_SENTINELS), [_texts_of(9)], cfg, seed=0)
+    assert pretrain_span_corruption(toy_model(extra=_SENTINELS), [_texts_of(10)], cfg, seed=0).train_losses

@@ -36,11 +36,6 @@ def test_plain_layout():
     assert ex.target == "c d"
 
 
-def test_prompted_source_ends_with_sentinel():
-    ex = format_prompted(_pair())
-    assert ex.source.endswith(S0)
-
-
 def test_format_rejects_pair_containing_sentinel():
     with pytest.raises(PromptError):
         format_prompted(_pair(ctx=f"hello {S0} there"))

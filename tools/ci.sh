@@ -31,15 +31,16 @@ PY
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q --continue-on-collection-errors
     ;;
   sweep)
-    # the bit-exact gradient checks, the pinned medians, the study's artifact
-    # hashes and the CLI sweep's pinned outputs must hold on every OpenBLAS
-    # kernel a runner may pick, not only the one it detects (SkylakeX is left
-    # out: it needs AVX-512)
+    # the bit-exact gradient checks, the finite-difference check, the overfit
+    # and checkpoint-selection criteria, the pinned medians, the study's
+    # artifact hashes and the CLI sweep's pinned outputs must hold on every
+    # OpenBLAS kernel a runner may pick, not only the one it detects (SkylakeX
+    # is left out: it needs AVX-512)
     for kernel in Prescott Nehalem Sandybridge Haswell Zen; do
       echo "== OPENBLAS_CORETYPE=$kernel"
       export OPENBLAS_CORETYPE="$kernel"
       PYTHONPATH=src python3 -m pytest -q tests/test_batched_passes.py tests/test_flat_params.py tests/test_model.py
-      PYTHONPATH=src python3 -m pytest -q tests/test_acceptance.py -k "criterion_7 or criterion_8_echo_bytes_pinned"
+      PYTHONPATH=src python3 -m pytest -q tests/test_acceptance.py -k "criterion_4 or criterion_5 or criterion_6 or criterion_7 or criterion_8_echo_bytes_pinned"
     done
     ;;
   smoke)
