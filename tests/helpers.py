@@ -2,6 +2,8 @@
 
 A plain module rather than ``conftest.py`` fixtures: a Hypothesis test
 cannot take a function-scoped fixture, and these are plain functions.
+``conftest.py`` holds the one fixture the test files share: the CLI sweep
+that criterion 8 and ``test_cli.py`` read, run once per session.
 """
 
 import dataclasses
@@ -10,30 +12,37 @@ from types import SimpleNamespace
 import numpy as np
 
 from crossdial.corpus import Corpus, DialoguePair, SyntheticSpec, generate_synthetic_bilingual
-from crossdial.experiment import ScenarioData, template_texts
+from crossdial.experiment import STUDY_ADAPT, STUDY_PRETRAIN, STUDY_TRAIN, ScenarioData, StudyConfig, template_texts
 from crossdial.humaneval import read_sheet
-from crossdial.kvconfig import coerce, config_from, config_schema
+from crossdial.kvconfig import coerce, config_from, config_schema, dump_kv
 from crossdial.metrics import tokenize_13a
 from crossdial.model import AttentiveSeq2Seq, ModelConfig, OptimizerConfig, Vocabulary, train
 from crossdial.prompting import DEFAULT_TEMPLATE
 
-TINY_SPEC = SyntheticSpec(
-    vocab_size_per_language=12,
-    n_train_aux=20,
-    n_fewshot_tgt=4,
-    n_valid=6,
-    n_test=6,
-    template_count=2,
-    seed=0,
+# The tiny study criterion 8's sweep runs; `tiny_setup` draws its corpus too.
+TINY_STUDY = StudyConfig(
+    synthetic=SyntheticSpec(vocab_size_per_language=12, n_train_aux=20, n_fewshot_tgt=4, n_valid=6, n_test=6,
+                            template_count=2),
+    pretrain=dataclasses.replace(STUDY_PRETRAIN, epochs=1),
+    train=dataclasses.replace(STUDY_TRAIN, epochs=1),
+    adapt=dataclasses.replace(STUDY_ADAPT, epochs=2),
+    seeds=(0,),
+    max_generate=6,
 )
 
 TINY_OPT = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=8)
 
 
+def set_args(config):
+    """Every key of ``config`` as command-line ``--set`` items, one config line each."""
+    entries = {key: value for key, (_, value) in config_schema(config).items()}
+    return [arg for line in dump_kv(entries).splitlines() for arg in ("--set", line)]
+
+
 def tiny_setup(seed=0):
-    """``TINY_SPEC``'s scenario data at ``seed`` and a d=12, h=16 model over
-    all its splits and the prompt template."""
-    bundle = generate_synthetic_bilingual(dataclasses.replace(TINY_SPEC, seed=seed))
+    """The tiny study's corpus drawn at ``seed`` as scenario data, and a
+    d=12, h=16 model over all its splits and the prompt template."""
+    bundle = generate_synthetic_bilingual(dataclasses.replace(TINY_STUDY.synthetic, seed=seed))
     data = ScenarioData.from_synthetic(bundle)
     vocab = Vocabulary.build(
         [bundle.aux_train, bundle.aux_valid, bundle.aux_test, bundle.tgt_fewshot, bundle.tgt_valid, bundle.tgt_test],

@@ -11,16 +11,16 @@ import dataclasses
 import hashlib
 import math
 import platform
+import shutil
 import time
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import crossdial.experiment as experiment
 from crossdial.cli import build_parser, main
-from crossdial.corpus import Corpus, DialoguePair, SyntheticSpec
+from crossdial.corpus import Corpus, DialoguePair
 from crossdial.experiment import (
     ExperimentSpec,
     StudyConfig,
@@ -43,7 +43,7 @@ from crossdial.model import (
     train,
 )
 from crossdial.prompting import DEFAULT_TEMPLATE, extract_response, format_prompted
-from helpers import TINY_OPT, distinct_oracle, tiny_setup, toy_model, train_on_scripted_losses, write_votes
+from helpers import TINY_OPT, TINY_STUDY, distinct_oracle, tiny_setup, toy_model, train_on_scripted_losses, write_votes
 
 
 # -- criterion 1: metric oracles ---------------------------------------------------
@@ -275,86 +275,24 @@ def test_criterion_7_forgetting_direction_reference_study(tmp_path):
 # -- criterion 8: byte-identical CLI re-runs -----------------------------------------
 
 
-def _run_all_subcommands(root):
-    """Drive every subcommand once; return (commands used, primary outputs)."""
-    data = root / "data"
-    study_dir = root / "study"
-    used = []
-    outputs = []
-
-    def run(argv, outs):
-        used.append(argv[0])
-        assert main([str(a) for a in argv]) == 0, argv
-        outputs.extend(outs)
-
-    run(["gen-synthetic", "--out", data, "--seed", "3",
-         "--set", "vocab_size=16", "--set", "n_train_aux=40", "--set", "n_fewshot_tgt=6",
-         "--set", "n_valid=8", "--set", "n_test=8"],
-        [data / name for name in (
-            "aux_train.jsonl", "aux_valid.jsonl", "aux_test.jsonl",
-            "tgt_train.jsonl", "tgt_valid.jsonl", "tgt_test.jsonl",
-            "aux_vocab.txt", "tgt_vocab.txt", "synthetic.resolved.cfg")])
-    run(["sample-fewshot", "--in", data / "aux_train.jsonl", "--k", "5", "--seed", "2",
-         "--out", root / "few.jsonl"],
-        [root / "few.jsonl", root / "few.jsonl.cfg"])
-    run(["interleave", "--aux", data / "aux_train.jsonl", "--tgt", data / "tgt_train.jsonl",
-         "--out", root / "mixed.jsonl"],
-        [root / "mixed.jsonl", root / "mixed.jsonl.cfg"])
-    run(["format", "--in", data / "tgt_train.jsonl", "--out", root / "fmt.jsonl", "--prompted"],
-        [root / "fmt.jsonl", root / "fmt.jsonl.cfg"])
-    tiny_opt = ["--set", "epochs=1", "--set", "batch_size=8", "--set", "learning_rate=5e-3"]
-    run(["pretrain", "--data", data / "aux_train.jsonl", data / "tgt_valid.jsonl",
-         "--out", root / "pre.model", "--embedding-size", "12", "--hidden-size", "16",
-         "--seed", "1"] + tiny_opt,
-        [root / "pre.model", root / "pre.model.history", root / "pre.model.cfg"])
-    run(["train", "--model", root / "pre.model", "--train", data / "aux_train.jsonl",
-         "--valid", data / "aux_valid.jsonl", "--out", root / "src.model", "--prompted"] + tiny_opt,
-        [root / "src.model", root / "src.model.history", root / "src.model.cfg"])
-    run(["adapt", "--model", root / "src.model", "--train", data / "tgt_train.jsonl",
-         "--valid", data / "tgt_valid.jsonl", "--out", root / "adapted.model", "--prompted"] + tiny_opt,
-        [root / "adapted.model", root / "adapted.model.history", root / "adapted.model.cfg"])
-    run(["generate", "--model", root / "adapted.model", "--in", data / "tgt_test.jsonl",
-         "--out", root / "hyps.txt", "--raw-out", root / "raw.txt", "--prompted", "--max-length", "24"],
-        [root / "hyps.txt", root / "raw.txt", root / "hyps.txt.cfg"])
-    run(["evaluate", "--hyp", root / "hyps.txt", "--ref", data / "tgt_test.jsonl",
-         "--report", root / "report.jsonl", "--target-vocab", data / "tgt_vocab.txt"],
-        [root / "report.jsonl", root / "report.jsonl.cfg"])
-    run(["study", "--out", study_dir, "--seeds", "0",
-         "--set", "synthetic.vocab_size=12", "--set", "synthetic.n_train_aux=20",
-         "--set", "synthetic.n_fewshot_tgt=4", "--set", "synthetic.n_valid=6",
-         "--set", "synthetic.n_test=6", "--set", "synthetic.templates=2",
-         "--set", "pretrain.epochs=1", "--set", "train.epochs=1", "--set", "adapt.epochs=2",
-         "--set", "max_generate=6"],
-        [study_dir / name for name in ("report.jsonl", "study.json", "samples.txt", "study.resolved.cfg")])
-    run(["humaneval-export", "--hyp-a", root / "hyps.txt", "--hyp-b", root / "hyps.txt",
-         "--system-a", "FS-XLT", "--system-b", "FS-XLT_pmpt",
-         "--test", data / "tgt_test.jsonl", "--sheet", root / "sheet.tsv",
-         "--key", root / "key.tsv", "--n", "6", "--seed", "4"],
-        [root / "sheet.tsv", root / "key.tsv", root / "sheet.tsv.cfg"])
-    # deterministic votes complete the sheet between export and aggregation
-    lines = (root / "sheet.tsv").read_text().splitlines()
-    votes = ["left", "right", "neutral", "right", "left", "right"]
-    (root / "done.tsv").write_text(
-        "\n".join([lines[0]] + [row + vote for row, vote in zip(lines[1:], votes)]) + "\n"
-    )
-    run(["humaneval-aggregate", "--sheet", root / "done.tsv", "--key", root / "key.tsv",
-         "--out", root / "votes.txt", "--language", "da"],
-        [root / "votes.txt", root / "votes.txt.cfg"])
-    return used, outputs
-
-
-def test_criterion_8_cli_reruns_byte_identical(tmp_path, capsys):
-    used, outputs = _run_all_subcommands(tmp_path)
-    first = {path: path.read_bytes() for path in outputs}
-    used_again, outputs_again = _run_all_subcommands(tmp_path)
-    assert used_again == used and outputs_again == outputs
-    for path in outputs:
-        assert path.read_bytes() == first[path], path
+def test_criterion_8_cli_reruns_byte_identical(cli_sweep, tmp_path, monkeypatch):
+    # a copy of the sweep that keeps only its echoes and the hand-voted sheet
+    # between them, then each echo alone re-runs its subcommand in sweep order
+    copy = tmp_path / "rerun"
+    shutil.copytree(cli_sweep.root, copy)
+    for _, outputs in cli_sweep.steps:
+        for path in outputs[:-1]:
+            (copy / path).unlink()
+    monkeypatch.chdir(copy)
+    for command, outputs in cli_sweep.steps:
+        assert main([command, "--config", str(outputs[-1])]) == 0, command
+    for _, outputs in cli_sweep.steps:
+        for path in outputs:
+            assert (copy / path).read_bytes() == (cli_sweep.root / path).read_bytes(), path
 
     # nothing on the command surface escaped the sweep
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert set(used) == set(sub.choices)
-    capsys.readouterr()
+    assert {command for command, _ in cli_sweep.steps} == set(sub.choices)
 
 
 # Every echo of the sweep, byte for byte, when it runs from its output
@@ -503,27 +441,16 @@ PINNED_OUTPUT_SHA256 = {
 }
 
 
-def test_criterion_8_echo_bytes_pinned(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    _, outputs = _run_all_subcommands(Path("."))
-    echoes = {str(path): path.read_text(encoding="utf-8") for path in outputs if path.suffix == ".cfg"}
+def test_criterion_8_echo_bytes_pinned(cli_sweep):
+    root, outputs = cli_sweep.root, [path for _, paths in cli_sweep.steps for path in paths]
+    echoes = {str(path): (root / path).read_text(encoding="utf-8") for path in outputs if path.suffix == ".cfg"}
     assert echoes == PINNED_ECHOES
-    digests = {str(path): _pinned_sha256(path) for path in outputs if str(path) in PINNED_OUTPUT_SHA256}
+    digests = {str(path): _pinned_sha256(root / path) for path in outputs if str(path) in PINNED_OUTPUT_SHA256}
     assert digests == PINNED_OUTPUT_SHA256, _environments()
-    capsys.readouterr()
 
 
-# Criterion 8's tiny study at seed 0 loses the whole study when one setting
-# decodes only empty responses: scoring raises instead of recording the run.
-_TINY_STUDY = StudyConfig(
-    synthetic=SyntheticSpec(vocab_size_per_language=12, n_train_aux=20, n_fewshot_tgt=4,
-                            n_valid=6, n_test=6, template_count=2),
-    pretrain=dataclasses.replace(experiment.STUDY_PRETRAIN, epochs=1),
-    train=dataclasses.replace(experiment.STUDY_TRAIN, epochs=1),
-    adapt=dataclasses.replace(experiment.STUDY_ADAPT, epochs=2),
-    seeds=(0,),
-    max_generate=6,
-)
+# The tiny study at seed 0 loses the whole study when one setting decodes
+# only empty responses: scoring raises instead of recording the run.
 _LOST_STUDY = pytest.mark.xfail(
     strict=True, raises=MetricError,
     reason="known defect, ROADMAP item 1: one setting's empty output raises MetricError and loses the study",
@@ -532,15 +459,15 @@ _LOST_STUDY = pytest.mark.xfail(
 
 @_LOST_STUDY
 def test_study_survives_one_token_generation():
-    run_forgetting_study(dataclasses.replace(_TINY_STUDY, max_generate=1))
+    run_forgetting_study(dataclasses.replace(TINY_STUDY, max_generate=1))
 
 
 @_LOST_STUDY
 def test_study_survives_a_diverging_learning_rate():
     run_forgetting_study(dataclasses.replace(
-        _TINY_STUDY,
-        train=dataclasses.replace(_TINY_STUDY.train, learning_rate=5.0),
-        adapt=dataclasses.replace(_TINY_STUDY.adapt, learning_rate=5.0),
+        TINY_STUDY,
+        train=dataclasses.replace(TINY_STUDY.train, learning_rate=5.0),
+        adapt=dataclasses.replace(TINY_STUDY.adapt, learning_rate=5.0),
     ))
 
 

@@ -1,13 +1,13 @@
 """Command-line surface: exit codes, resolved-config echoes, re-runnability.
 
-Every subcommand is driven through ``main(argv)`` in-process; the heavier
-byte-identity sweep lives in the acceptance suite.
+Every subcommand is driven through ``main(argv)`` in-process.  The inputs
+these tests share are criterion 8's sweep (``conftest.py``), read and never
+written; the byte-identity re-runs live in the acceptance suite.
 """
 
 import argparse
 import base64
 import dataclasses
-import filecmp
 import json
 import os
 import pathlib
@@ -26,45 +26,21 @@ from crossdial.corpus import Corpus, DialoguePair, save_pairs
 from crossdial.humaneval import CHOICES
 from crossdial.kvconfig import config_schema, load_kv, write_kv
 from crossdial.model import OptimizerConfig
+from helpers import TINY_OPT, TINY_STUDY, set_args
 
-TINY_SYNTH = [
-    "--set", "vocab_size=16",
-    "--set", "n_train_aux=40",
-    "--set", "n_fewshot_tgt=6",
-    "--set", "n_valid=8",
-    "--set", "n_test=8",
-    "--seed", "3",
-]
-
-TINY_OPT = ["--set", "epochs=1", "--set", "learning_rate=5e-3", "--set", "batch_size=8"]
+@pytest.fixture
+def data_dir(cli_sweep):
+    return cli_sweep.root / "data"
 
 
-@pytest.fixture(scope="module")
-def data_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("cli") / "data"
-    assert main(["gen-synthetic", "--out", str(out)] + TINY_SYNTH) == 0
-    return out
+@pytest.fixture
+def models(cli_sweep):
+    return {name: cli_sweep.root / f"{name}.model" for name in ("pre", "src", "adapted")}
 
 
-@pytest.fixture(scope="module")
-def models(data_dir, tmp_path_factory):
-    work = tmp_path_factory.mktemp("models")
-    pre = work / "pre.model"
-    src = work / "src.model"
-    adapted = work / "adapted.model"
-    assert main([
-        "pretrain", "--data", str(data_dir / "aux_train.jsonl"), str(data_dir / "tgt_valid.jsonl"),
-        "--out", str(pre), "--embedding-size", "12", "--hidden-size", "16", "--seed", "1",
-    ] + TINY_OPT) == 0
-    assert main([
-        "train", "--model", str(pre), "--train", str(data_dir / "aux_train.jsonl"),
-        "--valid", str(data_dir / "aux_valid.jsonl"), "--out", str(src), "--prompted",
-    ] + TINY_OPT) == 0
-    assert main([
-        "adapt", "--model", str(src), "--train", str(data_dir / "tgt_train.jsonl"),
-        "--valid", str(data_dir / "tgt_valid.jsonl"), "--out", str(adapted), "--prompted",
-    ] + TINY_OPT) == 0
-    return {"pre": pre, "src": src, "adapted": adapted}
+@pytest.fixture
+def tiny_study(cli_sweep):
+    return cli_sweep.root / "study"
 
 
 def _err_line(capsys):
@@ -98,6 +74,7 @@ def test_unknown_subcommand_exits_2(capsys):
                  "error:config: --set:1: expected 'key = value', got 'noequals'", id="set-without-equals"),
     pytest.param(["gen-synthetic", "--out", "g", "--set", "seed=1", "--set", "seed=2"],
                  "error:config: --set:2: duplicate key 'seed'", id="set-duplicate-key"),
+    pytest.param(["gen-synthetic", "--out", "g", "--set", "=5"], "error:config: --set:1: empty key", id="set-empty-key"),
     pytest.param([], "SUBCOMMAND", id="missing-subcommand"),
 ])
 def test_usage_error_prints_one_config_line(argv, named, capsys):
@@ -149,6 +126,7 @@ def test_missing_input_file_exits_1(capsys, tmp_path):
 
 # Every input file is read by one function: whichever flag names it, a file
 # that is missing, a directory, or not UTF-8 is one `error:io:` line, exit 1.
+# A file whose text its reader refuses is one line of the reader's category.
 _READERS = {
     "corpus": lambda bad, d: ["sample-fewshot", "--in", bad, "--k", "2", "--out", "o.jsonl"],
     "config": lambda bad, d: ["gen-synthetic", "--out", "g", "--config", bad],
@@ -165,16 +143,34 @@ _BAD_FILES = {
 }
 
 
-@pytest.mark.parametrize("make_bad", list(_BAD_FILES.values()), ids=list(_BAD_FILES))
-@pytest.mark.parametrize("argv", list(_READERS.values()), ids=list(_READERS))
-def test_unreadable_input_file_is_one_io_line(argv, make_bad, data_dir, tmp_path, capsys, monkeypatch):
+_RECORD = '{{"context": "c", "response": "r", "lang": "{}"}}\n'
+# case -> (argv, file text, error category, the end of the error line)
+_REFUSED_TEXTS = {
+    "corpus-not-object": (_READERS["corpus"], "[1]\n", "corpus", ":1: malformed record: not an object"),
+    "corpus-unknown-language": (_READERS["corpus"], _RECORD.format("zz"), "corpus", ":1: unknown language code 'zz'"),
+    "corpus-mixed-language": (_READERS["corpus"], _RECORD.format("aa") + _RECORD.format("ba"), "corpus",
+                              ": expected a single language, found ['aa', 'ba']"),
+    "sheet-empty": (_READERS["sheet"], "", "humaneval", ": empty file"),
+    "key-three-systems": (lambda bad, d: ["humaneval-aggregate", "--sheet", f"{d}/../done.tsv", "--key", bad],
+                          "id\tleft_system\tright_system\n1\tA\tB\n2\tA\tC\n", "humaneval",
+                          ": expected exactly 2 systems, found ['A', 'B', 'C']"),
+}
+
+
+@pytest.mark.parametrize("argv, make_bad, prefix, tail", [
+    *(pytest.param(argv, make_bad, "error:io: ", "", id=f"{reader}-{name}")
+      for reader, argv in _READERS.items() for name, make_bad in _BAD_FILES.items()),
+    *(pytest.param(argv, lambda path, text=text: path.write_text(text), f"error:{category}: ", tail, id=name)
+      for name, (argv, text, category, tail) in _REFUSED_TEXTS.items()),
+])
+def test_unreadable_input_file_is_one_io_line(argv, make_bad, prefix, tail, data_dir, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "key.tsv").write_text("id\tleft_system\tright_system\n1\tFS-XLT\tFS-XLT_pmpt\n")  # the sheet's key
     bad = tmp_path / "bad"
     make_bad(bad)
     assert main(argv(str(bad), data_dir)) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:io: ") and str(bad) in err[0], err
+    assert len(err) == 1 and err[0].startswith(prefix) and str(bad) in err[0] and err[0].endswith(tail), err
 
 
 def test_leading_bom_reads_as_text(data_dir, tmp_path, monkeypatch):
@@ -482,29 +478,6 @@ def test_readme_commands_read_only_what_earlier_commands_wrote(tmp_path, monkeyp
 # -- resolved-config echoes ------------------------------------------------------
 
 
-def test_gen_synthetic_echo_reruns_identically(data_dir, tmp_path):
-    echo = load_kv(data_dir / "synthetic.resolved.cfg")
-    assert echo["command"] == "gen-synthetic"
-    assert echo["seed"] == "3"
-    copy = tmp_path / "copy"
-    copy.mkdir()
-    for name in data_dir.iterdir():
-        (copy / name.name).write_bytes(name.read_bytes())
-    # re-run from the echo alone, writing over the originals
-    assert main(["gen-synthetic", "--config", str(data_dir / "synthetic.resolved.cfg")]) == 0
-    for name in sorted(p.name for p in data_dir.iterdir()):
-        assert filecmp.cmp(data_dir / name, copy / name, shallow=False), name
-
-
-def test_sample_fewshot_echo_reload(data_dir, tmp_path):
-    out = tmp_path / "few.jsonl"
-    assert main(["sample-fewshot", "--in", str(data_dir / "aux_train.jsonl"), "--k", "5",
-                 "--seed", "2", "--out", str(out)]) == 0
-    before = out.read_bytes()
-    assert main(["sample-fewshot", "--config", str(out) + ".cfg"]) == 0
-    assert out.read_bytes() == before
-
-
 def test_precedence_default_config_set_flag(tmp_path):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text(f"out = {tmp_path / 'a'}\nseed = 1\n")
@@ -517,13 +490,6 @@ def test_precedence_default_config_set_flag(tmp_path):
     assert echo["seed"] == "7"
     # unset keys resolved to their defaults in the echo
     assert echo["n_train_aux"] == "256"
-
-
-def test_every_stage_writes_an_echo(models):
-    for model in models.values():
-        echo = load_kv(str(model) + ".cfg")
-        assert echo["command"] in ("pretrain", "train", "adapt")
-        assert "learning_rate" in echo
 
 
 def test_training_stages_default_to_study_budgets(data_dir, tmp_path):
@@ -549,16 +515,6 @@ def test_history_records_selection(models):
     rows = [json.loads(line) for line in lines]
     assert all("step" in row and "valid_loss" in row for row in rows[:-1])
     assert rows[-1]["selected_valid_loss"] == min(row["valid_loss"] for row in rows[:-1])
-
-
-def test_generate_is_deterministic(models, data_dir, tmp_path):
-    argv = ["generate", "--model", str(models["adapted"]), "--in", str(data_dir / "tgt_test.jsonl"),
-            "--prompted", "--max-length", "24"]
-    out1, out2 = tmp_path / "h1.txt", tmp_path / "h2.txt"
-    assert main(argv + ["--out", str(out1)]) == 0
-    assert main(argv + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    assert len(out1.read_text().splitlines()) == 8  # one hypothesis per test pair
 
 
 def test_generate_raw_output(models, data_dir, tmp_path):
@@ -607,6 +563,9 @@ _TRAIN_MISSING = ["train", "--model", "missing.model", "--train", "missing.jsonl
     pytest.param(["study", "--out", "s", "--seeds=-1"], "error:config: seeds must be >= 0, got -1", id="study-seeds"),
     pytest.param(["study", "--out", "s", "--seeds", " , "], "error:config: at least one seed is required",
                  id="study-seeds-empty"),
+    pytest.param(["study", "--out", "s", "--seeds", "a,b"],
+                 "error:config: study: bad value for 'seeds': bad seeds list 'a,b' (expected comma-separated integers)",
+                 id="study-seeds-not-integers"),
     pytest.param(["humaneval-export", "--hyp-a", "a.txt", "--hyp-b", "b.txt", "--system-a", "FS-XLT",
                   "--system-b", "FS-XLT_pmpt", "--test", "missing.jsonl", "--sheet", "sheet.tsv",
                   "--key", "key.tsv", "--seed", "-4"],
@@ -667,7 +626,7 @@ def test_a_value_its_echo_would_change_exits_2_before_writing(case, data_dir, tm
         (tmp_path / "t,1.jsonl").write_bytes((data_dir / "tgt_valid.jsonl").read_bytes())
         key = "data"
         argv = ["pretrain", "--data", str(data_dir / "aux_train.jsonl"), str(tmp_path / "t,1.jsonl"),
-                "--out", str(out)] + TINY_OPT
+                "--out", str(out)] + set_args(TINY_OPT)
     else:  # the echo's re-run drops a " #..." comment and surrounding spaces
         key = "system"
         hyp = tmp_path / "h.txt"
@@ -684,22 +643,6 @@ def test_a_value_its_echo_would_change_exits_2_before_writing(case, data_dir, tm
 # -- study -----------------------------------------------------------------------
 
 
-TINY_STUDY = [
-    "--set", "synthetic.vocab_size=12", "--set", "synthetic.n_train_aux=20",
-    "--set", "synthetic.n_fewshot_tgt=4", "--set", "synthetic.n_valid=6",
-    "--set", "synthetic.n_test=6", "--set", "synthetic.templates=2",
-    "--set", "pretrain.epochs=1", "--set", "train.epochs=1", "--set", "adapt.epochs=2",
-    "--set", "max_generate=6", "--seeds", "0",
-]
-
-
-@pytest.fixture(scope="module")
-def tiny_study(tmp_path_factory):
-    out = tmp_path_factory.mktemp("study") / "run1"
-    assert main(["study", "--out", str(out)] + TINY_STUDY) == 0
-    return out
-
-
 def test_study_prints_table(tiny_study, capsys, tmp_path):
     assert main(["study", "--config", str(tiny_study / "study.resolved.cfg"),
                  "--out", str(tmp_path / "again")]) == 0
@@ -714,36 +657,31 @@ def test_study_artifacts_written(tiny_study):
         assert (tiny_study / name).exists(), name
 
 
-def test_study_echo_reload_is_byte_identical(tiny_study, tmp_path):
-    again = tmp_path / "again"
-    assert main(["study", "--config", str(tiny_study / "study.resolved.cfg"), "--out", str(again)]) == 0
-    for name in ("report.jsonl", "study.json", "samples.txt"):
-        assert filecmp.cmp(tiny_study / name, again / name, shallow=False), name
-
-
 def test_stage_pipeline_reproduces_study_records(tiny_study, tmp_path, monkeypatch):
     # the stage subcommands on the study's seed-0 corpus and budgets: FS-XLT_pmpt
     # through pretrain/train/adapt, MTL through interleave/train, both from one base
     monkeypatch.chdir(tmp_path)
-    synthetic = [arg.replace("synthetic.", "") for arg in TINY_STUDY[:12]]
-    assert main(["gen-synthetic", "--out", "data", "--seed", "0"] + synthetic) == 0
+    [seed] = TINY_STUDY.seeds
+    synthetic = set_args(dataclasses.replace(TINY_STUDY.synthetic, seed=seed))
+    max_length = str(TINY_STUDY.max_generate)
+    assert main(["gen-synthetic", "--out", "data"] + synthetic) == 0
     assert main(["pretrain", "--data", "data/aux_train.jsonl", "data/tgt_valid.jsonl", "--out", "base.model",
-                 "--seed", "0", "--set", "epochs=1"]) == 0
+                 "--seed", str(seed)] + set_args(TINY_STUDY.pretrain)) == 0
     evaluate = ["evaluate", "--ref", "data/tgt_test.jsonl", "--target-vocab", "data/tgt_vocab.txt"]
     assert main(["train", "--model", "base.model", "--train", "data/aux_train.jsonl", "--valid", "data/aux_valid.jsonl",
-                 "--out", "src.model", "--prompted", "--set", "epochs=1"]) == 0
+                 "--out", "src.model", "--prompted"] + set_args(TINY_STUDY.train)) == 0
     assert main(["adapt", "--model", "src.model", "--train", "data/tgt_train.jsonl", "--valid", "data/tgt_valid.jsonl",
-                 "--out", "final.model", "--prompted", "--set", "epochs=2"]) == 0
+                 "--out", "final.model", "--prompted"] + set_args(TINY_STUDY.adapt)) == 0
     assert main(["generate", "--model", "final.model", "--in", "data/tgt_test.jsonl", "--out", "pmpt.txt",
-                 "--max-length", "6", "--prompted"]) == 0
-    assert main(evaluate + ["--hyp", "pmpt.txt", "--report", "pmpt.jsonl", "--system", "FS-XLT_pmpt@seed0"]) == 0
+                 "--max-length", max_length, "--prompted"]) == 0
+    assert main(evaluate + ["--hyp", "pmpt.txt", "--report", "pmpt.jsonl", "--system", f"FS-XLT_pmpt@seed{seed}"]) == 0
     assert main(["interleave", "--aux", "data/aux_train.jsonl", "--tgt", "data/tgt_train.jsonl",
                  "--out", "data/mixed.jsonl"]) == 0
     assert main(["train", "--model", "base.model", "--train", "data/mixed.jsonl", "--valid", "data/aux_valid.jsonl",
-                 "--out", "mtl.model", "--set", "epochs=1"]) == 0
+                 "--out", "mtl.model"] + set_args(TINY_STUDY.train)) == 0
     assert main(["generate", "--model", "mtl.model", "--in", "data/tgt_test.jsonl", "--out", "mtl.txt",
-                 "--max-length", "6"]) == 0
-    assert main(evaluate + ["--hyp", "mtl.txt", "--report", "mtl.jsonl", "--system", "MTL@seed0"]) == 0
+                 "--max-length", max_length]) == 0
+    assert main(evaluate + ["--hyp", "mtl.txt", "--report", "mtl.jsonl", "--system", f"MTL@seed{seed}"]) == 0
 
     study = (tiny_study / "report.jsonl").read_text(encoding="utf-8").splitlines()
     for report in ("pmpt.jsonl", "mtl.jsonl"):
@@ -754,7 +692,7 @@ def test_stage_pipeline_reproduces_study_records(tiny_study, tmp_path, monkeypat
 def test_study_rejects_synthetic_seed(capsys, tmp_path):
     # each study seed draws its own corpus, so the corpus seed is not a study key
     out = tmp_path / "s"
-    assert main(["study", "--out", str(out), "--set", "synthetic.seed=5"] + TINY_STUDY) == 2
+    assert main(["study", "--out", str(out), "--set", "synthetic.seed=5"] + set_args(TINY_STUDY)) == 2
     assert _err_line(capsys) == "error:config: study: unknown config key 'synthetic.seed'"
     assert not out.exists()
 

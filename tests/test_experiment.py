@@ -29,7 +29,7 @@ from crossdial.kvconfig import (
 )
 from crossdial.model import OptimizerConfig, train
 from crossdial.prompting import DEFAULT_TEMPLATE
-from helpers import TINY_OPT, TINY_SPEC, from_kv, tiny_setup
+from helpers import TINY_OPT, TINY_STUDY, from_kv, tiny_setup
 
 
 # -- plumbing ---------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_optimizer_entries_round_trip():
 
 def test_study_config_round_trip():
     config = StudyConfig(
-        synthetic=dataclasses.replace(TINY_SPEC, seed=5),
+        synthetic=dataclasses.replace(TINY_STUDY.synthetic, seed=5),
         pretrain=OptimizerConfig(learning_rate=1e-3, epochs=2, batch_size=4),
         train=OptimizerConfig(learning_rate=2e-3, epochs=3, batch_size=4),
         adapt=OptimizerConfig(learning_rate=3e-3, epochs=4, batch_size=2),
@@ -178,15 +178,7 @@ def test_study_config_requires_seeds():
 
 @pytest.fixture(scope="module")
 def tiny_study():
-    config = StudyConfig(
-        synthetic=TINY_SPEC,
-        pretrain=TINY_OPT,
-        train=TINY_OPT,
-        adapt=TINY_OPT,
-        seeds=(0,),
-        max_generate=16,
-    )
-    return experiment.run_forgetting_study(config)
+    return experiment.run_forgetting_study(TINY_STUDY)
 
 
 def test_study_runs_all_settings_per_seed(tiny_study):
@@ -245,10 +237,9 @@ def test_study_does_not_import_numpy_ma(tmp_path):
 import sys
 import crossdial.experiment as experiment
 from crossdial.corpus import SyntheticSpec
+from crossdial.experiment import StudyConfig
 from crossdial.model import OptimizerConfig
-opt = OptimizerConfig(learning_rate=5e-3, epochs=1, batch_size=8)
-config = experiment.StudyConfig(synthetic=SyntheticSpec(**{dataclasses.asdict(TINY_SPEC)!r}), pretrain=opt, train=opt,
-                                adapt=opt, seeds=(0,), max_generate=4)
+config = {TINY_STUDY!r}
 experiment.write_study_artifacts(experiment.run_forgetting_study(config), {str(tmp_path / "study")!r})
 print("numpy.ma" in sys.modules)
 """

@@ -1,7 +1,8 @@
 """Source-structure rules, checked with the standard library's ``ast``.
 
 Each rule is a function of a checkout root that returns one line per
-violation under ``src/`` (``dead_definitions`` also reads ``perfbench/``).
+violation under ``src/`` (``unused_imports`` also reads ``tests/`` and
+``demos/``, ``dead_definitions`` also reads ``perfbench/``).
 Each is tested on a seeded violation in a temporary tree and on this tree.
 
 ``size_report`` is not a rule: it counts the four numbers a simplicity
@@ -26,7 +27,7 @@ def _trees(root: pathlib.Path, *dirs: str) -> dict[pathlib.Path, ast.Module]:
 def unused_imports(root: pathlib.Path) -> list[str]:
     """A module other than a package's ``__init__.py`` uses every name it imports."""
     bad = []
-    for path, tree in _trees(root, "src").items():
+    for path, tree in _trees(root, "src", "tests", "demos").items():
         if path.name == "__init__.py":  # a package's imports are its exports
             continue
         imported: dict[str, int] = {}
@@ -67,36 +68,41 @@ def dead_definitions(root: pathlib.Path) -> list[str]:
             and node.name not in exported and node.name not in used]
 
 
-# rule -> (files of a tree that breaks it once, the one line it must report)
+# rule -> (files of a tree that breaks it, the lines it must report)
 SEEDED = {
     unused_imports: (
         {"src/crossdial/__init__.py": "from .corpus import load\n",  # exports are exempt
          "src/crossdial/corpus.py": "import os\nimport json.decoder\n\n\ndef load(text):\n"
-                                    "    return json.loads(text)\n"},
-        "src/crossdial/corpus.py:1: 'os' imported but unused",
+                                    "    return json.loads(text)\n",
+         "tests/test_corpus.py": "import pytest\nfrom crossdial.corpus import load\n\n\ndef test_load():\n"
+                                 "    assert load('{}') == {}\n",
+         "demos/01_corpus.py": "import sys\n\nfrom crossdial.corpus import load\n\nprint(load('[]'))\n"},
+        ["src/crossdial/corpus.py:1: 'os' imported but unused",
+         "tests/test_corpus.py:1: 'pytest' imported but unused",
+         "demos/01_corpus.py:1: 'sys' imported but unused"],
     ),
     open_outside_artifact: (
         {"src/crossdial/artifact.py": "def read_text(path):\n    with open(path) as f:\n        return f.read()\n",
          "src/crossdial/corpus.py": "def load(path):\n    return open(path).read()\n"},
-        "src/crossdial/corpus.py:2: open() outside crossdial/artifact.py",
+        ["src/crossdial/corpus.py:2: open() outside crossdial/artifact.py"],
     ),
     dead_definitions: (
         {"src/crossdial/__init__.py": 'from .kvconfig import load_kv\n\n__all__ = ["load_kv"]\n',
          "src/crossdial/kvconfig.py": "def load_kv(path):\n    return _parse(path)\n\n\ndef _parse(path):\n"
                                       "    return {}\n\n\ndef bench_only():\n    pass\n\n\nclass Unused:\n    pass\n",
          "perfbench/workloads.py": "import crossdial.kvconfig as K\n\nK.bench_only()\n"},
-        "src/crossdial/kvconfig.py:13: 'Unused' is neither exported nor referenced",
+        ["src/crossdial/kvconfig.py:13: 'Unused' is neither exported nor referenced"],
     ),
 }
 
 
 @pytest.mark.parametrize("rule", SEEDED, ids=lambda rule: rule.__name__)
 def test_rule_flags_seeded_violation(rule, tmp_path):
-    files, line = SEEDED[rule]
+    files, lines = SEEDED[rule]
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text, encoding="utf-8")
-    assert rule(tmp_path) == [line]
+    assert rule(tmp_path) == lines
 
 
 @pytest.mark.parametrize("rule", SEEDED, ids=lambda rule: rule.__name__)
