@@ -6,6 +6,8 @@ read its directory and never write into it: a test that re-runs a command
 writes into its own ``tmp_path``.
 """
 
+import contextlib
+import io
 import os
 from pathlib import Path
 from typing import NamedTuple
@@ -19,15 +21,19 @@ from helpers import TINY_OPT, TINY_STUDY, set_args
 class Sweep(NamedTuple):
     root: Path  # the directory the sweep ran in
     steps: list  # (subcommand, its outputs relative to root, its echo last), in run order
+    stdout: dict  # subcommand -> what it printed
 
 
-def _run_all_subcommands() -> list:
-    """Drive every subcommand once from the working directory; return the steps."""
-    data, steps = Path("data"), []
+def _run_all_subcommands() -> tuple:
+    """Drive every subcommand once from the working directory; return the
+    steps and what each subcommand printed."""
+    data, steps, stdout = Path("data"), [], {}
 
     def run(argv, outputs):
-        assert main([str(a) for a in argv]) == 0, argv
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
+            assert main([str(a) for a in argv]) == 0, argv
         steps.append((argv[0], [Path(path) for path in outputs]))
+        stdout[argv[0]] = printed.getvalue()
 
     run(["gen-synthetic", "--out", data, "--seed", "3",
          "--set", "vocab_size=16", "--set", "n_train_aux=40", "--set", "n_fewshot_tgt=6",
@@ -69,7 +75,7 @@ def _run_all_subcommands() -> list:
     Path("done.tsv").write_text("\n".join([header] + [row + vote for row, vote in zip(rows, votes)]) + "\n")
     run(["humaneval-aggregate", "--sheet", "done.tsv", "--key", "key.tsv", "--out", "votes.txt", "--language", "da"],
         ["votes.txt", "votes.txt.cfg"])
-    return steps
+    return steps, stdout
 
 
 @pytest.fixture(scope="session")
@@ -78,6 +84,6 @@ def cli_sweep(tmp_path_factory) -> Sweep:
     cwd = os.getcwd()
     os.chdir(root)
     try:
-        return Sweep(root, _run_all_subcommands())
+        return Sweep(root, *_run_all_subcommands())
     finally:
         os.chdir(cwd)

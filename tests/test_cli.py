@@ -28,6 +28,7 @@ from crossdial.kvconfig import config_schema, load_kv, write_kv
 from crossdial.model import OptimizerConfig
 from helpers import TINY_OPT, TINY_STUDY, set_args
 
+
 @pytest.fixture
 def data_dir(cli_sweep):
     return cli_sweep.root / "data"
@@ -517,10 +518,8 @@ def test_history_records_selection(models):
     assert rows[-1]["selected_valid_loss"] == min(row["valid_loss"] for row in rows[:-1])
 
 
-def test_generate_raw_output(models, data_dir, tmp_path):
-    out, raw = tmp_path / "h.txt", tmp_path / "raw.txt"
-    assert main(["generate", "--model", str(models["adapted"]), "--in", str(data_dir / "tgt_test.jsonl"),
-                 "--prompted", "--max-length", "24", "--out", str(out), "--raw-out", str(raw)]) == 0
+def test_generate_raw_output(cli_sweep):
+    raw, out = (cli_sweep.root / name for name in ("raw.txt", "hyps.txt"))
     assert len(raw.read_text().splitlines()) == len(out.read_text().splitlines())
 
 
@@ -578,12 +577,9 @@ def test_bounded_value_exits_2_before_loading(argv, line, capsys, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
-def test_evaluate_report_fields(models, data_dir, tmp_path):
-    hyp = tmp_path / "h.txt"
-    assert main(["generate", "--model", str(models["adapted"]), "--in", str(data_dir / "tgt_test.jsonl"),
-                 "--prompted", "--max-length", "24", "--out", str(hyp)]) == 0
+def test_evaluate_report_fields(cli_sweep, data_dir, tmp_path):
     report = tmp_path / "report.jsonl"
-    assert main(["evaluate", "--hyp", str(hyp), "--ref", str(data_dir / "tgt_test.jsonl"),
+    assert main(["evaluate", "--hyp", str(cli_sweep.root / "hyps.txt"), "--ref", str(data_dir / "tgt_test.jsonl"),
                  "--report", str(report), "--system", "adapted",
                  "--target-vocab", str(data_dir / "tgt_vocab.txt")]) == 0
     record = json.loads(report.read_text().splitlines()[0])
@@ -643,10 +639,8 @@ def test_a_value_its_echo_would_change_exits_2_before_writing(case, data_dir, tm
 # -- study -----------------------------------------------------------------------
 
 
-def test_study_prints_table(tiny_study, capsys, tmp_path):
-    assert main(["study", "--config", str(tiny_study / "study.resolved.cfg"),
-                 "--out", str(tmp_path / "again")]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
+def test_study_prints_table(cli_sweep):
+    lines = cli_sweep.stdout["study"].strip().splitlines()
     assert lines[0].split() == ["setting", "BLEU", "legality", "d1", "d2"]
     assert [line.split()[0] for line in lines[1:5]] == ["FS-XLT", "FS-XLT_pmpt", "MTL", "MTL_pmpt"]
     assert lines[5].startswith("prompted >= plain")
