@@ -21,6 +21,7 @@ The cross-entropy loss is the mean over non-pad target tokens.
 from __future__ import annotations
 
 import base64
+import binascii
 import dataclasses
 import itertools
 import json
@@ -984,6 +985,22 @@ def save_model(model: AttentiveSeq2Seq, path: str) -> None:
     write_lines(path, [text])
 
 
+def _base64_bytes(text: str) -> bytes:
+    """The bytes of canonical base64 ``text``: ``a2b_base64`` reads an ASCII
+    str in place, without the bytes copy that ``b64decode`` makes.  It skips
+    characters outside the alphabet and stops at the first padding, so its
+    output falls short of what the text's length and trailing padding
+    promise exactly when the text is not canonical."""
+    try:
+        data = binascii.a2b_base64(text)
+    except ValueError:  # an incomplete last group, or non-ASCII text
+        data = None
+    pad = 2 if text.endswith("==") else int(text.endswith("="))
+    if data is None or len(text) % 4 or len(data) != len(text) // 4 * 3 - pad:
+        raise ModelError("'params' is not base64 text")
+    return data
+
+
 def load_model(path: str) -> AttentiveSeq2Seq:
     """Read a model file, restoring its vector through ``load_snapshot``; a
     malformed one raises ``ModelError`` naming the file and, where one is at
@@ -996,7 +1013,7 @@ def load_model(path: str) -> AttentiveSeq2Seq:
         raise ModelError(f"{path}: not a {MODEL_FORMAT} file")
     try:
         # popped and decoded first: its text is freed before the model's vector is made
-        vector = np.frombuffer(base64.b64decode(payload.pop("params"), validate=True), dtype="<f8")
+        vector = np.frombuffer(_base64_bytes(payload.pop("params")), dtype="<f8")
         layout = tuple((name, tuple(shape)) for name, shape in payload["layout"])
         model = AttentiveSeq2Seq(Vocabulary(tuple(payload["vocabulary"])), ModelConfig(**payload["config"]))
         model.load_snapshot(ParamViews(vector, layout))

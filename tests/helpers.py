@@ -4,6 +4,8 @@ A plain module rather than ``conftest.py`` fixtures: a Hypothesis test
 cannot take a function-scoped fixture, and these are plain functions.
 ``conftest.py`` holds the one fixture the test files share: the CLI sweep
 that criterion 8 and ``test_cli.py`` read, run once per session.
+``reference.py`` holds the model as first written, per gate, per array and
+per step, that every bit-exactness test compares against.
 """
 
 import dataclasses
@@ -16,7 +18,15 @@ from crossdial.experiment import STUDY_ADAPT, STUDY_PRETRAIN, STUDY_TRAIN, Scena
 from crossdial.humaneval import read_sheet
 from crossdial.kvconfig import coerce, config_from, config_schema, dump_kv
 from crossdial.metrics import tokenize_13a
-from crossdial.model import AttentiveSeq2Seq, ModelConfig, OptimizerConfig, Vocabulary, train
+from crossdial.model import (
+    CONTROL_TOKENS,
+    AttentiveSeq2Seq,
+    ModelConfig,
+    OptimizerConfig,
+    Vocabulary,
+    make_training_batch,
+    train,
+)
 from crossdial.prompting import DEFAULT_TEMPLATE
 
 # The tiny study criterion 8's sweep runs; `tiny_setup` draws its corpus too.
@@ -50,6 +60,20 @@ def tiny_setup(seed=0):
     )
     model = AttentiveSeq2Seq(vocab, ModelConfig(embedding_size=12, hidden_size=16, seed=seed))
     return model, data
+
+
+def train_long_batch():
+    """The train_long benchmark's shape as (vocabulary, pairs, batch): B=32,
+    S=51, T=27 and an 800-token vocabulary."""
+    tokens = tuple(f"v{i}" for i in range(796))
+    vocabulary = Vocabulary(CONTROL_TOKENS + tokens)
+    rng = np.random.default_rng(0)
+    pairs = [
+        tuple(" ".join(rng.choice(tokens, size=int(rng.integers(low, high)))) for low, high in ((40, 51), (15, 26)))
+        for _ in range(31)
+    ]
+    pairs.append((" ".join(tokens[:51]), " ".join(tokens[:26])))
+    return vocabulary, pairs, make_training_batch(vocabulary, pairs)
 
 
 def toy_vocabulary(extra=()):

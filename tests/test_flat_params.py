@@ -1,9 +1,8 @@
 """The flat parameter vector: bit-exactness against the per-array code, and view aliasing.
 
-The reference functions below are the per-gate GRU step, the two-branch
-sigmoid and the per-array Adam step that the gate-major, flat-vector code
-replaced.  The new code must reproduce them bit for bit, not to a tolerance,
-so that every trained weight, model file and study result stays as it was.
+The references are ``reference.py``'s per-gate GRU step, two-branch sigmoid
+and per-array Adam step, which the gate-major, flat-vector code replaced; it
+must reproduce them bit for bit, not to a tolerance.
 """
 
 import numpy as np
@@ -23,6 +22,7 @@ from crossdial.model import (
     save_model,
     train,
 )
+import reference
 
 BATCH_SIZES = [1, 2, 3, 8, 32]
 DATA = [("a1 a2 a3 a4", "a4 a3 a2"), ("b1 b2", "b3 b1 b2"), ("a2 a1", "a1")]
@@ -36,73 +36,6 @@ def _model(seed=0):
     return AttentiveSeq2Seq(_vocab(), ModelConfig(seed=seed))  # the reference shapes, d=32 and h=64
 
 
-# -- reference copies of the per-array code ------------------------------------
-
-
-def _ref_sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _ref_gru_forward(p, x, h_prev, prefix, mask_col):
-    az = x @ p[prefix + "Wz"] + h_prev @ p[prefix + "Uz"] + p[prefix + "bz"]
-    z = _ref_sigmoid(az)
-    ar = x @ p[prefix + "Wr"] + h_prev @ p[prefix + "Ur"] + p[prefix + "br"]
-    r = _ref_sigmoid(ar)
-    rh = r * h_prev
-    an = x @ p[prefix + "Wn"] + rh @ p[prefix + "Un"] + p[prefix + "bn"]
-    n = np.tanh(an)
-    h_new = (1.0 - z) * n + z * h_prev
-    h = mask_col * h_new + (1.0 - mask_col) * h_prev
-    return h, (x, h_prev, z, r, n, rh, mask_col)
-
-
-def _ref_gru_backward(p, dh, cache, prefix, grads):
-    x, h_prev, z, r, n, rh, mask_col = cache
-    dh_new = dh * mask_col
-    dh_prev = dh * (1.0 - mask_col)
-    dz = dh_new * (h_prev - n)
-    dn = dh_new * (1.0 - z)
-    dh_prev = dh_prev + dh_new * z
-    dan = dn * (1.0 - n * n)
-    grads[prefix + "Wn"] += x.T @ dan
-    grads[prefix + "Un"] += rh.T @ dan
-    grads[prefix + "bn"] += dan.sum(axis=0)
-    drh = dan @ p[prefix + "Un"].T
-    dh_prev = dh_prev + drh * r
-    dr = drh * h_prev
-    dx = dan @ p[prefix + "Wn"].T
-    daz = dz * z * (1.0 - z)
-    grads[prefix + "Wz"] += x.T @ daz
-    grads[prefix + "Uz"] += h_prev.T @ daz
-    grads[prefix + "bz"] += daz.sum(axis=0)
-    dx += daz @ p[prefix + "Wz"].T
-    dh_prev = dh_prev + daz @ p[prefix + "Uz"].T
-    dar = dr * r * (1.0 - r)
-    grads[prefix + "Wr"] += x.T @ dar
-    grads[prefix + "Ur"] += h_prev.T @ dar
-    grads[prefix + "br"] += dar.sum(axis=0)
-    dx += dar @ p[prefix + "Wr"].T
-    dh_prev = dh_prev + dar @ p[prefix + "Ur"].T
-    return dx, dh_prev
-
-
-def _ref_adamw_step(params, grads, m, v, t, lr, beta1, beta2, eps):
-    bias1 = 1.0 - beta1**t
-    bias2 = 1.0 - beta2**t
-    for name, param in params.items():
-        g = grads[name]
-        m[name] *= beta1
-        m[name] += (1.0 - beta1) * g
-        v[name] *= beta2
-        v[name] += (1.0 - beta2) * g * g
-        param -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + eps)
-
-
 # -- bit-exactness ---------------------------------------------------------------
 
 
@@ -111,7 +44,7 @@ def test_sigmoid_matches_two_branch_form():
     for shape, scale in (((8, 64), 3.0), ((2, 32, 64), 40.0), ((1, 64), 800.0), ((3,), 1.0)):
         x = rng.normal(scale=scale, size=shape)
         x.flat[:3] = (0.0, -0.0, -745.5)
-        np.testing.assert_array_equal(_sigmoid(x), _ref_sigmoid(x))
+        np.testing.assert_array_equal(_sigmoid(x), reference.sigmoid(x))
 
 
 def _masks(batch):
@@ -135,7 +68,7 @@ def test_gru_step_matches_per_gate_reference(batch, prefix):
 
         xw = x @ model._gru_params[prefix][0]
         got_h, step = model._gru_forward(xw, h_prev, prefix, mask_col, 1.0 - mask_col)
-        want_h, ref_cache = _ref_gru_forward(ref_params, x, h_prev, prefix, mask_col)
+        want_h, ref_cache = reference.gru_forward(ref_params, x, h_prev, prefix, mask_col)
         np.testing.assert_array_equal(got_h, want_h)
 
         # accumulate onto nonzero gradients, as backprop over time does
@@ -145,7 +78,7 @@ def test_gru_step_matches_per_gate_reference(batch, prefix):
         da = np.empty((3, batch, h))
         gate_grads = grads.gates(prefix)
         got_dh, got_dx = model._gru_backward(dh, x, h_prev, step, prefix, mask_col, 1.0 - mask_col, gate_grads, da)
-        want_dx, want_dh = _ref_gru_backward(ref_params, dh, ref_cache, prefix, ref_grads)
+        want_dx, want_dh = reference.gru_backward(ref_params, dh, ref_cache, prefix, ref_grads)
         np.testing.assert_array_equal(got_dx, want_dx)
         np.testing.assert_array_equal(got_dh, want_dh)
         for name, want in ref_grads.items():
@@ -164,7 +97,7 @@ def test_adamw_matches_per_array_reference():
         grads = model.snapshot()
         grads.flat[...] = rng.normal(scale=10.0 ** -t, size=grads.flat.size)
         opt.step(grads.flat)
-        _ref_adamw_step(ref, grads, m, v, t, 5e-3, 0.9, 0.999, 1e-8)
+        reference.adamw_step(ref, grads, m, v, t, 5e-3, 0.9, 0.999, 1e-8)
     for name, want in ref.items():
         np.testing.assert_array_equal(model.params[name], want, err_msg=name)
     np.testing.assert_array_equal(opt.m, np.concatenate([a.ravel() for a in m.values()]))

@@ -12,7 +12,6 @@ from crossdial.metrics import language_legality
 from crossdial.model import (
     AdamW,
     AttentiveSeq2Seq,
-    CONTROL_TOKENS,
     ModelConfig,
     EOS_ID,
     ModelError,
@@ -31,7 +30,7 @@ from crossdial.model import (
     save_model,
     train,
 )
-from helpers import toy_model, toy_vocabulary, train_on_scripted_losses
+from helpers import toy_model, toy_vocabulary, train_long_batch, train_on_scripted_losses
 
 
 def _batch(model, data=None, max_length=16):
@@ -145,16 +144,8 @@ def _arrays_in(obj):
 def _train_long_shape():
     """The train_long benchmark's shape: B=32, S=51, T=27, an 800-token
     vocabulary, h=64."""
-    tokens = tuple(f"v{i}" for i in range(796))
-    vocabulary = Vocabulary(CONTROL_TOKENS + tokens)
-    rng = np.random.default_rng(0)
-    pairs = [
-        tuple(" ".join(rng.choice(tokens, size=int(rng.integers(low, high)))) for low, high in ((40, 51), (15, 26)))
-        for _ in range(31)
-    ]
-    pairs.append((" ".join(tokens[:51]), " ".join(tokens[:26])))
+    vocabulary, pairs, batch = train_long_batch()
     model = AttentiveSeq2Seq(vocabulary, ModelConfig())
-    batch = make_training_batch(vocabulary, pairs)
     assert batch.src.shape == (32, 51) and batch.tgt_in.shape == (32, 27)
     return model, pairs, batch
 
@@ -213,6 +204,37 @@ def test_train_memory_at_train_long_shape():
 def test_nll_memory_at_train_long_shape():
     model, _, batch = _train_long_shape()
     assert _traced_peak(lambda: model.nll(batch)) < 12e6
+
+
+def test_load_model_decodes_the_text_in_place(tmp_path, monkeypatch):
+    # traced from the parsed payload to the model's construction, while
+    # load_model holds the 2.0 MB params text (allocated by the parse, so
+    # untraced) and its 1.5 MB vector: b64decode's ASCII copy of the text
+    # made this window peak at 3.56 MB.  The whole call peaks at 4.15 MB with
+    # either decode, in json.loads, which holds the file text and its parse
+    model, _, _ = _train_long_shape()
+    path = tmp_path / "m.model"
+    save_model(model, path)
+    parse, vocabulary = json.loads, Vocabulary
+    peaks = []
+
+    def parse_then_trace(text):
+        payload = parse(text)
+        tracemalloc.start()
+        return payload
+
+    def peak_then_build(tokens):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        return vocabulary(tokens)
+
+    monkeypatch.setattr(json, "loads", parse_then_trace)
+    monkeypatch.setattr("crossdial.model.Vocabulary", peak_then_build)
+    try:
+        load_model(path)
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 1.1 * model.params.flat.nbytes
 
 
 # -- optimizer -------------------------------------------------------------
